@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import codec as _codec
+from . import numerics
 from .errors import ConfigError, InvalidArgumentError
 
 __all__ = [
@@ -123,26 +124,41 @@ class MacReport:
             raise InvalidArgumentError("need at least one source")
         return self.const_macs + n_sources * self.per_source_macs
 
-
-def _conv_out_len(length: int, spec: LayerSpec) -> int:
-    span = (spec.kernel - 1) * spec.dilation + 1
-    if spec.kind == "transposed_conv1d":
-        out = (length - 1) * spec.stride - 2 * spec.padding + span + spec.output_padding
-    else:
-        out = (length + 2 * spec.padding - span) // spec.stride + 1
-    if out < 1:
-        raise ConfigError(
-            f"layer {spec.name}: output length {out} is not positive at "
-            f"input length {length}"
-        )
-    return out
+    def to_dict(self, n_sources: int) -> dict:
+        """JSON-ready row: totals at `n_sources` plus every layer's cost."""
+        return {
+            "arch": self.arch,
+            "params": self.params,
+            "const_macs": self.const_macs,
+            "per_source_macs": self.per_source_macs,
+            "total_macs": self.total_macs(n_sources),
+            "layers": [
+                {
+                    "name": cost.name,
+                    "kind": cost.kind,
+                    "tag": cost.tag,
+                    "macs": cost.macs,
+                    "scaling": cost.scaling,
+                }
+                for cost in self.layers
+            ],
+        }
 
 
 def _layer_cost(spec: LayerSpec, length: int) -> tuple[int, int, str]:
     """Return (macs, new_length, scaling) for one layer at frame count `length`."""
     t = length
     if spec.kind in ("conv1d", "transposed_conv1d"):
-        out_len = _conv_out_len(t, spec)
+        out_len = numerics.conv_out_len(
+            t, spec.kernel, stride=spec.stride, padding=spec.padding,
+            dilation=spec.dilation, transposed=spec.kind == "transposed_conv1d",
+            output_padding=spec.output_padding,
+        )
+        if out_len < 1:
+            raise ConfigError(
+                f"layer {spec.name}: output length {out_len} is not positive "
+                f"at input length {t}"
+            )
         per_col = spec.c_out * spec.c_in * spec.kernel
         cols = t if spec.kind == "transposed_conv1d" else out_len
         return per_col * cols, out_len, SCALING_LINEAR
@@ -255,70 +271,52 @@ def _specs_from_nodes(nodes, tag: str) -> list[LayerSpec]:
     return out
 
 
-def _rvq_scan_spec(config: _codec.ModelConfig, tag: str, name: str = "rvq") -> LayerSpec:
-    return LayerSpec(
-        name=name, kind="rvq_scan", tag=tag,
-        d_model=config.latent_dim, n_codebooks=config.n_codebooks,
-        n_entries=config.codebook_size, code_dim=config.code_dim,
-    )
+# Stages each family runs once per mixture; every other stage repeats per
+# source.
+_CONST_STAGES = {
+    "DAC": (),
+    "DACT": (),
+    "SDCodec": ("encoder",),
+    "SDCodecT": ("encoder",),
+    "SUNAC": ("encoder", "cross"),
+}
 
 
-def _film_spec(config: _codec.ModelConfig, tag: str) -> LayerSpec:
-    return LayerSpec(name="extractor.film", kind="film", tag=tag,
-                     d_model=config.latent_dim)
-
-
-def _extractor_specs(config: _codec.ModelConfig):
-    """Cross-prompt rows (const) and per-source rows (film + refiners)."""
-    nodes = {n.name: n for n in _codec.extractor_nodes(config)}
-    cross = _specs_from_nodes([nodes["extractor.cross"]], TAG_CONST)
-    per_source = [_film_spec(config, TAG_PER_SOURCE)]
-    per_source += _specs_from_nodes(
-        [nodes["extractor.refine0"], nodes["extractor.refine1"]], TAG_PER_SOURCE
-    )
-    return cross, per_source
-
-
-def _spec_single_path(name: str, config: _codec.ModelConfig) -> ArchSpec:
-    """A codec run end to end per source: everything is per_source."""
-    layers = _specs_from_nodes(_codec.encoder_nodes(config), TAG_PER_SOURCE)
-    layers.append(_rvq_scan_spec(config, TAG_PER_SOURCE))
-    layers += _specs_from_nodes(_codec.decoder_nodes(config), TAG_PER_SOURCE)
-    return ArchSpec(name=name, layers=tuple(layers),
-                    params=_codec.count_params(config).total)
-
-
-def _spec_shared_encoder(name: str, config: _codec.ModelConfig) -> ArchSpec:
-    """Shared encoder, then one quantizer and decoder pass per source."""
-    layers = _specs_from_nodes(_codec.encoder_nodes(config), TAG_CONST)
-    layers.append(_rvq_scan_spec(config, TAG_PER_SOURCE))
-    layers += _specs_from_nodes(_codec.decoder_nodes(config), TAG_PER_SOURCE)
-    return ArchSpec(name=name, layers=tuple(layers),
-                    params=_codec.count_params(config).total)
-
-
-def _spec_prompted(name: str, config: _codec.ModelConfig,
-                   with_decoder: bool) -> ArchSpec:
-    """Prompt-conditioned path: shared conv encoder and cross-prompt layer,
-    then FiLM, refinement, quantization (and optionally decoding) per source.
+def _arch_spec(name: str, config: _codec.ModelConfig,
+               with_decoder: bool = True) -> ArchSpec:
+    """Walk the stages in signal order: encoder, the prompt front end
+    (cross-prompt layer, FiLM, refinement) when the family has one, the
+    quantizer, then the decoder.
 
     The cross-prompt layer is counted at the mixture's frame count; the
     handful of extra prompt tokens it sees is noise at this resolution.
     """
-    layers = _specs_from_nodes(_codec.encoder_nodes(config), TAG_CONST)
-    cross, per_source = _extractor_specs(config)
-    layers += cross
-    layers += per_source
-    layers.append(_rvq_scan_spec(config, TAG_PER_SOURCE))
+    const = _CONST_STAGES[config.arch_family]
+
+    def tag(stage: str) -> str:
+        return TAG_CONST if stage in const else TAG_PER_SOURCE
+
+    layers = _specs_from_nodes(_codec.encoder_nodes(config), tag("encoder"))
+    if config.has_extractor:
+        nodes = {n.name: n for n in _codec.extractor_nodes(config)}
+        layers += _specs_from_nodes([nodes["extractor.cross"]], tag("cross"))
+        layers.append(LayerSpec(name="extractor.film", kind="film",
+                                tag=tag("film"), d_model=config.latent_dim))
+        layers += _specs_from_nodes(
+            [nodes["extractor.refine0"], nodes["extractor.refine1"]],
+            tag("refine"),
+        )
+    layers.append(LayerSpec(
+        name="rvq", kind="rvq_scan", tag=tag("rvq"),
+        d_model=config.latent_dim, n_codebooks=config.n_codebooks,
+        n_entries=config.codebook_size, code_dim=config.code_dim,
+    ))
     params = _codec.count_params(config)
-    if with_decoder:
-        layers += _specs_from_nodes(_codec.decoder_nodes(config), TAG_PER_SOURCE)
-        total = params.total
-    else:
-        total = (params.group_total("encoder")
-                 + params.group_total("extractor")
-                 + params.group_total("rvq"))
-    return ArchSpec(name=name, layers=tuple(layers), params=total)
+    if not with_decoder:
+        return ArchSpec(name=name, layers=tuple(layers),
+                        params=params.total - params.group_total("decoder"))
+    layers += _specs_from_nodes(_codec.decoder_nodes(config), tag("decoder"))
+    return ArchSpec(name=name, layers=tuple(layers), params=params.total)
 
 
 BUILTIN_ORDER = ("DAC", "DACT", "SDCodec", "SDCodecT", "SUNAC",
@@ -327,17 +325,10 @@ BUILTIN_ORDER = ("DAC", "DACT", "SDCodec", "SDCodecT", "SUNAC",
 
 def builtin_specs() -> dict[str, ArchSpec]:
     """ArchSpecs for the named architectures, keyed and ordered as reported."""
-    sunac_cfg = _codec.default_config("SUNAC")
-    specs = {
-        "DAC": _spec_single_path("DAC", _codec.default_config("DAC")),
-        "DACT": _spec_single_path("DACT", _codec.default_config("DACT")),
-        "SDCodec": _spec_shared_encoder("SDCodec", _codec.default_config("SDCodec")),
-        "SDCodecT": _spec_shared_encoder("SDCodecT",
-                                         _codec.default_config("SDCodecT")),
-        "SUNAC": _spec_prompted("SUNAC", sunac_cfg, with_decoder=True),
-        "SUNAC-encoder-only": _spec_prompted("SUNAC-encoder-only", sunac_cfg,
-                                             with_decoder=False),
-    }
+    specs = {family: _arch_spec(family, _codec.default_config(family))
+             for family in _codec.ARCH_FAMILIES}
+    specs["SUNAC-encoder-only"] = _arch_spec(
+        "SUNAC-encoder-only", _codec.default_config("SUNAC"), with_decoder=False)
     return {name: specs[name] for name in BUILTIN_ORDER}
 
 
@@ -404,25 +395,6 @@ def report_to_json(report: CompareReport) -> str:
         "duration_s": report.duration_s,
         "n_sources": report.n_sources,
         "sample_rate": report.sample_rate,
-        "rows": [
-            {
-                "arch": row.arch,
-                "params": row.params,
-                "const_macs": row.const_macs,
-                "per_source_macs": row.per_source_macs,
-                "total_macs": row.total_macs(report.n_sources),
-                "layers": [
-                    {
-                        "name": cost.name,
-                        "kind": cost.kind,
-                        "tag": cost.tag,
-                        "macs": cost.macs,
-                        "scaling": cost.scaling,
-                    }
-                    for cost in row.layers
-                ],
-            }
-            for row in report.rows
-        ],
+        "rows": [row.to_dict(report.n_sources) for row in report.rows],
     }
     return json.dumps(payload, indent=2) + "\n"

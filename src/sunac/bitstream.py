@@ -154,13 +154,7 @@ def unpack_stream(blob: bytes) -> EncodedStream:
         raise CorruptStreamError(str(exc)) from exc
     offset += n_sources
     codes = np.frombuffer(blob, dtype="<u2", offset=offset)
-    codes = codes.reshape(n_sources, n_codebooks, n_frames).astype(np.int32)
-    limit = 1 << bits_per_code
-    if codes.max() >= limit:
-        raise CorruptStreamError(
-            f"code {int(codes.max())} exceeds the declared "
-            f"{bits_per_code}-bit range"
-        )
+    codes = codes.reshape(n_sources, n_codebooks, n_frames)
     try:
         return EncodedStream(
             sample_rate=sample_rate,

@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-from . import analysis, codec, fixtures, pipeline, rvq
+from . import analysis, codec, fixtures, pipeline
 from .audio import _atomic_write_bytes, read_wav, write_wav
 from .bitstream import read_stream, write_stream
 from .errors import CorruptStreamError, InvalidArgumentError, SunacError
-from .extractor import ExtractorWeights, PromptBank, extract, parse_prompts
+from .extractor import parse_prompts
 
 __all__ = ["main", "entry"]
 
@@ -113,14 +113,7 @@ def _cmd_extract(args) -> int:
     store = _load_store(args.weights, config)
     audio = read_wav(args.mixture)
     prompts = parse_prompts(args.prompts)
-    if not config.has_extractor:
-        raise InvalidArgumentError(
-            f"{config.arch_family} has no prompt conditioning; "
-            "extraction needs a SUNAC configuration"
-        )
-    features = codec.encode(audio, config, store)
-    maps = extract(features, prompts, PromptBank.from_store(store),
-                   ExtractorWeights.from_store(store, config))
+    maps = pipeline.extract_features(audio, prompts, config, store)
     os.makedirs(args.output_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.mixture))[0]
     for i, (fmap, ptype) in enumerate(zip(maps, prompts)):
@@ -218,19 +211,9 @@ def _cmd_analyze(args) -> int:
         row = analysis.count_macs(analysis.builtin_specs()[key],
                                   args.duration, args.rate)
         if args.format == "json":
-            payload = {
-                "arch": row.arch,
-                "params": row.params,
-                "const_macs": row.const_macs,
-                "per_source_macs": row.per_source_macs,
-                "total_macs": row.total_macs(args.sources),
-                "n_sources": args.sources,
-                "layers": [
-                    {"name": c.name, "kind": c.kind, "tag": c.tag,
-                     "macs": c.macs, "scaling": c.scaling}
-                    for c in row.layers
-                ],
-            }
+            payload = row.to_dict(args.sources)
+            layers = payload.pop("layers")
+            payload.update(n_sources=args.sources, layers=layers)
             print(json.dumps(payload, indent=2))
         else:
             print(f"{row.arch}: {row.params / 1e6:.2f}M params, "
@@ -336,3 +319,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -172,24 +172,7 @@ class ModelConfig:
     # -- serialization
 
     def to_json(self) -> str:
-        payload = {
-            "arch_family": self.arch_family,
-            "sample_rate": self.sample_rate,
-            "strides": list(self.strides),
-            "enc_base_dim": self.enc_base_dim,
-            "dec_base_dim": self.dec_base_dim,
-            "latent_dim": self.latent_dim,
-            "n_enc_transformer": self.n_enc_transformer,
-            "n_dec_transformer": self.n_dec_transformer,
-            "transformer_hidden": self.transformer_hidden,
-            "n_heads": self.n_heads,
-            "ff_dim": self.ff_dim,
-            "n_codebooks": self.n_codebooks,
-            "codebook_size": self.codebook_size,
-            "code_dim": self.code_dim,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
@@ -343,11 +326,6 @@ class LinearNode:
             TensorSpec(f"{self.name}.bias", (self.d_out,), INIT_UNIFORM, self.d_in),
         ]
 
-    def apply(self, x, store):
-        w = store[f"{self.name}.weight"].astype(np.float64)
-        b = store[f"{self.name}.bias"].astype(np.float64)
-        return (w @ np.asarray(x, dtype=np.float64) + b[:, None]).astype(np.float32)
-
 
 class ParamNode:
     """A bare tensor with no forward op (codebooks, prompt vectors)."""
@@ -360,9 +338,6 @@ class ParamNode:
 
     def manifest(self):
         return [TensorSpec(self.name, self.shape, self.init, self.fan_in)]
-
-    def apply(self, x, store):
-        raise ContractViolationError(f"{self.name} is not an executable layer")
 
 
 class TransformerNode:
@@ -583,17 +558,14 @@ class WeightStore:
             raise CorruptStreamError(
                 f"{path}: bad magic {blob[:4]!r}, expected {WEIGHTS_MAGIC!r}"
             )
-        offset = 4
-        (version,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if version != WEIGHTS_VERSION:
-            raise CorruptStreamError(
-                f"{path}: unsupported weight format version {version}"
-            )
-        (seed,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
         tensors: dict[str, np.ndarray] = {}
         try:
+            version, seed = struct.unpack_from("<HQ", blob, 4)
+            if version != WEIGHTS_VERSION:
+                raise CorruptStreamError(
+                    f"{path}: unsupported weight format version {version}"
+                )
+            offset = 4 + struct.calcsize("<HQ")
             while offset < len(blob):
                 (name_len,) = struct.unpack_from("<H", blob, offset)
                 offset += 2
@@ -607,7 +579,13 @@ class WeightStore:
                 end = offset + 4 * count
                 if end > len(blob):
                     raise CorruptStreamError(f"{path}: truncated tensor {name!r}")
+                if name in tensors:
+                    raise CorruptStreamError(f"{path}: duplicate tensor {name!r}")
                 data = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
+                if not np.all(np.isfinite(data)):
+                    raise CorruptStreamError(
+                        f"{path}: tensor {name!r} holds non-finite values"
+                    )
                 tensors[name] = data.copy()
                 offset = end
         except (struct.error, UnicodeDecodeError) as exc:

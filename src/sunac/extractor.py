@@ -67,7 +67,7 @@ class PromptType(enum.Enum):
             ) from None
 
 
-_WIRE_ORDER = (PromptType.SPEECH, PromptType.MUSIC, PromptType.SFX, PromptType.MIX)
+_WIRE_ORDER = tuple(PromptType)
 
 
 def parse_prompts(text: str) -> tuple[PromptType, ...]:

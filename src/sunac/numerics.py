@@ -19,6 +19,7 @@ from scipy.special import erf
 from .errors import ContractViolationError, InvalidArgumentError, NumericError
 
 __all__ = [
+    "conv_out_len",
     "conv1d",
     "snake",
     "layer_norm",
@@ -52,6 +53,29 @@ def _f64(a: np.ndarray) -> np.ndarray:
 # convolution
 
 
+def conv_out_len(
+    length: int,
+    kernel: int,
+    *,
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+    transposed: bool = False,
+    output_padding: int = 0,
+) -> int:
+    """Output column count of `conv1d` for an input of `length` columns.
+
+    With span = (kernel - 1) * dilation + 1 this is
+    (length + 2 * padding - span) // stride + 1 forward and
+    (length - 1) * stride - 2 * padding + span + output_padding transposed.
+    The result is not checked; it is below one when the kernel does not fit.
+    """
+    span = (kernel - 1) * dilation + 1
+    if transposed:
+        return (length - 1) * stride - 2 * padding + span + output_padding
+    return (length + 2 * padding - span) // stride + 1
+
+
 def conv1d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -72,15 +96,12 @@ def conv1d(
             of `x`.
         bias: optional (C_out,) vector added to every output column.
         stride, padding, dilation: the usual conv hyperparameters.
-        transposed: scatter instead of gather.  Output length becomes
-            (L - 1) * stride - 2 * padding + span + output_padding where
-            span = (K - 1) * dilation + 1.
+        transposed: scatter instead of gather.
         output_padding: extra columns appended in the transposed direction
             only, to disambiguate the output length for odd strides.
 
     Returns:
-        (C_out, L_out) float32.  Forward direction satisfies
-        L_out = (L + 2 * padding - span) // stride + 1.
+        (C_out, L_out) float32, with L_out given by `conv_out_len`.
     """
     x = np.asarray(x, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
@@ -105,33 +126,26 @@ def conv1d(
             f"input has {x.shape[0]} channels, kernels expect {c_in}"
         )
     length = x.shape[1]
-    span = (k - 1) * dilation + 1
+    l_out = conv_out_len(length, k, stride=stride, padding=padding,
+                         dilation=dilation, transposed=transposed,
+                         output_padding=output_padding)
+    if l_out < 1:
+        raise InvalidArgumentError(f"conv output length {l_out} is not positive")
     x64 = x.astype(np.float64)
     w64 = w.astype(np.float64)
 
     if transposed:
-        l_out = (length - 1) * stride - 2 * padding + span + output_padding
-        if l_out < 1:
-            raise InvalidArgumentError(
-                f"transposed conv output length {l_out} is not positive"
-            )
         # Each input column scatters a full kernel; accumulate per tap.
         contrib = (w64.transpose(0, 2, 1).reshape(c_out * k, c_in) @ x64).reshape(
             c_out, k, length
         )
-        full = np.zeros((c_out, (length - 1) * stride + span + output_padding))
+        full = np.zeros((c_out, l_out + 2 * padding))
         offsets = np.arange(length) * stride
         for tap in range(k):
             full[:, tap * dilation + offsets] += contrib[:, tap, :]
         y = full[:, padding : padding + l_out]
     else:
-        padded_len = length + 2 * padding
-        if padded_len < span:
-            raise InvalidArgumentError(
-                f"kernel span {span} exceeds padded input length {padded_len}"
-            )
-        l_out = (padded_len - span) // stride + 1
-        xp = np.zeros((c_in, padded_len))
+        xp = np.zeros((c_in, length + 2 * padding))
         xp[:, padding : padding + length] = x64
         starts = np.arange(l_out) * stride
         taps = np.arange(k) * dilation
@@ -267,14 +281,14 @@ class TransformerLayerWeights:
             raise ContractViolationError(f"ff_b1 must be ({f},)")
 
 
-def _attention(tokens: np.ndarray, w: TransformerLayerWeights,
-               positions: np.ndarray, use_rope: bool):
+def _attention(tokens: np.ndarray, w: TransformerLayerWeights, use_rope: bool):
     t, d = tokens.shape
     heads, dh = w.n_heads, w.head_dim
     q = (tokens @ w.wq.T.astype(np.float64) + w.bq).reshape(t, heads, dh)
     k = (tokens @ w.wk.T.astype(np.float64) + w.bk).reshape(t, heads, dh)
     v = (tokens @ w.wv.T.astype(np.float64) + w.bv).reshape(t, heads, dh)
     if use_rope:
+        positions = np.arange(t)
         q = rope_rotate(q, positions)
         k = rope_rotate(k, positions)
     scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(dh)
@@ -291,7 +305,6 @@ def transformer_block(
     weights: TransformerLayerWeights,
     *,
     use_rope: bool = True,
-    positions: np.ndarray | None = None,
     return_attention: bool = False,
     name: str | None = None,
 ):
@@ -310,11 +323,9 @@ def transformer_block(
     if x.shape[1] < 1:
         raise InvalidArgumentError("transformer input needs at least one token")
     tokens = x.T.astype(np.float64)
-    if positions is None:
-        positions = np.arange(tokens.shape[0])
 
     normed = _ln_rows(tokens, _f64(weights.ln1_gain), _f64(weights.ln1_bias))
-    attn_out, probs = _attention(normed, weights, positions, use_rope)
+    attn_out, probs = _attention(normed, weights, use_rope)
     tokens = tokens + attn_out
     normed = _ln_rows(tokens, _f64(weights.ln2_gain), _f64(weights.ln2_bias))
     hidden = gelu(normed @ weights.ff_w1.T.astype(np.float64) + weights.ff_b1)
@@ -334,12 +345,10 @@ def attention_probs(
     weights: TransformerLayerWeights,
     *,
     use_rope: bool = True,
-    positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention map (H, T, T) a transformer_block call would produce."""
-    _, probs = transformer_block(
-        x, weights, use_rope=use_rope, positions=positions, return_attention=True
-    )
+    _, probs = transformer_block(x, weights, use_rope=use_rope,
+                                 return_attention=True)
     return probs
 
 

@@ -30,6 +30,7 @@ from .extractor import ExtractorWeights, PromptBank, PromptType, extract
 from .fixtures import MixtureManifest, realize
 
 __all__ = [
+    "extract_features",
     "encode_mixture",
     "decode_stream",
     "separate",
@@ -56,6 +57,20 @@ def _check_n_active(config: codec.ModelConfig, n_active: int) -> None:
         )
 
 
+def extract_features(
+    audio: AudioBuffer,
+    prompts,
+    config: codec.ModelConfig,
+    store: codec.WeightStore,
+) -> list[np.ndarray]:
+    """Encode a mixture once and return one refined (F, T) feature map per
+    prompt, in prompt order, before quantization."""
+    _require_prompted(config)
+    features = codec.encode(audio, config, store)
+    return extract(features, tuple(prompts), PromptBank.from_store(store),
+                   ExtractorWeights.from_store(store, config))
+
+
 def encode_mixture(
     audio: AudioBuffer,
     prompts,
@@ -68,16 +83,12 @@ def encode_mixture(
     n_active selects how many quantizer layers are spent per source, which
     is the bitrate knob; by default all configured codebooks are used.
     """
-    _require_prompted(config)
     prompts = tuple(prompts)
     if n_active is None:
         n_active = config.n_codebooks
     _check_n_active(config, n_active)
-    features = codec.encode(audio, config, store)
-    bank = PromptBank.from_store(store)
-    weights = ExtractorWeights.from_store(store, config)
+    per_source = extract_features(audio, prompts, config, store)
     quantizer = rvq.RvqWeights.from_store(store, config)
-    per_source = extract(features, prompts, bank, weights)
     codes = np.stack(
         [rvq.quantize(fmap, quantizer, n_active).codes for fmap in per_source]
     )

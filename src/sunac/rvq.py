@@ -125,18 +125,17 @@ def _check_active(n_active: int, weights: RvqWeights) -> None:
 def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
     """Greedy layer-by-layer nearest-entry walk in code space.
 
-    Returns codes, per-layer residual norms, and the final projected
-    target (for the losses).  All in float64.
+    Returns codes, per-layer residual norms (float64) and per-layer mean
+    squared residuals (for the losses).
     """
     down_w = weights.down_w.astype(np.float64)
-    target = down_w @ features.astype(np.float64) + weights.down_b.astype(
+    residual = down_w @ features.astype(np.float64) + weights.down_b.astype(
         np.float64
     )[:, None]
-    t = target.shape[1]
+    t = residual.shape[1]
     codes = np.zeros((n_active, t), dtype=np.int32)
     norms = np.zeros(n_active)
     distances_sq = np.zeros(n_active)
-    residual = target.copy()
     for layer in range(n_active):
         entries = weights.codebooks[layer].astype(np.float64)
         # ||r - e||^2 expanded; the argmin ties break toward the lowest
@@ -151,7 +150,7 @@ def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
         residual -= entries[picked].T
         norms[layer] = np.sqrt(np.sum(residual * residual))
         distances_sq[layer] = np.mean(residual * residual)
-    return codes, norms, distances_sq, target
+    return codes, norms, distances_sq
 
 
 def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> QuantizeResult:
@@ -162,7 +161,7 @@ def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> Quanti
     """
     features = _check_features(features, weights)
     _check_active(n_active, weights)
-    codes, norms, _, _ = _scan(features, weights, n_active)
+    codes, norms, _ = _scan(features, weights, n_active)
     return QuantizeResult(
         quantized=codes_to_features(codes, weights),
         codes=codes,
@@ -207,6 +206,6 @@ def codebook_losses(
     """
     features = _check_features(features, weights)
     _check_active(n_active, weights)
-    _, _, distances_sq, _ = _scan(features, weights, n_active)
+    _, _, distances_sq = _scan(features, weights, n_active)
     value = float(np.mean(distances_sq))
     return value, value

@@ -9,6 +9,8 @@ paths fast enough to run the full loop repeatedly.
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -409,3 +411,59 @@ def test_analyze_table_json_round_trips(capsys):
     printed = capsys.readouterr().out
     report = analysis.compare_report(1.0, 2, 16000)
     assert printed == analysis.report_to_json(report)
+
+
+# ----------------------------------------------------------------- weights
+
+
+def _write_bad_weights(defect, store, path):
+    store.save(str(path))
+    blob = path.read_bytes()
+    name, tensor = next(iter(store.tensors.items()))
+    if defect == "magic only":
+        blob = blob[:4]
+    elif defect == "seed truncated":
+        blob = blob[:10]
+    elif defect == "duplicate tensor":
+        single = path.with_suffix(".single")
+        codec.WeightStore(store.seed, {name: tensor}).save(str(single))
+        blob += single.read_bytes()[14:]  # its one record, header skipped
+    elif defect == "non-finite tensor":
+        bad = tensor.copy()
+        bad.flat[0] = np.nan
+        codec.WeightStore(store.seed, {**store.tensors, name: bad}).save(str(path))
+        blob = path.read_bytes()
+    path.write_bytes(blob)
+
+
+@pytest.mark.parametrize("defect", ["magic only", "seed truncated",
+                                    "duplicate tensor", "non-finite tensor"])
+def test_encode_rejects_corrupt_weight_file(work, tmp_path, tiny_store,
+                                            defect, capsys):
+    weights = tmp_path / "weights.suwt"
+    _write_bad_weights(defect, tiny_store, weights)
+    rc = cli.main([
+        "encode", str(work["fix"] / "mixture.wav"), "--prompts", "speech",
+        "--config", work["cfg"], "--weights", str(weights),
+        "-o", str(tmp_path / "out.snac"),
+    ])
+    assert rc == 3
+    assert "corrupt input" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ module entry
+
+
+def test_module_entry_point_runs_main():
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "sunac.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    done = run("analyze", "--arch", "dac")
+    assert done.returncode == 0
+    assert done.stdout.startswith("DAC:")
+    assert run("analyze", "--arch", "vocoder9000").returncode == 2
