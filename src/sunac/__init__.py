@@ -38,19 +38,15 @@ from .extractor import (
     extract,
     parse_prompts,
 )
-from .rvq import QuantizeResult, RvqWeights, codebook_losses, codes_to_features, quantize
+from .rvq import QuantizeResult, RvqWeights, codes_to_features, quantize
 from .assignment import (
     Assignment,
     EvalStftConfig,
-    LossReport,
-    LossWeights,
     SourceSet,
     best_assignment,
     magnitude_mask_reconstruct,
-    mel_loss,
     restricted_permutations,
     si_sdr,
-    sunac_loss,
 )
 from .analysis import (
     ArchSpec,
@@ -125,17 +121,12 @@ __all__ = [
     "QuantizeResult",
     "quantize",
     "codes_to_features",
-    "codebook_losses",
-    # assignment and losses
+    # assignment
     "si_sdr",
     "SourceSet",
     "restricted_permutations",
     "Assignment",
     "best_assignment",
-    "mel_loss",
-    "LossWeights",
-    "LossReport",
-    "sunac_loss",
     "EvalStftConfig",
     "magnitude_mask_reconstruct",
     # analysis

@@ -1,11 +1,10 @@
-"""Source assignment, metrics, and losses.
+"""Source assignment and metrics.
 
 Separation quality is scored with scale-invariant SDR.  When a mixture
 contains several sources of the same type, the estimate order within that
 type is arbitrary, so assignment searches only permutations that shuffle
 same-type indices and leaves every uniquely-typed index fixed.  The best
-permutation maximizes total SI-SDR; the training-style loss is then
-evaluated once at that permutation.
+permutation maximizes total SI-SDR.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from .audio import AudioBuffer
 from .errors import ContractViolationError, InvalidArgumentError
 from .extractor import PromptType
-from .numerics import as_samples, istft, mel_spectrogram, stft
+from .numerics import as_samples, istft, stft
 
 __all__ = [
     "SI_SDR_CLAMP_DB",
@@ -27,11 +26,6 @@ __all__ = [
     "restricted_permutations",
     "Assignment",
     "best_assignment",
-    "LossWeights",
-    "LossReport",
-    "sunac_loss",
-    "DEFAULT_MEL_SCALES",
-    "mel_loss",
     "EvalStftConfig",
     "magnitude_mask_reconstruct",
 ]
@@ -206,128 +200,6 @@ def best_assignment(references: SourceSet, estimates) -> Assignment:
             best_perm = perm
             best_score = score
     return Assignment(permutation=best_perm, score_db=best_score)
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-DEFAULT_MEL_SCALES = ((512, 128, 40), (1024, 256, 80), (2048, 512, 160))
-
-
-def mel_loss(x, y, scales=DEFAULT_MEL_SCALES, *, sample_rate: int | None = None) -> float:
-    """Multi-scale log-mel distance: mean |difference| summed over scales.
-
-    Each scale is an (n_fft, hop, n_mels) triple.  Zero exactly when the
-    two signals have identical mel features at every scale, and symmetric
-    in its arguments.
-    """
-    total = 0.0
-    for n_fft, hop, n_mels in scales:
-        mx = mel_spectrogram(x, n_fft, hop, n_mels, sample_rate=sample_rate)
-        my = mel_spectrogram(y, n_fft, hop, n_mels, sample_rate=sample_rate)
-        if mx.shape != my.shape:
-            raise ContractViolationError(
-                f"mel shapes differ at scale {n_fft}: {mx.shape} vs {my.shape}"
-            )
-        total += float(np.mean(np.abs(mx - my)))
-    return total
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Term weights for the composite loss."""
-
-    mel: float = 15.0
-    codebook: float = 1.0
-    commitment: float = 0.25
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({"mel": self.mel, "codebook": self.codebook,
-                           "commitment": self.commitment}, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "LossWeights":
-        import json
-
-        from .errors import ConfigError
-
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"loss weights are not valid JSON: {exc}") from exc
-        unknown = set(payload) - {"mel", "codebook", "commitment"}
-        if unknown:
-            raise ConfigError(f"unknown loss weight fields: {sorted(unknown)}")
-        return cls(**payload)
-
-
-# Terms a full training recipe would add but a forward-only stack cannot
-# evaluate; reported by name so their absence is explicit, never silent.
-ABSENT_LOSS_TERMS = ("adversarial", "feature_matching", "discriminator")
-
-
-@dataclass(frozen=True)
-class LossReport:
-    total: float
-    terms: dict[str, float]
-    permutation: tuple[int, ...]
-    absent: tuple[str, ...] = ABSENT_LOSS_TERMS
-
-
-def sunac_loss(
-    references: SourceSet,
-    estimates,
-    mix_reference: AudioBuffer,
-    mix_estimate: AudioBuffer,
-    weights: LossWeights = LossWeights(),
-    *,
-    quantizer_losses=None,
-    mix_quantizer_losses=None,
-) -> LossReport:
-    """Composite reconstruction loss at the best type-restricted assignment.
-
-    Sources are aligned with best_assignment (maximum total SI-SDR); the
-    weighted multi-scale mel term is then evaluated once per aligned pair
-    plus once for the mixture branch.  Quantizer losses are properties of
-    the estimates, not of the pairing, so they are summed over all
-    estimates (pass per-estimate (codebook, commitment) tuples, in
-    estimate order) and the total is invariant under any restricted
-    permutation of the estimates.
-    """
-    estimates = list(estimates)
-    assignment = best_assignment(references, estimates)
-    terms: dict[str, float] = {}
-    total = 0.0
-    for i, j in enumerate(assignment.permutation):
-        value = weights.mel * mel_loss(references.sources[i][0], estimates[j])
-        terms[f"mel/source{i}"] = value
-        total += value
-    mix_term = weights.mel * mel_loss(mix_reference, mix_estimate)
-    terms["mel/mix"] = mix_term
-    total += mix_term
-    if quantizer_losses is not None:
-        quantizer_losses = list(quantizer_losses)
-        if len(quantizer_losses) != len(estimates):
-            raise ContractViolationError(
-                "need one (codebook, commitment) pair per estimate"
-            )
-        for j, (cb, commit) in enumerate(quantizer_losses):
-            value = weights.codebook * cb
-            terms[f"codebook/estimate{j}"] = value
-            total += value
-            value = weights.commitment * commit
-            terms[f"commitment/estimate{j}"] = value
-            total += value
-    if mix_quantizer_losses is not None:
-        cb, commit = mix_quantizer_losses
-        terms["codebook/mix"] = weights.codebook * cb
-        terms["commitment/mix"] = weights.commitment * commit
-        total += terms["codebook/mix"] + terms["commitment/mix"]
-    return LossReport(total=total, terms=terms,
-                      permutation=assignment.permutation)
 
 
 # ---------------------------------------------------------------------------

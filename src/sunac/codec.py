@@ -92,7 +92,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
+        try:
+            strides = tuple(int(s) for s in self.strides)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"strides must be integers, got {self.strides!r}"
+            ) from exc
+        object.__setattr__(self, "strides", strides)
         self.validate()
 
     def validate(self) -> None:
@@ -135,7 +141,7 @@ class ModelConfig:
                     f"latent_dim ({self.latent_dim}) must equal "
                     f"transformer_hidden ({self.transformer_hidden})"
                 )
-            if self.transformer_hidden % self.n_heads != 0:
+            if self.n_heads < 1 or self.transformer_hidden % self.n_heads != 0:
                 raise ConfigError(
                     f"{self.n_heads} heads do not divide hidden "
                     f"{self.transformer_hidden}"
@@ -581,7 +587,12 @@ class WeightStore:
                     raise CorruptStreamError(f"{path}: truncated tensor {name!r}")
                 if name in tensors:
                     raise CorruptStreamError(f"{path}: duplicate tensor {name!r}")
-                data = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
+                try:
+                    data = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
+                except ValueError as exc:  # rank above 64, or size overflow
+                    raise CorruptStreamError(
+                        f"{path}: tensor {name!r} has unusable shape: {exc}"
+                    ) from exc
                 if not np.all(np.isfinite(data)):
                     raise CorruptStreamError(
                         f"{path}: tensor {name!r} holds non-finite values"
@@ -601,8 +612,13 @@ def init_weights(config: ModelConfig, seed: int) -> WeightStore:
     snake slopes at one.  Codebooks draw uniform rows and then pin entry 0
     to the zero vector, which guarantees that adding a quantizer layer can
     never increase the residual.  Identical (config, seed) pairs give
-    bitwise-identical stores.
+    bitwise-identical stores.  The seed must fit the weight file's unsigned
+    64-bit field.
     """
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise InvalidArgumentError(
+            f"seed must be an integer in [0, 2**64), got {seed!r}"
+        )
     rng = np.random.Generator(np.random.PCG64(seed))
     tensors: dict[str, np.ndarray] = {}
     for spec in manifest(config):
@@ -699,7 +715,8 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
     padded_len = frames_for_length(config, audio.n_samples) * hop
     x = np.zeros((1, padded_len), dtype=np.float32)
     x[0, : audio.n_samples] = audio.samples
-    features = _apply_chain(encoder_nodes(config), x, store)
+    features = numerics.check_finite(
+        _apply_chain(encoder_nodes(config), x, store), "codec.encode")
     expected_t = padded_len // hop
     if features.shape != (config.latent_dim, expected_t):
         raise ContractViolationError(
@@ -724,7 +741,8 @@ def decode(features: np.ndarray, config: ModelConfig, store: WeightStore) -> Aud
     if features.shape[1] < 1:
         raise InvalidArgumentError("cannot decode an empty feature map")
     validate_store(config, store)
-    out = _apply_chain(decoder_nodes(config), features, store)
+    out = numerics.check_finite(
+        _apply_chain(decoder_nodes(config), features, store), "codec.decode")
     expected = features.shape[1] * config.hop
     if out.shape != (1, expected):
         raise ContractViolationError(

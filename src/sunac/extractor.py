@@ -19,7 +19,7 @@ import numpy as np
 
 from .codec import ModelConfig, WeightStore
 from .errors import ContractViolationError, InvalidArgumentError
-from .numerics import TransformerLayerWeights, transformer_block
+from .numerics import TransformerLayerWeights, check_finite, transformer_block
 
 __all__ = [
     "PromptType",
@@ -200,7 +200,7 @@ def film(
     shift = weights.shift_w.astype(np.float64) @ p + weights.shift_b
     x64 = x.astype(np.float64)
     out = x64 + scale[:, None] * x64 + shift[:, None]
-    return out.astype(np.float32)
+    return check_finite(out.astype(np.float32), "extractor.film")
 
 
 def extract(

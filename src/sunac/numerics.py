@@ -1,8 +1,8 @@
 """Dense numeric kernels shared by the codec stack.
 
 One-dimensional convolutions (strided, dilated, and transposed), a
-Transformer block with rotary position coding, and the STFT / mel machinery
-behind the spectral losses and mask-based evaluation.
+Transformer block with rotary position coding, and the STFT behind
+mask-based evaluation.
 
 Neural kernels keep tensors in float32 but accumulate every dot product in
 float64, so outputs are reproducible bit for bit on a given platform.  All
@@ -30,8 +30,6 @@ __all__ = [
     "attention_probs",
     "stft",
     "istft",
-    "mel_filterbank",
-    "mel_spectrogram",
 ]
 
 _LN_EPS = 1e-5
@@ -47,6 +45,13 @@ def as_samples(audio) -> np.ndarray:
 
 def _f64(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
+
+
+def check_finite(array: np.ndarray, where: str) -> np.ndarray:
+    """Return `array` as is, or raise NumericError naming the stage `where`."""
+    if not np.isfinite(array).all():
+        raise NumericError(f"non-finite output in {where}")
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +336,8 @@ def transformer_block(
     hidden = gelu(normed @ weights.ff_w1.T.astype(np.float64) + weights.ff_b1)
     tokens = tokens + hidden @ weights.ff_w2.T.astype(np.float64) + weights.ff_b2
 
-    out = tokens.T.astype(np.float32)
-    if not np.all(np.isfinite(out)):
-        where = name if name is not None else "<unnamed>"
-        raise NumericError(f"non-finite output in transformer layer {where}")
+    out = check_finite(tokens.T.astype(np.float32),
+                       f"transformer layer {name or '<unnamed>'}")
     if return_attention:
         return out, probs
     return out
@@ -353,7 +356,7 @@ def attention_probs(
 
 
 # ---------------------------------------------------------------------------
-# STFT and mel
+# STFT
 
 
 def _window(kind: str, n_fft: int) -> np.ndarray:
@@ -434,70 +437,3 @@ def istft(
     if length is None:
         length = (n_frames - 1) * hop
     return out[pad : pad + length]
-
-
-def _hz_to_mel(freq):
-    return 2595.0 * np.log10(1.0 + np.asarray(freq, dtype=np.float64) / 700.0)
-
-
-def _mel_to_hz(mel):
-    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(
-    sample_rate: int,
-    n_fft: int,
-    n_mels: int,
-    fmin: float = 0.0,
-    fmax: float | None = None,
-) -> np.ndarray:
-    """Triangular mel filterbank matrix of shape (n_mels, n_fft // 2 + 1).
-
-    Band centers are equally spaced on the HTK mel scale between fmin and
-    fmax (default Nyquist); each row is a unit-peak triangle over the FFT
-    bin frequencies.
-    """
-    n_bins = n_fft // 2 + 1
-    if n_mels < 1 or n_mels >= n_bins:
-        raise InvalidArgumentError(
-            f"n_mels must be in [1, {n_bins - 1}], got {n_mels}"
-        )
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    if not 0.0 <= fmin < fmax:
-        raise InvalidArgumentError(f"bad mel band edges ({fmin}, {fmax})")
-    points = _mel_to_hz(
-        np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2)
-    )
-    freqs = np.arange(n_bins, dtype=np.float64) * sample_rate / n_fft
-    bank = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        lower, center, upper = points[m], points[m + 1], points[m + 2]
-        rising = (freqs - lower) / max(center - lower, 1e-12)
-        falling = (upper - freqs) / max(upper - center, 1e-12)
-        bank[m] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-    return bank
-
-
-def mel_spectrogram(
-    audio,
-    n_fft: int,
-    hop: int,
-    n_mels: int,
-    *,
-    sample_rate: int | None = None,
-    window: str = "hann",
-    log_floor: float = 1e-5,
-) -> np.ndarray:
-    """Log-power mel spectrogram, floored at `log_floor` before the log.
-
-    The sample rate comes from the AudioBuffer when one is passed; plain
-    arrays need an explicit `sample_rate`.  All-zero audio maps to a
-    constant matrix of log(log_floor).
-    """
-    rate = getattr(audio, "sample_rate", sample_rate)
-    if rate is None:
-        raise InvalidArgumentError("sample_rate is required for bare arrays")
-    power = np.abs(stft(audio, n_fft, hop, window=window)) ** 2
-    bands = mel_filterbank(rate, n_fft, n_mels) @ power
-    return np.log(np.maximum(bands, log_floor))

@@ -16,13 +16,13 @@ import numpy as np
 
 from .codec import ModelConfig, WeightStore
 from .errors import ContractViolationError, InvalidArgumentError
+from .numerics import check_finite
 
 __all__ = [
     "RvqWeights",
     "QuantizeResult",
     "quantize",
     "codes_to_features",
-    "codebook_losses",
 ]
 
 
@@ -125,17 +125,16 @@ def _check_active(n_active: int, weights: RvqWeights) -> None:
 def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
     """Greedy layer-by-layer nearest-entry walk in code space.
 
-    Returns codes, per-layer residual norms (float64) and per-layer mean
-    squared residuals (for the losses).
+    Returns codes and per-layer residual norms (float64).
     """
     down_w = weights.down_w.astype(np.float64)
     residual = down_w @ features.astype(np.float64) + weights.down_b.astype(
         np.float64
     )[:, None]
+    check_finite(residual, "rvq.down projection")
     t = residual.shape[1]
     codes = np.zeros((n_active, t), dtype=np.int32)
     norms = np.zeros(n_active)
-    distances_sq = np.zeros(n_active)
     for layer in range(n_active):
         entries = weights.codebooks[layer].astype(np.float64)
         # ||r - e||^2 expanded; the argmin ties break toward the lowest
@@ -149,8 +148,7 @@ def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
         codes[layer] = picked.astype(np.int32)
         residual -= entries[picked].T
         norms[layer] = np.sqrt(np.sum(residual * residual))
-        distances_sq[layer] = np.mean(residual * residual)
-    return codes, norms, distances_sq
+    return codes, norms
 
 
 def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> QuantizeResult:
@@ -161,7 +159,7 @@ def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> Quanti
     """
     features = _check_features(features, weights)
     _check_active(n_active, weights)
-    codes, norms, _ = _scan(features, weights, n_active)
+    codes, norms = _scan(features, weights, n_active)
     return QuantizeResult(
         quantized=codes_to_features(codes, weights),
         codes=codes,
@@ -191,21 +189,3 @@ def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
     up_w = weights.up_w.astype(np.float64)
     out = up_w @ total + weights.up_b.astype(np.float64)[:, None]
     return out.astype(np.float32)
-
-
-def codebook_losses(
-    features: np.ndarray, weights: RvqWeights, n_active: int
-) -> tuple[float, float]:
-    """Forward values of the codebook and commitment losses.
-
-    Both are the mean squared element-wise distance between each layer's
-    incoming residual and its selected entry, averaged over layers.  The
-    two are numerically identical here; in a training setup they differ
-    only in which side the gradient reaches, which is out of scope for a
-    forward-only stack.
-    """
-    features = _check_features(features, weights)
-    _check_active(n_active, weights)
-    _, _, distances_sq = _scan(features, weights, n_active)
-    value = float(np.mean(distances_sq))
-    return value, value

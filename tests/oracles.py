@@ -91,55 +91,6 @@ def best_assignment_naive(references, estimates, types, score_fn):
     return best_perm, best_score
 
 
-def hz_to_mel_htk(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz_htk(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_matrix_naive(n_mels, n_fft, sample_rate):
-    """Unit-peak HTK triangles, built point by point."""
-    n_bins = n_fft // 2 + 1
-    freqs = np.arange(n_bins) * sample_rate / n_fft
-    edges = mel_to_hz_htk(
-        np.linspace(hz_to_mel_htk(0.0), hz_to_mel_htk(sample_rate / 2.0),
-                    n_mels + 2))
-    fb = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
-        for b, f in enumerate(freqs):
-            if lo < f <= mid and mid > lo:
-                fb[m, b] = (f - lo) / (mid - lo)
-            elif mid < f < hi and hi > mid:
-                fb[m, b] = (hi - f) / (hi - mid)
-    return fb
-
-
-def power_frames_naive(signal, n_fft, hop_length):
-    """Center-padded framing plus an explicit DFT, squared magnitude."""
-    x = np.asarray(signal, dtype=np.float64)
-    pad = n_fft // 2
-    xp = np.pad(x, (pad, pad))
-    n_frames = 1 + len(x) // hop_length
-    window = np.hanning(n_fft + 1)[:-1]
-    n_bins = n_fft // 2 + 1
-    out = np.zeros((n_bins, n_frames))
-    for t in range(n_frames):
-        frame = xp[t * hop_length:t * hop_length + n_fft] * window
-        spec = np.fft.rfft(frame)
-        out[:, t] = np.abs(spec) ** 2
-    return out
-
-
-def log_mel_naive(signal, n_fft, hop_length, n_mels, sample_rate,
-                  floor=1e-5):
-    fb = mel_matrix_naive(n_mels, n_fft, sample_rate)
-    power = power_frames_naive(signal, n_fft, hop_length)
-    return np.log(np.maximum(fb @ power, floor))
-
-
 def nearest_codes_naive(target, codebooks, n_active):
     """Greedy residual scan, one frame and one entry at a time, float64."""
     d, n_frames = target.shape

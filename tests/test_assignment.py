@@ -203,112 +203,6 @@ class TestBestAssignment:
             assignment.best_assignment(ss, [buf(tone(500.0))] * 2)
 
 
-class TestMelLoss:
-    def test_identity_is_zero(self):
-        x = buf(tone(440.0, n=4000))
-        assert assignment.mel_loss(x, x) == 0.0
-
-    def test_symmetric(self, rng):
-        a = buf(rng.standard_normal(4000).astype(np.float32) * 0.1)
-        b = buf(rng.standard_normal(4000).astype(np.float32) * 0.1)
-        assert assignment.mel_loss(a, b) == pytest.approx(
-            assignment.mel_loss(b, a), rel=1e-12)
-
-    def test_single_scale_matches_direct_difference(self, rng):
-        from sunac.numerics import mel_spectrogram
-
-        a = buf(rng.standard_normal(4000).astype(np.float32) * 0.1)
-        b = buf(rng.standard_normal(4000).astype(np.float32) * 0.1)
-        got = assignment.mel_loss(a, b, scales=((512, 128, 40),))
-        ma = mel_spectrogram(a, 512, 128, 40)
-        mb = mel_spectrogram(b, 512, 128, 40)
-        assert got == pytest.approx(float(np.mean(np.abs(ma - mb))),
-                                    rel=1e-12)
-
-
-class TestLossWeights:
-    def test_defaults(self):
-        w = assignment.LossWeights()
-        assert (w.mel, w.codebook, w.commitment) == (15.0, 1.0, 0.25)
-
-    def test_json_roundtrip(self):
-        w = assignment.LossWeights(mel=7.5, codebook=2.0, commitment=0.5)
-        assert assignment.LossWeights.from_json(w.to_json()) == w
-
-    def test_json_rejects_unknown(self):
-        from sunac.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            assignment.LossWeights.from_json('{"mel": 1.0, "adv": 2.0}')
-
-
-def two_source_case(rng, n=4000):
-    a = tone(330.0, n=n)
-    b = tone(2470.0, n=n)
-    refs = assignment.SourceSet(
-        sources=((buf(a), S), (buf(b), M)), mixture=buf(a + b))
-    noisy = [buf(a + 0.01 * rng.standard_normal(n).astype(np.float32)),
-             buf(b + 0.01 * rng.standard_normal(n).astype(np.float32))]
-    return refs, noisy
-
-
-class TestSunacLoss:
-    def test_perfect_reconstruction_leaves_quantizer_terms(self):
-        a, b = tone(330.0, n=4000), tone(2470.0, n=4000)
-        refs = assignment.SourceSet(
-            sources=((buf(a), S), (buf(b), M)), mixture=buf(a + b))
-        report = assignment.sunac_loss(
-            refs, [buf(a), buf(b)], buf(a + b), buf(a + b),
-            quantizer_losses=[(0.3, 0.1), (0.5, 0.2)])
-        for key, value in report.terms.items():
-            if key.startswith("mel/"):
-                assert value == 0.0
-        assert report.total == pytest.approx(
-            1.0 * (0.3 + 0.5) + 0.25 * (0.1 + 0.2))
-        assert report.permutation == (0, 1)
-
-    def test_invariant_under_restricted_shuffle(self, rng):
-        n = 4000
-        a = tone(330.0, n=n)
-        b = tone(350.0, n=n, phase=0.7)
-        refs = assignment.SourceSet(
-            sources=((buf(a), S), (buf(b), S)), mixture=buf(a + b))
-        mix = buf(a + b)
-        e0 = buf(a + 0.05 * rng.standard_normal(n).astype(np.float32))
-        e1 = buf(b + 0.05 * rng.standard_normal(n).astype(np.float32))
-        q0, q1 = (0.4, 0.2), (0.6, 0.1)
-        fwd = assignment.sunac_loss(refs, [e0, e1], mix, mix,
-                                    quantizer_losses=[q0, q1])
-        rev = assignment.sunac_loss(refs, [e1, e0], mix, mix,
-                                    quantizer_losses=[q1, q0])
-        assert fwd.total == pytest.approx(rev.total, rel=1e-9)
-
-    def test_weights_scale_their_terms(self, rng):
-        refs, ests = two_source_case(rng)
-        mix = refs.mixture
-        base = assignment.sunac_loss(refs, ests, mix, ests[0],
-                                     assignment.LossWeights(mel=15.0))
-        double = assignment.sunac_loss(refs, ests, mix, ests[0],
-                                       assignment.LossWeights(mel=30.0))
-        for key in base.terms:
-            assert double.terms[key] == pytest.approx(2.0 * base.terms[key],
-                                                      rel=1e-12)
-
-    def test_quantizer_term_count_is_checked(self, rng):
-        refs, ests = two_source_case(rng)
-        with pytest.raises(ContractViolationError):
-            assignment.sunac_loss(refs, ests, refs.mixture, refs.mixture,
-                                  quantizer_losses=[(0.1, 0.1)])
-
-    def test_absent_terms_are_reported(self, rng):
-        refs, ests = two_source_case(rng)
-        report = assignment.sunac_loss(refs, ests, refs.mixture, refs.mixture)
-        assert report.absent == ("adversarial", "feature_matching",
-                                 "discriminator")
-        assert all(not k.startswith(a) for k in report.terms
-                   for a in report.absent)
-
-
 class TestMagnitudeMask:
     def test_mixture_passes_through(self):
         n = 8000

@@ -9,6 +9,7 @@ paths fast enough to run the full loop repeatedly.
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -190,6 +191,35 @@ def test_seed_env_var_must_be_integer(work, tmp_path, monkeypatch):
         "--config", work["cfg"], "-o", str(tmp_path / "x.snac"),
     ])
     assert rc == 2
+
+
+def test_seed_env_var_must_fit_weight_file(work, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+    rc = cli.main([
+        "encode", str(work["fix"] / "mixture.wav"),
+        "--prompts", "speech,music",
+        "--config", work["cfg"], "-o", str(tmp_path / "x.snac"),
+    ])
+    assert rc == 2
+    assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"n_heads": 0}, "0 heads do not divide"),
+    ({"strides": ["a"]}, "strides must be integers"),
+    ({"seed": -1}, "seed must be an integer in [0, 2**64)"),
+], ids=["zero heads", "non-integer strides", "negative seed"])
+def test_encode_rejects_bad_config(work, tmp_path, tiny_config, override,
+                                   message, capsys):
+    cfg_path = tmp_path / "bad.json"
+    payload = {**json.loads(tiny_config.to_json()), **override}
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    rc = cli.main([
+        "encode", str(work["fix"] / "mixture.wav"), "--prompts", "speech",
+        "--config", str(cfg_path), "-o", str(tmp_path / "x.snac"),
+    ])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ decode
@@ -433,11 +463,20 @@ def _write_bad_weights(defect, store, path):
         bad.flat[0] = np.nan
         codec.WeightStore(store.seed, {**store.tensors, name: bad}).save(str(path))
         blob = path.read_bytes()
+    elif defect == "rank above 64":
+        # 100 unit dims hold one float, but numpy caps arrays at 64 dims.
+        blob = (blob[:14] + struct.pack("<H", 1) + b"x" + struct.pack("<B", 100)
+                + struct.pack("<100I", *[1] * 100) + bytes(4))
+    elif defect == "shape too big":
+        # Zero elements, yet the dims overflow numpy's size arithmetic.
+        blob = (blob[:14] + struct.pack("<H", 1) + b"x" + struct.pack("<B", 3)
+                + struct.pack("<3I", 0, 2**31, 2**31))
     path.write_bytes(blob)
 
 
 @pytest.mark.parametrize("defect", ["magic only", "seed truncated",
-                                    "duplicate tensor", "non-finite tensor"])
+                                    "duplicate tensor", "non-finite tensor",
+                                    "rank above 64", "shape too big"])
 def test_encode_rejects_corrupt_weight_file(work, tmp_path, tiny_store,
                                             defect, capsys):
     weights = tmp_path / "weights.suwt"

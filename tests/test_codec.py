@@ -54,6 +54,8 @@ class TestModelConfig:
         dict(code_dim=0),
         dict(latent_dim=512),           # must match transformer_hidden
         dict(n_heads=7),                # does not divide 1024
+        dict(n_heads=0),
+        dict(strides=("a",)),
         dict(dec_base_dim=100),         # not divisible by 2^4
     ])
     def test_rejects_bad_fields(self, overrides):
@@ -136,6 +138,16 @@ class TestInitWeights:
         changed = sum(not np.array_equal(a[name], b[name])
                       for name in a.names())
         assert changed > 0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed_must_fit_weight_file(self, tiny_config, seed):
+        with pytest.raises(InvalidArgumentError):
+            codec.init_weights(tiny_config, seed)
+
+    def test_largest_seed_round_trips(self, tiny_config, tmp_path):
+        path = str(tmp_path / "weights.suwt")
+        codec.init_weights(tiny_config, 2**64 - 1).save(path)
+        assert codec.load_weights(path, tiny_config).seed == 2**64 - 1
 
     def test_uniform_bound_respected(self, tiny_config, tiny_store):
         for spec in codec.manifest(tiny_config):

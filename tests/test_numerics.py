@@ -249,45 +249,3 @@ class TestStft:
         buf = AudioBuffer(samples=samples, sample_rate=16000)
         np.testing.assert_array_equal(
             numerics.stft(buf, 256, 64), numerics.stft(samples, 256, 64))
-
-
-class TestMel:
-    def test_filterbank_shape_and_coverage(self):
-        fb = numerics.mel_filterbank(16000, 1024, 80)
-        assert fb.shape == (80, 513)
-        assert fb.min() >= 0.0
-        # Unit-peak triangles: every band tops out at 1 away from the edges.
-        assert np.all(fb.max(axis=1)[1:-1] > 0.5)
-        # Every interior FFT bin lands in at least one band.
-        assert np.all(fb.sum(axis=0)[5:-5] > 0.0)
-
-    def test_filterbank_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            numerics.mel_filterbank(16000, 1024, 0)
-        with pytest.raises(InvalidArgumentError):
-            numerics.mel_filterbank(16000, 64, 40)
-        with pytest.raises(InvalidArgumentError):
-            numerics.mel_filterbank(16000, 1024, 40, fmin=9000.0)
-
-    def test_zero_audio_hits_log_floor(self):
-        out = numerics.mel_spectrogram(
-            np.zeros(1600, dtype=np.float32), 512, 128, 40, sample_rate=16000)
-        np.testing.assert_allclose(out, np.log(1e-5))
-
-    def test_monotone_in_amplitude(self, rng):
-        x = rng.standard_normal(3200).astype(np.float32)
-        lo = numerics.mel_spectrogram(0.1 * x, 512, 128, 40, sample_rate=16000)
-        hi = numerics.mel_spectrogram(10.0 * x, 512, 128, 40, sample_rate=16000)
-        assert np.all(hi >= lo)
-
-    def test_matches_dense_oracle(self, rng):
-        x = rng.standard_normal(4000).astype(np.float32)
-        got = numerics.mel_spectrogram(x, 512, 160, 40, sample_rate=16000)
-        want = oracles.log_mel_naive(x, 512, 160, 40, 16000)
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, atol=1e-5)
-
-    def test_requires_rate_for_bare_arrays(self):
-        with pytest.raises(InvalidArgumentError):
-            numerics.mel_spectrogram(np.zeros(100, dtype=np.float32),
-                                     256, 64, 20)

@@ -3,7 +3,7 @@ import pytest
 
 from sunac import codec, fixtures, pipeline
 from sunac.audio import AudioBuffer, pcm16_roundtrip
-from sunac.errors import InvalidArgumentError
+from sunac.errors import InvalidArgumentError, NumericError
 from sunac.extractor import PromptType
 
 S, M, X = PromptType.SPEECH, PromptType.MUSIC, PromptType.SFX
@@ -111,6 +111,21 @@ class TestDecodeStream:
                                    tiny_store)
         for (a, _), (b, _) in zip(via_stream, direct):
             np.testing.assert_array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("tensor, stage", [
+    ("encoder.conv_in.weight", "codec.encode"),
+    ("extractor.film.scale.weight", "extractor.film"),
+    ("rvq.down.weight", "rvq.down"),
+    ("decoder.conv_out.weight", "codec.decode"),
+])
+def test_non_finite_weight_names_its_stage(tiny_config, tiny_store, mixture,
+                                           tensor, stage):
+    bad = tiny_store[tensor].copy()
+    bad.flat[0] = np.nan
+    store = codec.WeightStore(tiny_store.seed, {**tiny_store.tensors, tensor: bad})
+    with pytest.raises(NumericError, match=f"non-finite output in {stage}"):
+        pipeline.separate(mixture.mixture, (S, M), tiny_config, store)
 
 
 def noisy_copy(buf, rng, scale=0.01):

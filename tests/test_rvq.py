@@ -186,35 +186,3 @@ class TestCodesToFeatures:
         codes = rng.integers(0, store_weights.n_entries, size=(1, 4))
         out = rvq.codes_to_features(codes, store_weights)
         assert out.shape == (store_weights.feature_dim, 4)
-
-
-class TestCodebookLosses:
-    def test_zero_for_exact_entries(self):
-        w = identity_weights()
-        x = np.zeros((6, 2), dtype=np.float32)
-        x[:3, 0] = w.codebooks[0][3]
-        x[:3, 1] = w.codebooks[0][7]
-        cb, commit = rvq.codebook_losses(x, w, n_active=4)
-        assert cb == pytest.approx(0.0, abs=1e-12)
-        assert commit == cb
-
-    def test_nonnegative_and_paired(self, store_weights, rng):
-        x = rng.standard_normal((store_weights.feature_dim, 30)).astype(np.float32)
-        cb, commit = rvq.codebook_losses(x, store_weights, n_active=4)
-        assert cb >= 0.0
-        assert commit == cb
-
-    def test_matches_direct_computation(self, store_weights, rng):
-        w = store_weights
-        x = rng.standard_normal((w.feature_dim, 8)).astype(np.float32)
-        result = rvq.quantize(x, w, n_active=w.n_layers)
-        target = (w.down_w.astype(np.float64) @ x.astype(np.float64)
-                  + w.down_b.astype(np.float64)[:, None])
-        residual = target.copy()
-        per_layer = []
-        for layer in range(w.n_layers):
-            residual -= w.codebooks[layer].astype(np.float64)[
-                result.codes[layer]].T
-            per_layer.append(np.mean(residual ** 2))
-        cb, _ = rvq.codebook_losses(x, w, n_active=w.n_layers)
-        assert cb == pytest.approx(float(np.mean(per_layer)), rel=1e-9)
