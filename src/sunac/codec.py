@@ -94,10 +94,12 @@ class ModelConfig:
     def __post_init__(self):
         try:
             strides = tuple(int(s) for s in self.strides)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"strides must be integers, got {self.strides!r}"
             ) from exc
+        if strides != tuple(self.strides):
+            raise ConfigError(f"strides must be integers, got {self.strides!r}")
         object.__setattr__(self, "strides", strides)
         self.validate()
 
@@ -306,7 +308,7 @@ class ResidualNode:
             raise ContractViolationError(
                 f"residual branch changed shape {x.shape} -> {y.shape}"
             )
-        return (x.astype(np.float64) + y.astype(np.float64)).astype(np.float32)
+        return np.add(x, y, dtype=np.float64).astype(np.float32)
 
 
 class TanhNode:

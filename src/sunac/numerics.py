@@ -5,8 +5,11 @@ Transformer block with rotary position coding, and the STFT behind
 mask-based evaluation.
 
 Neural kernels keep tensors in float32 but accumulate every dot product in
-float64, so outputs are reproducible bit for bit on a given platform.  All
-functions are pure: no hidden state, safe to call concurrently.
+float64, so outputs are reproducible bit for bit on a given platform.
+Convolutions accumulate one float64 matrix product per kernel tap, in tap
+order, over strided views of the signal, so no buffer larger than the
+input or output is built.  All functions are pure: no hidden state, safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -107,6 +110,22 @@ def conv1d(
 
     Returns:
         (C_out, L_out) float32, with L_out given by `conv_out_len`.
+
+    Both directions add one float64 product `weight[:, :, tap] @ signal`
+    per tap, taps in ascending order: forward, each product reads a strided
+    view of the zero-padded input; transposed, each lands on a strided
+    slice of the padded output.  The peak working set is therefore the
+    padded signal, the output and one tap's operands and product, whatever
+    K is.
+
+    The summation order is part of the result.  Transposed, every output
+    column receives the per-tap sums over C_in in tap order, so any
+    per-tap scatter gives identical float64 values.  Forward, the sum over
+    (C_in, K) is grouped by tap; every float32 x float32 product is exact
+    in float64, so another grouping moves only float64 rounding, far below
+    a float32 step, and changes a float32 output only at a near-tie.
+    Keeping the tap order fixed keeps stream bytes and decoded samples
+    pinned (`tests/test_golden.py`).
     """
     x = np.asarray(x, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
@@ -136,31 +155,33 @@ def conv1d(
                          output_padding=output_padding)
     if l_out < 1:
         raise InvalidArgumentError(f"conv output length {l_out} is not positive")
-    x64 = x.astype(np.float64)
-    w64 = w.astype(np.float64)
 
+    # Each tap's weights are widened on their own, straight into the
+    # contiguous (C_out, C_in) operand its product needs; no float64 copy
+    # of the whole kernel is made or kept.
     if transposed:
-        # Each input column scatters a full kernel; accumulate per tap.
-        contrib = (w64.transpose(0, 2, 1).reshape(c_out * k, c_in) @ x64).reshape(
-            c_out, k, length
-        )
+        # Input column t lands on output column t * stride + tap * dilation.
+        x64 = x.astype(np.float64)
         full = np.zeros((c_out, l_out + 2 * padding))
-        offsets = np.arange(length) * stride
+        last = (length - 1) * stride + 1
         for tap in range(k):
-            full[:, tap * dilation + offsets] += contrib[:, tap, :]
+            start = tap * dilation
+            w_tap = w[:, :, tap].astype(np.float64)
+            full[:, start : start + last : stride] += w_tap @ x64
         y = full[:, padding : padding + l_out]
     else:
+        # Output column t reads input column t * stride + tap * dilation.
         xp = np.zeros((c_in, length + 2 * padding))
-        xp[:, padding : padding + length] = x64
-        starts = np.arange(l_out) * stride
-        taps = np.arange(k) * dilation
-        cols = xp[:, starts[:, None] + taps[None, :]]  # (C_in, L_out, K)
-        y = w64.reshape(c_out, c_in * k) @ cols.transpose(0, 2, 1).reshape(
-            c_in * k, l_out
-        )
+        xp[:, padding : padding + length] = x
+        last = (l_out - 1) * stride + 1
+        y = np.zeros((c_out, l_out))
+        for tap in range(k):
+            start = tap * dilation
+            w_tap = w[:, :, tap].astype(np.float64)
+            y += w_tap @ xp[:, start : start + last : stride]
 
     if bias is not None:
-        y = y + np.asarray(bias, dtype=np.float64)[:, None]
+        y += np.asarray(bias, dtype=np.float64)[:, None]
     return y.astype(np.float32)
 
 
@@ -168,7 +189,7 @@ def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Periodic activation x + sin^2(alpha * x) / alpha with per-channel alpha."""
     x = np.asarray(x, dtype=np.float32)
     a = np.asarray(alpha, dtype=np.float32)[:, None]
-    return (x + np.square(np.sin(a * x)) / a).astype(np.float32)
+    return (x + np.square(np.sin(a * x)) / a).astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,7 @@ def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
         picked = np.argmin(d2, axis=0)
         codes[layer] = picked.astype(np.int32)
         residual -= entries[picked].T
+        check_finite(residual, f"rvq.codebook{layer}")
         norms[layer] = np.sqrt(np.sum(residual * residual))
     return codes, norms
 
@@ -188,4 +189,4 @@ def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
         total += weights.codebooks[layer].astype(np.float64)[codes[layer]].T
     up_w = weights.up_w.astype(np.float64)
     out = up_w @ total + weights.up_b.astype(np.float64)[:, None]
-    return out.astype(np.float32)
+    return check_finite(out, "rvq.up projection").astype(np.float32)

@@ -208,7 +208,9 @@ def test_seed_env_var_must_fit_weight_file(work, tmp_path, monkeypatch, capsys):
     ({"n_heads": 0}, "0 heads do not divide"),
     ({"strides": ["a"]}, "strides must be integers"),
     ({"seed": -1}, "seed must be an integer in [0, 2**64)"),
-], ids=["zero heads", "non-integer strides", "negative seed"])
+    ({"strides": [2.7, 4, 5, 8]}, "strides must be integers"),
+], ids=["zero heads", "non-integer strides", "negative seed",
+        "fractional strides"])
 def test_encode_rejects_bad_config(work, tmp_path, tiny_config, override,
                                    message, capsys):
     cfg_path = tmp_path / "bad.json"

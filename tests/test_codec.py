@@ -57,6 +57,8 @@ class TestModelConfig:
         dict(n_heads=0),
         dict(strides=("a",)),
         dict(dec_base_dim=100),         # not divisible by 2^4
+        dict(strides=(2.7, 4, 5, 8)),
+        dict(strides=(float("inf"),)),
     ])
     def test_rejects_bad_fields(self, overrides):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,18 +48,21 @@ class TestConv1d:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-5)
 
-    @pytest.mark.parametrize("stride,padding,k,output_padding", [
-        (1, 0, 3, 0), (2, 1, 4, 0), (5, 2, 10, 1), (8, 4, 16, 0), (4, 0, 8, 0),
-    ])
+    @pytest.mark.parametrize("stride,padding,k,output_padding,dilation", [
+        (1, 0, 3, 0, 1), (2, 1, 4, 0, 1), (5, 2, 10, 1, 1), (8, 4, 16, 0, 1),
+        (4, 0, 8, 0, 1), (1, 2, 3, 0, 2), (4, 3, 8, 0, 3), (5, 2, 4, 1, 2),
+    ], ids=["1-0-3-0", "2-1-4-0", "5-2-10-1", "8-4-16-0", "4-0-8-0",
+            "1-2-3-0-dilation2", "4-3-8-0-dilation3", "5-2-4-1-dilation2"])
     def test_matches_naive_transposed(self, rng, stride, padding, k,
-                                      output_padding):
+                                      output_padding, dilation):
         x = rng.standard_normal((4, 13)).astype(np.float32)
         w = rng.standard_normal((2, 4, k)).astype(np.float32)
         b = rng.standard_normal(2).astype(np.float32)
         got = numerics.conv1d(x, w, b, stride=stride, padding=padding,
-                              transposed=True, output_padding=output_padding)
+                              dilation=dilation, transposed=True,
+                              output_padding=output_padding)
         want = oracles.conv1d_transposed_naive(
-            x, w, b, stride=stride, padding=padding,
+            x, w, b, stride=stride, padding=padding, dilation=dilation,
             output_padding=output_padding)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-5)
@@ -100,6 +105,26 @@ class TestConv1d:
             numerics.conv1d(x, w, output_padding=1)
         with pytest.raises(ContractViolationError):
             numerics.conv1d(rng.standard_normal((3, 10)).astype(np.float32), w)
+
+    @pytest.mark.parametrize("c_in,c_out,length,k,kwargs,bound", [
+        (96, 96, 16000, 7, dict(dilation=3, padding=9), 3.0),
+        (384, 192, 2000, 8, dict(stride=4, padding=2, transposed=True), 2.0),
+    ], ids=["forward", "transposed"])
+    def test_working_set_is_not_k_times_the_signal(self, rng, c_in, c_out,
+                                                   length, k, kwargs, bound):
+        # Peak allocation during the call, against the float64 size of
+        # input plus output; an im2col buffer alone would be K times the
+        # input.
+        x = rng.standard_normal((c_in, length)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y = numerics.conv1d(x, w, b, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * (x.size + y.size)
 
     def test_kernel_longer_than_input(self, rng):
         x = rng.standard_normal((1, 4)).astype(np.float32)

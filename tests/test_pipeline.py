@@ -117,6 +117,8 @@ class TestDecodeStream:
     ("encoder.conv_in.weight", "codec.encode"),
     ("extractor.film.scale.weight", "extractor.film"),
     ("rvq.down.weight", "rvq.down"),
+    ("rvq.codebook3", "rvq.codebook3"),
+    ("rvq.up.weight", "rvq.up projection"),
     ("decoder.conv_out.weight", "codec.decode"),
 ])
 def test_non_finite_weight_names_its_stage(tiny_config, tiny_store, mixture,
