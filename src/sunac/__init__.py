@@ -41,7 +41,6 @@ from .extractor import (
 from .rvq import QuantizeResult, RvqWeights, codes_to_features, quantize
 from .assignment import (
     Assignment,
-    EvalStftConfig,
     SourceSet,
     best_assignment,
     magnitude_mask_reconstruct,
@@ -127,7 +126,6 @@ __all__ = [
     "restricted_permutations",
     "Assignment",
     "best_assignment",
-    "EvalStftConfig",
     "magnitude_mask_reconstruct",
     # analysis
     "LayerSpec",

@@ -264,10 +264,7 @@ def _specs_from_nodes(nodes, tag: str) -> list[LayerSpec]:
                                  n_heads=node.n_heads))
             out.append(LayerSpec(name=f"{node.name}.ff", kind="feed_forward",
                                  tag=tag, d_model=node.hidden, d_ff=node.ff_dim))
-        elif isinstance(node, _codec.LinearNode):
-            out.append(LayerSpec(name=node.name, kind="linear", tag=tag,
-                                 d_in=node.d_in, d_out=node.d_out))
-        # Snake/Tanh/Param nodes carry no counted MACs.
+        # Snake/Tanh nodes carry no counted MACs.
     return out
 
 

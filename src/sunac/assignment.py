@@ -26,15 +26,18 @@ __all__ = [
     "restricted_permutations",
     "Assignment",
     "best_assignment",
-    "EvalStftConfig",
     "magnitude_mask_reconstruct",
 ]
 
 SI_SDR_CLAMP_DB = 100.0
 
+# The mask-evaluation STFT: Hann window, 75% overlap.
+_MASK_N_FFT = 1024
+_MASK_HOP = 256
+_MASK_EPS = 1e-8
 
-def si_sdr(reference, estimate, *,
-           clamp_db: float = SI_SDR_CLAMP_DB) -> float:
+
+def si_sdr(reference, estimate) -> float:
     """Scale-invariant signal-to-distortion ratio in dB.
 
     The estimate is compared against the reference rescaled by
@@ -43,7 +46,7 @@ def si_sdr(reference, estimate, *,
 
         10 * log10(||alpha s||^2 / ||alpha s - s_hat||^2)
 
-    clamped to +/- clamp_db.  An exactly-zero error term returns the
+    clamped to +/- SI_SDR_CLAMP_DB.  An exactly-zero error term returns the
     ceiling directly rather than dividing by a tiny constant; dividing by
     the bare error energy is what keeps the score invariant under
     rescaling the estimate even before the clamp (bitwise so for
@@ -71,12 +74,12 @@ def si_sdr(reference, estimate, *,
     noise = scaled - est
     error = float(np.dot(noise, noise))
     if error == 0.0:
-        return clamp_db
+        return SI_SDR_CLAMP_DB
     ratio = signal / error
     if ratio <= 0.0:
-        return -clamp_db
+        return -SI_SDR_CLAMP_DB
     value = 10.0 * np.log10(ratio)
-    return float(np.clip(value, -clamp_db, clamp_db))
+    return float(np.clip(value, -SI_SDR_CLAMP_DB, SI_SDR_CLAMP_DB))
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class SourceSet:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(
-            (buf, PromptType(ptype)) for buf, ptype in self.sources
+            (buf, PromptType.parse(ptype)) for buf, ptype in self.sources
         ))
         if not self.sources:
             raise InvalidArgumentError("source set is empty")
@@ -206,37 +209,24 @@ def best_assignment(references: SourceSet, estimates) -> Assignment:
 # mask-based evaluation
 
 
-@dataclass(frozen=True)
-class EvalStftConfig:
-    """STFT used by mask evaluation: Hann window, 75% overlap by default."""
-
-    n_fft: int = 1024
-    hop: int = 256
-    window: str = "hann"
-
-
 def magnitude_mask_reconstruct(
-    mixture: AudioBuffer,
-    estimate: AudioBuffer,
-    config: EvalStftConfig = EvalStftConfig(),
-    *,
-    eps: float = 1e-8,
+    mixture: AudioBuffer, estimate: AudioBuffer
 ) -> AudioBuffer:
     """Re-synthesize an estimate through a magnitude mask on the mixture.
 
-    mask = |STFT(estimate)| / (|STFT(mixture)| + eps), clamped to [0, 1],
-    applied to the complex mixture spectrogram and inverted; the output is
-    trimmed to the mixture length.  An estimate equal to the mixture gives
-    an (almost) all-ones mask and passes the mixture through; an all-zero
-    estimate gives silence.
+    Both signals go through a Hann STFT with n_fft 1024 and hop 256;
+    mask = |STFT(estimate)| / (|STFT(mixture)| + 1e-8), clamped to [0, 1],
+    is applied to the complex mixture spectrogram and inverted; the output
+    is trimmed to the mixture length.  An estimate equal to the mixture
+    gives an (almost) all-ones mask and passes the mixture through; an
+    all-zero estimate gives silence.
     """
     if mixture.sample_rate != estimate.sample_rate:
         raise ContractViolationError("mixture and estimate sample rates differ")
     if mixture.n_samples != estimate.n_samples:
         raise ContractViolationError("mixture and estimate lengths differ")
-    mix_spec = stft(mixture, config.n_fft, config.hop, window=config.window)
-    est_spec = stft(estimate, config.n_fft, config.hop, window=config.window)
-    mask = np.clip(np.abs(est_spec) / (np.abs(mix_spec) + eps), 0.0, 1.0)
-    out = istft(mask * mix_spec, config.n_fft, config.hop,
-                window=config.window, length=mixture.n_samples)
+    mix_spec = stft(mixture, _MASK_N_FFT, _MASK_HOP)
+    est_spec = stft(estimate, _MASK_N_FFT, _MASK_HOP)
+    mask = np.clip(np.abs(est_spec) / (np.abs(mix_spec) + _MASK_EPS), 0.0, 1.0)
+    out = istft(mask * mix_spec, _MASK_N_FFT, _MASK_HOP, mixture.n_samples)
     return AudioBuffer(out.astype(np.float32), mixture.sample_rate)

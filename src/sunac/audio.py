@@ -76,7 +76,8 @@ def read_wav(path: str) -> AudioBuffer:
             rate = handle.getframerate()
             n_frames = handle.getnframes()
             raw = handle.readframes(n_frames)
-    except (wave.Error, EOFError) as exc:
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # wave raises a bare RuntimeError for a chunk size it cannot seek.
         raise InvalidArgumentError(f"not a readable WAV file: {path}: {exc}") from exc
     if n_channels != 1:
         raise InvalidArgumentError(
@@ -85,6 +86,10 @@ def read_wav(path: str) -> AudioBuffer:
     if sampwidth != 2:
         raise InvalidArgumentError(
             f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit"
+        )
+    if len(raw) % 2:
+        raise InvalidArgumentError(
+            f"{path}: data chunk holds an odd byte count, {len(raw)}"
         )
     ints = np.frombuffer(raw, dtype="<i2")
     return AudioBuffer(ints.astype(np.float32) / 32768.0, rate)

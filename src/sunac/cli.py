@@ -32,7 +32,7 @@ SEED_ENV_VAR = "SUNAC_SEED"
 def _load_config(path: str | None) -> codec.ModelConfig:
     if path is None:
         return codec.default_config("SUNAC")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return codec.ModelConfig.from_json(fh.read())
 
 
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except SunacError as exc:
         print(f"sunac: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"sunac: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,13 @@ WEIGHTS_VERSION = 1
 # configuration
 
 
+def _integral(value) -> int:
+    as_int = int(value)
+    if as_int != value:
+        raise ValueError(f"{value!r} is not integral")
+    return as_int
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Structural description of one codec instance.
@@ -92,15 +99,21 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            strides = tuple(int(s) for s in self.strides)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(
-                f"strides must be integers, got {self.strides!r}"
-            ) from exc
-        if strides != tuple(self.strides):
-            raise ConfigError(f"strides must be integers, got {self.strides!r}")
-        object.__setattr__(self, "strides", strides)
+        # Integral values (2.0) are stored as int; 2.5, "2", inf or NaN in
+        # an integer field is a ConfigError.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            try:
+                if field.type == "int":
+                    value = _integral(value)
+                elif field.name == "strides":
+                    value = tuple(_integral(s) for s in value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                kind = "integers" if field.name == "strides" else "an integer"
+                raise ConfigError(
+                    f"{field.name} must be {kind}, got {value!r}"
+                ) from exc
+            object.__setattr__(self, field.name, value)
         self.validate()
 
     def validate(self) -> None:
@@ -183,10 +196,10 @@ class ModelConfig:
         return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
+    def from_json(cls, text: str | bytes) -> "ModelConfig":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8, or too long an integer
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("config JSON must be an object")

@@ -57,13 +57,16 @@ class PromptType(enum.Enum):
         return _WIRE_ORDER[tag]
 
     @classmethod
-    def parse(cls, text: str) -> "PromptType":
+    def parse(cls, value) -> "PromptType":
+        """Return a member as is; look anything else up as a type name."""
+        if isinstance(value, cls):
+            return value
         try:
-            return cls(text.strip().lower())
+            return cls(str(value).strip().lower())
         except ValueError:
             valid = ", ".join(p.value for p in cls)
             raise InvalidArgumentError(
-                f"unknown prompt type {text!r}, expected one of: {valid}"
+                f"unknown prompt type {value!r}, expected one of: {valid}"
             ) from None
 
 

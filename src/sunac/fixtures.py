@@ -75,13 +75,24 @@ class FixtureSpec:
     band: tuple[float, float] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "prompt_type", PromptType.parse(self.prompt_type))
         if self.generator not in GENERATORS:
             raise InvalidArgumentError(
                 f"unknown generator {self.generator!r}, "
                 f"expected one of {GENERATORS}"
             )
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidArgumentError(
+                f"fixture seed must be a non-negative integer, got {self.seed!r}"
+            )
         if self.band is not None:
-            object.__setattr__(self, "band", tuple(float(b) for b in self.band))
+            try:
+                low, high = (float(b) for b in self.band)
+            except (TypeError, ValueError) as exc:
+                raise InvalidArgumentError(
+                    f"band must be two edges in Hz, got {self.band!r}"
+                ) from exc
+            object.__setattr__(self, "band", (low, high))
 
     def effective_band(self, sample_rate: int) -> tuple[float, float]:
         low, high = self.band if self.band is not None else DEFAULT_BANDS[self.prompt_type]
@@ -125,12 +136,12 @@ def _gen_harmonics(rng, n, low, high, rate):
     return x
 
 
-def _gen_chirps(rng, n, low, high, rate, n_bursts=3):
+def _gen_chirps(rng, n, low, high, rate):
     t = np.arange(n) / rate
     x = np.zeros(n)
     burst_len = max(n // 4, 1)
     env = np.hanning(burst_len)
-    for _ in range(n_bursts):
+    for _ in range(3):
         start = int(rng.integers(0, max(n - burst_len, 0) + 1))
         seg_t = t[:burst_len]
         sweep = (high - low) / (2.0 * (burst_len / rate))
@@ -149,8 +160,9 @@ _GEN_FUNCS = {
 def generate(spec: FixtureSpec, duration_s: float = 1.0,
              sample_rate: int = 16000) -> AudioBuffer:
     """Render one source; identical inputs give identical samples."""
-    if duration_s <= 0:
-        raise InvalidArgumentError(f"duration must be positive, got {duration_s}")
+    if not 0 < duration_s < np.inf:
+        raise InvalidArgumentError(
+            f"duration must be positive and finite, got {duration_s}")
     n = int(round(duration_s * sample_rate))
     if n < 8:
         raise InvalidArgumentError("duration too short to synthesize")
@@ -194,18 +206,18 @@ class MixtureManifest:
         return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "MixtureManifest":
+    def from_json(cls, text: str | bytes) -> "MixtureManifest":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8, or too long an integer
             raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
         try:
             sources = tuple(
                 FixtureSpec(
-                    prompt_type=PromptType.parse(entry["prompt_type"]),
+                    prompt_type=entry["prompt_type"],
                     generator=entry["generator"],
-                    seed=int(entry["seed"]),
-                    band=tuple(entry["band"]) if entry.get("band") else None,
+                    seed=entry["seed"],
+                    band=entry.get("band") or None,
                 )
                 for entry in payload["sources"]
             )
@@ -216,6 +228,8 @@ class MixtureManifest:
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"manifest is missing a field: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"manifest has a bad value: {exc}") from exc
 
 
 def check_source_constraints(types, allow_four_sources: bool = False) -> None:
@@ -252,12 +266,8 @@ def make_mixture(sources, seed: int = 0, duration_s: float = 1.0,
     pair stays separable.
     """
     items = list(sources)
-    types = tuple(
-        item.prompt_type if isinstance(item, FixtureSpec)
-        else item if isinstance(item, PromptType)
-        else PromptType.parse(item)
-        for item in items
-    )
+    types = tuple(item.prompt_type if isinstance(item, FixtureSpec)
+                  else PromptType.parse(item) for item in items)
     check_source_constraints(types, allow_four_sources)
     two_speech = Counter(types)[PromptType.SPEECH] == 2
     speech_index = 0
@@ -299,5 +309,5 @@ def save_manifest(manifest: MixtureManifest, path) -> None:
 
 
 def load_manifest(path) -> MixtureManifest:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return MixtureManifest.from_json(fh.read())

@@ -30,12 +30,12 @@ __all__ = [
     "rope_rotate",
     "TransformerLayerWeights",
     "transformer_block",
-    "attention_probs",
     "stft",
     "istft",
 ]
 
 _LN_EPS = 1e-5
+_ROPE_BASE = 10000.0
 
 
 def as_samples(audio) -> np.ndarray:
@@ -201,25 +201,21 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def layer_norm(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = _LN_EPS
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Normalize each column of an (F, T) map across its features."""
     x64 = np.asarray(x, dtype=np.float64)
-    out = _ln_rows(x64.T, np.asarray(gain, np.float64), np.asarray(bias, np.float64), eps)
+    out = _ln_rows(x64.T, np.asarray(gain, np.float64), np.asarray(bias, np.float64))
     return out.T.astype(np.float32)
 
 
-def _ln_rows(tokens: np.ndarray, gain, bias, eps: float = _LN_EPS) -> np.ndarray:
+def _ln_rows(tokens: np.ndarray, gain, bias) -> np.ndarray:
     # tokens: (T, D) float64, normalized along the last axis.
     mean = tokens.mean(axis=-1, keepdims=True)
     var = np.square(tokens - mean).mean(axis=-1, keepdims=True)
-    return (tokens - mean) / np.sqrt(var + eps) * gain + bias
+    return (tokens - mean) / np.sqrt(var + _LN_EPS) * gain + bias
 
 
-def rope_rotate(
-    x: np.ndarray, positions: np.ndarray, base: float = 10000.0
-) -> np.ndarray:
+def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Apply rotary position coding to per-head vectors.
 
     x has shape (T, H, Dh) with Dh even.  Consecutive (even, odd) pairs of
@@ -231,7 +227,7 @@ def rope_rotate(
     dh = x.shape[-1]
     if dh % 2 != 0:
         raise ContractViolationError(f"rotary coding needs an even head dim, got {dh}")
-    freqs = base ** (-np.arange(0, dh, 2, dtype=np.float64) / dh)
+    freqs = _ROPE_BASE ** (-np.arange(0, dh, 2, dtype=np.float64) / dh)
     angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
     cos = np.cos(angles)[:, None, :]
     sin = np.sin(angles)[:, None, :]
@@ -322,8 +318,7 @@ def _attention(tokens: np.ndarray, w: TransformerLayerWeights, use_rope: bool):
     probs = np.exp(scores)
     probs /= probs.sum(axis=-1, keepdims=True)
     ctx = np.einsum("hts,shd->thd", probs, v).reshape(t, d)
-    out = ctx @ w.wo.T.astype(np.float64) + w.bo
-    return out, probs
+    return ctx @ w.wo.T.astype(np.float64) + w.bo
 
 
 def transformer_block(
@@ -331,9 +326,8 @@ def transformer_block(
     weights: TransformerLayerWeights,
     *,
     use_rope: bool = True,
-    return_attention: bool = False,
     name: str | None = None,
-):
+) -> np.ndarray:
     """Run one pre-norm Transformer layer over an (F, T) feature map.
 
     Columns are tokens.  F must equal the layer's hidden dim.  Attention is
@@ -351,42 +345,22 @@ def transformer_block(
     tokens = x.T.astype(np.float64)
 
     normed = _ln_rows(tokens, _f64(weights.ln1_gain), _f64(weights.ln1_bias))
-    attn_out, probs = _attention(normed, weights, use_rope)
-    tokens = tokens + attn_out
+    tokens = tokens + _attention(normed, weights, use_rope)
     normed = _ln_rows(tokens, _f64(weights.ln2_gain), _f64(weights.ln2_bias))
     hidden = gelu(normed @ weights.ff_w1.T.astype(np.float64) + weights.ff_b1)
     tokens = tokens + hidden @ weights.ff_w2.T.astype(np.float64) + weights.ff_b2
 
-    out = check_finite(tokens.T.astype(np.float32),
-                       f"transformer layer {name or '<unnamed>'}")
-    if return_attention:
-        return out, probs
-    return out
-
-
-def attention_probs(
-    x: np.ndarray,
-    weights: TransformerLayerWeights,
-    *,
-    use_rope: bool = True,
-) -> np.ndarray:
-    """Attention map (H, T, T) a transformer_block call would produce."""
-    _, probs = transformer_block(x, weights, use_rope=use_rope,
-                                 return_attention=True)
-    return probs
+    return check_finite(tokens.T.astype(np.float32),
+                        f"transformer layer {name or '<unnamed>'}")
 
 
 # ---------------------------------------------------------------------------
 # STFT
 
 
-def _window(kind: str, n_fft: int) -> np.ndarray:
-    if kind == "hann":
-        # Periodic form, the right one for overlap-add analysis.
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
-    if kind == "rect":
-        return np.ones(n_fft)
-    raise InvalidArgumentError(f"unknown window {kind!r}, expected 'hann' or 'rect'")
+def _hann(n_fft: int) -> np.ndarray:
+    # Periodic form, the right one for overlap-add analysis.
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
 
 
 def _check_stft_params(n_fft: int, hop: int) -> None:
@@ -396,8 +370,8 @@ def _check_stft_params(n_fft: int, hop: int) -> None:
         raise InvalidArgumentError(f"hop must be in (0, n_fft], got {hop}")
 
 
-def stft(audio, n_fft: int, hop: int, window: str = "hann") -> np.ndarray:
-    """Short-time Fourier transform of a mono signal.
+def stft(audio, n_fft: int, hop: int) -> np.ndarray:
+    """Short-time Fourier transform of a mono signal, Hann-windowed.
 
     The signal is zero-padded by n_fft // 2 on both sides, so frame `t`
     is centered on sample `t * hop` and the frame count is a pure function
@@ -407,7 +381,6 @@ def stft(audio, n_fft: int, hop: int, window: str = "hann") -> np.ndarray:
         audio: AudioBuffer or 1-D array.
         n_fft: FFT size, a power of two.
         hop: step between frames, 0 < hop <= n_fft.
-        window: "hann" (default) or "rect".
 
     Returns:
         Complex matrix of shape (n_fft // 2 + 1, n_frames).
@@ -416,7 +389,7 @@ def stft(audio, n_fft: int, hop: int, window: str = "hann") -> np.ndarray:
     if x.size == 0:
         raise InvalidArgumentError("cannot transform empty audio")
     _check_stft_params(n_fft, hop)
-    win = _window(window, n_fft)
+    win = _hann(n_fft)
     pad = n_fft // 2
     xp = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
     n_frames = 1 + x.size // hop
@@ -424,26 +397,17 @@ def stft(audio, n_fft: int, hop: int, window: str = "hann") -> np.ndarray:
     return np.fft.rfft(frames * win, axis=1).T
 
 
-def istft(
-    spec: np.ndarray,
-    n_fft: int,
-    hop: int,
-    window: str = "hann",
-    length: int | None = None,
-) -> np.ndarray:
-    """Invert `stft` by windowed overlap-add with squared-window weighting.
-
-    `length` selects how many samples to return after stripping the
-    center padding; it defaults to (n_frames - 1) * hop, which equals the
-    original length whenever that length was a multiple of the hop.
-    """
+def istft(spec: np.ndarray, n_fft: int, hop: int, length: int) -> np.ndarray:
+    """Invert `stft` by Hann-windowed overlap-add with squared-window
+    weighting, returning `length` samples after stripping the center
+    padding."""
     spec = np.asarray(spec)
     _check_stft_params(n_fft, hop)
     if spec.ndim != 2 or spec.shape[0] != n_fft // 2 + 1:
         raise ContractViolationError(
             f"expected ({n_fft // 2 + 1}, n_frames) spectrogram, got {spec.shape}"
         )
-    win = _window(window, n_fft)
+    win = _hann(n_fft)
     n_frames = spec.shape[1]
     frames = np.fft.irfft(spec.T, n=n_fft, axis=1)
     total = (n_frames - 1) * hop + n_fft
@@ -455,6 +419,4 @@ def istft(
         weight[start : start + n_fft] += win * win
     out = acc / np.maximum(weight, 1e-12)
     pad = n_fft // 2
-    if length is None:
-        length = (n_frames - 1) * hop
     return out[pad : pad + length]

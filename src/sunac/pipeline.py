@@ -17,7 +17,6 @@ import numpy as np
 from . import codec, rvq
 from .assignment import (
     Assignment,
-    EvalStftConfig,
     SourceSet,
     best_assignment,
     magnitude_mask_reconstruct,
@@ -66,8 +65,9 @@ def extract_features(
     """Encode a mixture once and return one refined (F, T) feature map per
     prompt, in prompt order, before quantization."""
     _require_prompted(config)
+    prompts = tuple(PromptType.parse(p) for p in prompts)
     features = codec.encode(audio, config, store)
-    return extract(features, tuple(prompts), PromptBank.from_store(store),
+    return extract(features, prompts, PromptBank.from_store(store),
                    ExtractorWeights.from_store(store, config))
 
 
@@ -83,7 +83,7 @@ def encode_mixture(
     n_active selects how many quantizer layers are spent per source, which
     is the bitrate knob; by default all configured codebooks are used.
     """
-    prompts = tuple(prompts)
+    prompts = tuple(PromptType.parse(p) for p in prompts)
     if n_active is None:
         n_active = config.n_codebooks
     _check_n_active(config, n_active)
@@ -194,7 +194,6 @@ def evaluate_estimates(
     estimates,
     mode: str = "direct",
     mixture: AudioBuffer | None = None,
-    stft_config: EvalStftConfig = EvalStftConfig(),
 ) -> EvalReport:
     """Score estimates against references under type-restricted assignment.
 
@@ -211,10 +210,8 @@ def evaluate_estimates(
         mixture = mixture if mixture is not None else references.mixture
         if mixture is None:
             raise InvalidArgumentError("masked evaluation needs the mixture")
-        estimates = [
-            magnitude_mask_reconstruct(mixture, est, stft_config)
-            for est in estimates
-        ]
+        estimates = [magnitude_mask_reconstruct(mixture, est)
+                     for est in estimates]
     assignment = best_assignment(references, estimates)
     rows = tuple(
         EvalRow(

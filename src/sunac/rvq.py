@@ -76,16 +76,13 @@ class RvqWeights:
         return self.down_w.shape[1]
 
     @classmethod
-    def from_store(
-        cls, store: WeightStore, config: ModelConfig, module_index: int | None = None
-    ) -> "RvqWeights":
-        prefix = "rvq" if module_index is None else f"rvq{module_index}"
+    def from_store(cls, store: WeightStore, config: ModelConfig) -> "RvqWeights":
         return cls(
-            down_w=store[f"{prefix}.down.weight"],
-            down_b=store[f"{prefix}.down.bias"],
-            up_w=store[f"{prefix}.up.weight"],
-            up_b=store[f"{prefix}.up.bias"],
-            codebooks=tuple(store[f"{prefix}.codebook{i}"]
+            down_w=store["rvq.down.weight"],
+            down_b=store["rvq.down.bias"],
+            up_w=store["rvq.up.weight"],
+            up_b=store["rvq.up.bias"],
+            codebooks=tuple(store[f"rvq.codebook{i}"]
                             for i in range(config.n_codebooks)),
         )
 

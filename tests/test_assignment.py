@@ -110,6 +110,12 @@ class TestSourceSet:
         with pytest.raises(InvalidArgumentError):
             assignment.SourceSet(sources=())
 
+    def test_types_are_parsed(self):
+        a = buf(tone(300.0))
+        assert assignment.SourceSet(sources=((a, "Speech"),)).types == (S,)
+        with pytest.raises(InvalidArgumentError):
+            assignment.SourceSet(sources=((a, "bogus"),))
+
 
 class TestRestrictedPermutations:
     def test_all_distinct_types_pin_identity(self):

@@ -107,6 +107,29 @@ def test_fixtures_types_without_seed_fails(tmp_path):
     assert cli.main(["fixtures", "--types", "speech", "-o", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("edit", [
+    {"duration_s": "abc"},
+    {"duration_s": float("nan")},
+    {"seed": "x"},
+    {"seed": -1},
+    {"band": [100.0]},
+    None,
+], ids=["duration text", "duration NaN", "seed text", "negative seed",
+        "one-edge band", "negative --seed"])
+def test_fixtures_rejects_bad_manifest_or_seed(tmp_path, edit, capsys):
+    if edit is None:
+        argv = ["fixtures", "--types", "speech", "--seed", "-1"]
+    else:
+        payload = json.loads(fixtures.make_mixture(["speech"], seed=1).to_json())
+        target = payload if "duration_s" in edit else payload["sources"][0]
+        target.update(edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["fixtures", "--manifest", str(path)]
+    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("sunac: ")
+
+
 def test_fixtures_rejects_unknown_and_disallowed_types(tmp_path):
     assert cli.main([
         "fixtures", "--types", "speech,kazoo", "--seed", "1",
@@ -209,8 +232,14 @@ def test_seed_env_var_must_fit_weight_file(work, tmp_path, monkeypatch, capsys):
     ({"strides": ["a"]}, "strides must be integers"),
     ({"seed": -1}, "seed must be an integer in [0, 2**64)"),
     ({"strides": [2.7, 4, 5, 8]}, "strides must be integers"),
+    ({"n_codebooks": 1.5}, "n_codebooks must be an integer"),
+    ({"codebook_size": 2.5}, "codebook_size must be an integer"),
+    ({"enc_base_dim": 2.5}, "enc_base_dim must be an integer"),
+    ({"sample_rate": "16000"}, "sample_rate must be an integer"),
 ], ids=["zero heads", "non-integer strides", "negative seed",
-        "fractional strides"])
+        "fractional strides", "fractional codebooks",
+        "fractional codebook size", "fractional enc dim",
+        "text sample rate"])
 def test_encode_rejects_bad_config(work, tmp_path, tiny_config, override,
                                    message, capsys):
     cfg_path = tmp_path / "bad.json"
@@ -222,6 +251,45 @@ def test_encode_rejects_bad_config(work, tmp_path, tiny_config, override,
     ])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_encode_accepts_integral_float_config(work, tmp_path, tiny_config):
+    payload = {**json.loads(tiny_config.to_json()), "n_heads": 2.0}
+    cfg_path = tmp_path / "float_heads.json"
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "x.snac"
+    rc = cli.main([
+        "encode", str(work["fix"] / "mixture.wav"),
+        "--prompts", "speech,music",
+        "--config", str(cfg_path), "-o", str(out),
+    ])
+    assert rc == 0
+    with open(work["stream"], "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("case", ["mixture", "output", "eval refs"])
+def test_directory_paths_exit_2(work, tmp_path, case, capsys):
+    mixture = tmp_path if case == "mixture" else work["fix"] / "mixture.wav"
+    out = tmp_path if case == "output" else tmp_path / "x.snac"
+    argv = ["encode", str(mixture), "--prompts", "speech",
+            "--config", work["cfg"], "-o", str(out)]
+    if case == "eval refs":
+        argv = ["eval", "--refs", str(tmp_path), "--est", str(work["fix"])]
+    assert cli.main(argv) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "fixtures"])
+def test_non_utf8_json_exits_2(work, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": "\x80"}')
+    if command == "encode":
+        argv = ["encode", str(work["fix"] / "mixture.wav"), "--prompts",
+                "speech", "--config", str(bad), "-o", str(tmp_path / "x.snac")]
+    else:
+        argv = ["fixtures", "--manifest", str(bad), "-o", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
 
 
 # ------------------------------------------------------------------ decode

@@ -59,10 +59,23 @@ class TestModelConfig:
         dict(dec_base_dim=100),         # not divisible by 2^4
         dict(strides=(2.7, 4, 5, 8)),
         dict(strides=(float("inf"),)),
+        dict(n_codebooks=1.5),
+        dict(codebook_size=2.5),
+        dict(enc_base_dim=2.5),
+        dict(sample_rate="16000"),
+        dict(n_heads=float("nan")),
+        dict(strides=5),
     ])
     def test_rejects_bad_fields(self, overrides):
         with pytest.raises(ConfigError):
             codec.ModelConfig(**overrides)
+
+    def test_integral_values_are_stored_as_int(self):
+        config = codec.ModelConfig(n_heads=8.0, strides=(2.0, 4, 5, 8))
+        assert config == codec.ModelConfig()
+        assert type(config.n_heads) is int
+        assert all(type(s) is int for s in config.strides)
+        assert config.to_json() == codec.ModelConfig().to_json()
 
     def test_json_roundtrip(self, tiny_config):
         text = tiny_config.to_json()

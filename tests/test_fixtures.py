@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,27 @@ class TestGenerate:
             fixtures.generate(spec, duration_s=0.0)
         with pytest.raises(InvalidArgumentError):
             fixtures.generate(spec, duration_s=1e-5)
+        for duration in (float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError):
+                fixtures.generate(spec, duration_s=duration)
+
+    @pytest.mark.parametrize("fields", [
+        dict(seed=-1), dict(seed=1.5), dict(seed="3"),
+        dict(seed=0, band=(100.0,)), dict(seed=0, band=(100.0, 200.0, 300.0)),
+        dict(seed=0, band=("low", "high")), dict(seed=0, band=5),
+    ])
+    def test_spec_rejects_bad_seed_or_band(self, fields):
+        with pytest.raises(InvalidArgumentError):
+            fixtures.FixtureSpec(prompt_type=S,
+                                 generator="band_limited_noise", **fields)
+
+    def test_spec_parses_its_prompt_type(self):
+        spec = fixtures.FixtureSpec(prompt_type="speech",
+                                    generator="band_limited_noise", seed=0)
+        assert spec.prompt_type is S
+        with pytest.raises(InvalidArgumentError):
+            fixtures.FixtureSpec(prompt_type="bogus",
+                                 generator="band_limited_noise", seed=0)
 
     def test_rejects_unknown_generator(self):
         with pytest.raises(InvalidArgumentError):
@@ -187,6 +210,18 @@ class TestManifestSerialization:
             fixtures.MixtureManifest.from_json("not json at all")
         with pytest.raises(ConfigError):
             fixtures.MixtureManifest.from_json('{"sample_rate": 16000}')
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", "abc"), ("sample_rate", "abc"),
+        ("sample_rate", float("inf")), ("seed", "x"), ("seed", -1),
+        ("band", [100.0]), ("prompt_type", 5),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        payload = json.loads(fixtures.make_mixture(["speech"], seed=1).to_json())
+        target = payload if field in payload else payload["sources"][0]
+        target[field] = value
+        with pytest.raises(ConfigError):
+            fixtures.MixtureManifest.from_json(json.dumps(payload))
 
     def test_realize_is_deterministic_across_roundtrip(self):
         manifest = fixtures.make_mixture(["speech", "music"], seed=3)

@@ -3,6 +3,7 @@ import pytest
 
 from sunac import codec, fixtures, pipeline
 from sunac.audio import AudioBuffer, pcm16_roundtrip
+from sunac.bitstream import pack_stream
 from sunac.errors import InvalidArgumentError, NumericError
 from sunac.extractor import PromptType
 
@@ -48,6 +49,27 @@ class TestEncodeMixture:
         b = pipeline.encode_mixture(mixture.mixture, (S, M), tiny_config,
                                     tiny_store)
         np.testing.assert_array_equal(a.codes, b.codes)
+
+    def test_prompt_names_match_prompt_types(self, tiny_config, tiny_store,
+                                             mixture):
+        by_name = pipeline.encode_mixture(
+            mixture.mixture, ("speech", "music"), tiny_config, tiny_store)
+        by_type = pipeline.encode_mixture(
+            mixture.mixture, (S, M), tiny_config, tiny_store)
+        assert by_name.prompt_types == (S, M)
+        assert pack_stream(by_name) == pack_stream(by_type)
+
+    @pytest.mark.parametrize("entry", [pipeline.encode_mixture,
+                                       pipeline.extract_features])
+    def test_unknown_prompt_fails_before_encoding(self, tiny_config,
+                                                  tiny_store, mixture,
+                                                  monkeypatch, entry):
+        def encode(*args, **kwargs):
+            raise AssertionError("the shared encoder ran")
+
+        monkeypatch.setattr(codec, "encode", encode)
+        with pytest.raises(InvalidArgumentError):
+            entry(mixture.mixture, ("bogus",), tiny_config, tiny_store)
 
     def test_requires_prompted_family(self, tiny_store, mixture):
         import dataclasses

@@ -41,17 +41,27 @@ class TestRvqWeights:
         assert w.n_entries == tiny_config.codebook_size
 
     def test_module_indexed_stores(self):
+        # SDCodec is analyzer-only, so its three quantizer modules are
+        # checked through the manifest and the seeded init, not RvqWeights.
         config = codec.ModelConfig(
             arch_family="SDCodec", enc_base_dim=4, dec_base_dim=32,
             latent_dim=8, transformer_hidden=8, n_heads=2, ff_dim=16,
             n_codebooks=2, codebook_size=16, code_dim=4)
-        store = codec.init_weights(config, seed=1)
+        rvq_specs = [s for s in codec.manifest(config)
+                     if s.name.startswith("rvq")]
+        assert [s.name for s in rvq_specs] == [
+            f"rvq{m}.{part}" for m in range(3)
+            for part in ("down.weight", "down.bias", "up.weight", "up.bias",
+                         "codebook0", "codebook1")]
+        shapes = {s.name: s.shape for s in rvq_specs}
         for m in range(3):
-            w = rvq.RvqWeights.from_store(store, config, module_index=m)
-            assert w.feature_dim == 8
-        mods = [rvq.RvqWeights.from_store(store, config, module_index=m)
-                for m in range(3)]
-        assert not np.array_equal(mods[0].down_w, mods[1].down_w)
+            assert shapes[f"rvq{m}.down.weight"] == (4, 8)
+            assert shapes[f"rvq{m}.up.weight"] == (8, 4)
+            assert shapes[f"rvq{m}.codebook1"] == (16, 4)
+        store = codec.init_weights(config, seed=1)
+        downs = [store[f"rvq{m}.down.weight"] for m in range(3)]
+        assert not np.array_equal(downs[0], downs[1])
+        assert not np.array_equal(downs[1], downs[2])
 
     def test_shape_validation(self):
         with pytest.raises(ContractViolationError):
