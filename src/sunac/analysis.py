@@ -10,10 +10,10 @@ decoded source), and flagged by whether its cost grows linearly or
 quadratically with the frame count, since attention leaves the linear
 regime as inputs get longer.
 
-Layer shapes for the built-in specs are derived from the same node trees
-the runnable models are built from, and parameter totals are taken from
-the model manifests, so the analyzer cannot drift away from the signal
-path it describes.
+Each built-in spec is one walk over codec.model_nodes: the nodes give the
+counted rows and, through their manifests, the parameter total, so the
+analyzer cannot drift from the signal path it describes.  A row is `const`
+when its name starts with a prefix the family runs once per mixture.
 """
 
 from __future__ import annotations
@@ -244,76 +244,65 @@ def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> M
 # built-in architecture specs
 
 
-def _specs_from_nodes(nodes, tag: str) -> list[LayerSpec]:
-    """Flatten a codec node tree into counted LayerSpec rows."""
+def _specs_from_nodes(nodes, const: tuple[str, ...]) -> list[LayerSpec]:
+    """Flatten a codec node tree into counted LayerSpec rows, in node order,
+    tagged `const` where the row name starts with a `const` prefix."""
     out: list[LayerSpec] = []
+
+    def row(name: str, kind: str, **shape) -> None:
+        tag = TAG_CONST if name.startswith(const) else TAG_PER_SOURCE
+        out.append(LayerSpec(name=name, kind=kind, tag=tag, **shape))
+
     for node in nodes:
         if isinstance(node, _codec.ResidualNode):
-            out.extend(_specs_from_nodes(node.children, tag))
+            out.extend(_specs_from_nodes(node.children, const))
         elif isinstance(node, _codec.ConvNode):
-            kind = "transposed_conv1d" if node.transposed else "conv1d"
-            out.append(LayerSpec(
-                name=node.name, kind=kind, tag=tag,
+            row(node.name, "transposed_conv1d" if node.transposed else "conv1d",
                 c_in=node.c_in, c_out=node.c_out, kernel=node.kernel,
                 stride=node.stride, dilation=node.dilation,
-                padding=node.padding, output_padding=node.output_padding,
-            ))
+                padding=node.padding, output_padding=node.output_padding)
         elif isinstance(node, _codec.TransformerNode):
-            out.append(LayerSpec(name=f"{node.name}.attn", kind="attention",
-                                 tag=tag, d_model=node.hidden,
-                                 n_heads=node.n_heads))
-            out.append(LayerSpec(name=f"{node.name}.ff", kind="feed_forward",
-                                 tag=tag, d_model=node.hidden, d_ff=node.ff_dim))
-        # Snake/Tanh nodes carry no counted MACs.
+            row(f"{node.name}.attn", "attention", d_model=node.hidden,
+                n_heads=node.n_heads)
+            row(f"{node.name}.ff", "feed_forward", d_model=node.hidden,
+                d_ff=node.ff_dim)
+        elif isinstance(node, _codec.FilmNode):
+            row(node.name, "film", d_model=node.dim)
+        elif isinstance(node, _codec.RvqNode):
+            c = node.config
+            row(node.name, "rvq_scan", d_model=c.latent_dim,
+                n_codebooks=c.n_codebooks, n_entries=c.codebook_size,
+                code_dim=c.code_dim)
+        # Snake, Tanh and the prompt bank carry no counted MACs.
     return out
 
 
-# Stages each family runs once per mixture; every other stage repeats per
-# source.
-_CONST_STAGES = {
+# Row-name prefixes each family runs once per mixture; every other row
+# repeats per source.
+_CONST_PREFIXES = {
     "DAC": (),
     "DACT": (),
-    "SDCodec": ("encoder",),
-    "SDCodecT": ("encoder",),
-    "SUNAC": ("encoder", "cross"),
+    "SDCodec": ("encoder.",),
+    "SDCodecT": ("encoder.",),
+    "SUNAC": ("encoder.", "extractor.cross."),
 }
 
 
 def _arch_spec(name: str, config: _codec.ModelConfig,
                with_decoder: bool = True) -> ArchSpec:
-    """Walk the stages in signal order: encoder, the prompt front end
-    (cross-prompt layer, FiLM, refinement) when the family has one, the
-    quantizer, then the decoder.
+    """Walk the model's nodes in signal order: encoder, the prompt front
+    end (cross-prompt layer, FiLM, refinement) when the family has one, the
+    quantizer, then the decoder unless `with_decoder` is false.
 
     The cross-prompt layer is counted at the mixture's frame count; the
     handful of extra prompt tokens it sees is noise at this resolution.
     """
-    const = _CONST_STAGES[config.arch_family]
-
-    def tag(stage: str) -> str:
-        return TAG_CONST if stage in const else TAG_PER_SOURCE
-
-    layers = _specs_from_nodes(_codec.encoder_nodes(config), tag("encoder"))
-    if config.has_extractor:
-        nodes = {n.name: n for n in _codec.extractor_nodes(config)}
-        layers += _specs_from_nodes([nodes["extractor.cross"]], tag("cross"))
-        layers.append(LayerSpec(name="extractor.film", kind="film",
-                                tag=tag("film"), d_model=config.latent_dim))
-        layers += _specs_from_nodes(
-            [nodes["extractor.refine0"], nodes["extractor.refine1"]],
-            tag("refine"),
-        )
-    layers.append(LayerSpec(
-        name="rvq", kind="rvq_scan", tag=tag("rvq"),
-        d_model=config.latent_dim, n_codebooks=config.n_codebooks,
-        n_entries=config.codebook_size, code_dim=config.code_dim,
-    ))
-    params = _codec.count_params(config)
+    nodes = _codec.model_nodes(config)
     if not with_decoder:
-        return ArchSpec(name=name, layers=tuple(layers),
-                        params=params.total - params.group_total("decoder"))
-    layers += _specs_from_nodes(_codec.decoder_nodes(config), tag("decoder"))
-    return ArchSpec(name=name, layers=tuple(layers), params=params.total)
+        del nodes[-len(_codec.decoder_nodes(config)):]
+    layers = _specs_from_nodes(nodes, _CONST_PREFIXES[config.arch_family])
+    params = sum(spec.size for node in nodes for spec in node.manifest())
+    return ArchSpec(name=name, layers=tuple(layers), params=params)
 
 
 BUILTIN_ORDER = ("DAC", "DACT", "SDCodec", "SDCodecT", "SUNAC",

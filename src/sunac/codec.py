@@ -11,10 +11,10 @@ transposed-convolution decoder.  Five named configurations cover the family:
     SDCodecT  DACT topology with three quantizer modules (analyzer only)
     SUNAC     DACT conv stacks plus a prompt-driven extraction front end
 
-Every architecture is first described as a tree of layer nodes.  The same
-tree yields the tensor manifest (names, shapes, init rules), the runnable
-forward pass, the parameter count, and the shape information the cost
-analyzer consumes, so those four views cannot drift apart.
+Every architecture is first described as a tree of layer nodes, FiLM and
+the quantizer included.  The same tree yields the tensor manifest, the
+encoder and decoder forward passes, the parameter count and the analyzer's
+cost rows, so those views cannot drift apart.
 """
 
 from __future__ import annotations
@@ -349,7 +349,7 @@ class LinearNode:
 
 
 class ParamNode:
-    """A bare tensor with no forward op (codebooks, prompt vectors)."""
+    """A bare tensor with no forward op (the prompt vectors)."""
 
     def __init__(self, name, shape, init, fan_in=0):
         self.name = name
@@ -359,6 +359,41 @@ class ParamNode:
 
     def manifest(self):
         return [TensorSpec(self.name, self.shape, self.init, self.fan_in)]
+
+
+class FilmNode:
+    """Scale and shift maps of a prompt column, each a (dim, dim) affine."""
+
+    def __init__(self, name, dim):
+        self.name = name
+        self.dim = dim
+
+    def manifest(self):
+        return [spec for part in ("scale", "shift")
+                for spec in LinearNode(f"{self.name}.{part}", self.dim,
+                                       self.dim).manifest()]
+
+
+class RvqNode:
+    """Quantizer modules, each a down and an up projection plus one codebook
+    per layer.  Runnable families have one module, `rvq`; the SDCodec
+    families have three, `rvq0`..`rvq2`, and a source runs through one."""
+
+    name = "rvq"
+
+    def __init__(self, config: ModelConfig):
+        self.config = config
+
+    def manifest(self):
+        c = self.config
+        f, d, n = c.latent_dim, c.code_dim, c.n_rvq_modules
+        specs = []
+        for prefix in ["rvq"] if n == 1 else [f"rvq{m}" for m in range(n)]:
+            specs += LinearNode(f"{prefix}.down", f, d).manifest()
+            specs += LinearNode(f"{prefix}.up", d, f).manifest()
+            specs += [TensorSpec(f"{prefix}.codebook{i}", (c.codebook_size, d),
+                                 INIT_CODEBOOK, d) for i in range(c.n_codebooks)]
+        return specs
 
 
 class TransformerNode:
@@ -479,36 +514,19 @@ def extractor_nodes(config: ModelConfig) -> list:
     return [
         ParamNode("extractor.prompts", (4, f), INIT_UNIFORM, f),
         TransformerNode("extractor.cross", hidden, heads, ff),
-        LinearNode("extractor.film.scale", f, f),
-        LinearNode("extractor.film.shift", f, f),
+        FilmNode("extractor.film", f),
         TransformerNode("extractor.refine0", hidden, heads, ff),
         TransformerNode("extractor.refine1", hidden, heads, ff),
     ]
 
 
-def rvq_nodes(config: ModelConfig, module_index: int | None = None) -> list:
-    """Shared projections plus per-layer codebooks for one quantizer module."""
-    prefix = "rvq" if module_index is None else f"rvq{module_index}"
-    f, d = config.latent_dim, config.code_dim
-    nodes = [
-        LinearNode(f"{prefix}.down", f, d),
-        LinearNode(f"{prefix}.up", d, f),
-    ]
-    for i in range(config.n_codebooks):
-        nodes.append(ParamNode(f"{prefix}.codebook{i}",
-                               (config.codebook_size, d), INIT_CODEBOOK, d))
-    return nodes
-
-
 def model_nodes(config: ModelConfig) -> list:
+    """Every node of a configuration in signal order: encoder, prompt front
+    end (SUNAC only), quantizer, decoder."""
     nodes = list(encoder_nodes(config))
     if config.has_extractor:
         nodes.extend(extractor_nodes(config))
-    if config.n_rvq_modules == 1:
-        nodes.extend(rvq_nodes(config))
-    else:
-        for m in range(config.n_rvq_modules):
-            nodes.extend(rvq_nodes(config, m))
+    nodes.append(RvqNode(config))
     nodes.extend(decoder_nodes(config))
     return nodes
 
@@ -678,11 +696,6 @@ def validate_store(config: ModelConfig, store: WeightStore) -> None:
 class ParamCount:
     total: int
     per_tensor: dict[str, int]
-
-    def group_total(self, prefix: str) -> int:
-        dotted = prefix if prefix.endswith(".") else prefix + "."
-        return sum(v for k, v in self.per_tensor.items()
-                   if k.startswith(dotted) or k == prefix)
 
 
 def count_params(config: ModelConfig) -> ParamCount:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ModelConfig, WeightStore
+from .codec import ModelConfig, TransformerNode, WeightStore, extractor_nodes
 from .errors import ContractViolationError, InvalidArgumentError
 from .numerics import TransformerLayerWeights, check_finite, transformer_block
 
@@ -138,16 +138,10 @@ class ExtractorWeights:
 
     @classmethod
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "ExtractorWeights":
-        from .codec import extractor_nodes, TransformerNode
-
-        nodes = {n.name: n for n in extractor_nodes(config)
-                 if isinstance(n, TransformerNode)}
-        return cls(
-            cross=nodes["extractor.cross"].weights(store),
-            film=FilmWeights.from_store(store),
-            refine=(nodes["extractor.refine0"].weights(store),
-                    nodes["extractor.refine1"].weights(store)),
-        )
+        cross, *refine = (n.weights(store) for n in extractor_nodes(config)
+                          if isinstance(n, TransformerNode))
+        return cls(cross=cross, film=FilmWeights.from_store(store),
+                   refine=tuple(refine))
 
 
 def cross_prompt(

@@ -184,6 +184,12 @@ class MixtureManifest:
         object.__setattr__(self, "sources", tuple(self.sources))
         if not self.sources:
             raise InvalidArgumentError("a mixture needs at least one source")
+        rate = self.sample_rate
+        if (not isinstance(rate, (int, float, np.integer, np.floating))
+                or not 0 < rate < np.inf or rate != int(rate)):
+            raise InvalidArgumentError(
+                f"sample rate must be a positive integer, got {rate!r}")
+        object.__setattr__(self, "sample_rate", int(rate))
 
     @property
     def prompt_types(self) -> tuple[PromptType, ...]:
@@ -224,7 +230,7 @@ class MixtureManifest:
             return cls(
                 sources=sources,
                 duration_s=float(payload["duration_s"]),
-                sample_rate=int(payload["sample_rate"]),
+                sample_rate=payload["sample_rate"],
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"manifest is missing a field: {exc}") from exc

@@ -244,9 +244,9 @@ class TransformerLayerWeights:
     """Parameters of one pre-norm Transformer layer.
 
     Projection matrices are (D, D) with rows indexing outputs; the feed
-    forward expands to ff_dim and contracts back.  `validate` checks the
-    shapes agree and that the per-head dimension is even, which the rotary
-    coding requires.
+    forward expands to ff_dim and contracts back.  Construction checks that
+    the shapes agree and that the per-head dimension is even, which the
+    rotary coding requires, so a block never runs on weights that fail.
     """
 
     n_heads: int
@@ -279,7 +279,7 @@ class TransformerLayerWeights:
     def ff_dim(self) -> int:
         return self.ff_w1.shape[0]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         d = self.hidden_dim
         if self.n_heads < 1 or d % self.n_heads != 0:
             raise ContractViolationError(
@@ -334,7 +334,6 @@ def transformer_block(
     full (non-causal); rotary coding is applied to queries and keys only.
     Raises NumericError naming the layer if the output is not finite.
     """
-    weights.validate()
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 2 or x.shape[0] != weights.hidden_dim:
         raise ContractViolationError(

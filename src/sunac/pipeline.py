@@ -66,6 +66,8 @@ def extract_features(
     prompt, in prompt order, before quantization."""
     _require_prompted(config)
     prompts = tuple(PromptType.parse(p) for p in prompts)
+    if not prompts:
+        raise InvalidArgumentError("need at least one prompt")
     features = codec.encode(audio, config, store)
     return extract(features, prompts, PromptBank.from_store(store),
                    ExtractorWeights.from_store(store, config))
@@ -107,6 +109,7 @@ def decode_stream(
     store: codec.WeightStore,
 ) -> list[tuple[AudioBuffer, PromptType]]:
     """Decode every source in a stream, trimmed to the original length."""
+    codec._require_runnable(config, "decode")
     if stream.sample_rate != config.sample_rate:
         raise InvalidArgumentError(
             f"stream is {stream.sample_rate} Hz but config expects "

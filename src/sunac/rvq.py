@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ModelConfig, WeightStore
+from .codec import ModelConfig, RvqNode, WeightStore
 from .errors import ContractViolationError, InvalidArgumentError
 from .numerics import check_finite
 
@@ -77,14 +77,9 @@ class RvqWeights:
 
     @classmethod
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "RvqWeights":
-        return cls(
-            down_w=store["rvq.down.weight"],
-            down_b=store["rvq.down.bias"],
-            up_w=store["rvq.up.weight"],
-            up_b=store["rvq.up.bias"],
-            codebooks=tuple(store[f"rvq.codebook{i}"]
-                            for i in range(config.n_codebooks)),
-        )
+        down_w, down_b, up_w, up_b, *codebooks = (
+            store[spec.name] for spec in RvqNode(config).manifest())
+        return cls(down_w, down_b, up_w, up_b, tuple(codebooks))
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,8 @@ class TestManifestSerialization:
     @pytest.mark.parametrize("field, value", [
         ("duration_s", "abc"), ("sample_rate", "abc"),
         ("sample_rate", float("inf")), ("seed", "x"), ("seed", -1),
-        ("band", [100.0]), ("prompt_type", 5),
+        ("band", [100.0]), ("prompt_type", 5), ("sample_rate", 16000.7),
+        ("sample_rate", 0), ("sample_rate", -16000),
     ])
     def test_rejects_bad_values(self, field, value):
         payload = json.loads(fixtures.make_mixture(["speech"], seed=1).to_json())
@@ -222,6 +223,11 @@ class TestManifestSerialization:
         target[field] = value
         with pytest.raises(ConfigError):
             fixtures.MixtureManifest.from_json(json.dumps(payload))
+
+    def test_integral_rate_is_stored_as_int(self):
+        sources = fixtures.make_mixture(["speech"], seed=1).sources
+        rate = fixtures.MixtureManifest(sources, sample_rate=16000.0).sample_rate
+        assert rate == 16000 and isinstance(rate, int)
 
     def test_realize_is_deterministic_across_roundtrip(self):
         manifest = fixtures.make_mixture(["speech", "music"], seed=3)

@@ -1,4 +1,5 @@
-"""Golden digests: stream bytes, decoded audio, cost table and configs.
+"""Golden digests: stream bytes, decoded audio, cost tables, manifests and
+configs.
 
 Every value below was recorded once and must never be re-recorded quietly.
 A refactor that is meant to change no behaviour keeps all of them; a kernel
@@ -8,6 +9,7 @@ BLAS threads alike.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +23,19 @@ STREAM_BYTES = 2430
 DECODED_SHA256 = "4f2de0947fe42ac28f4c2f6ff253e4074f8af25ff4459edbcd81a5cb892b3d55"
 COMPARE_JSON_SHA256 = (
     "7c757c0c6d1d13b20468076dffdc7e29e8be87b03f855db3ff1fbb4b277a4cd1")
+# compare_report(duration_s, 3) at the shortest and a non-integral duration.
+COMPARE_JSON_3SRC_SHA256 = {
+    0.04: "7b9930620d9a4172857db2a2978ee366db317010ba19648d2c91cfc434530ec9",
+    7.3: "0ade9ddb38f5a7a40feb509cb4361c752e9bb272f8e64a90616f754a2c1bde9f",
+}
+# Name, shape, init rule and fan-in of every tensor, in manifest order.
+MANIFEST_SHA256 = {
+    "DAC": "0e2394e279b889561b66c1848702657b0e6c81210a06d6245915d4c266ac92ba",
+    "DACT": "83d34a047835fcc01ebf414172eacbc13b5d2c5d37acacd5044fd8e325ea0e17",
+    "SDCodec": "3a839c0a9f1bb706c4b52664774e6ae2b55e7546390540d1a6eae7a56ae8ea82",
+    "SDCodecT": "2c8f6b7995778c4e4652c824ac1f2e333caba121c44e4e217b43d4865930e5ba",
+    "SUNAC": "a1161f5f632c907b38d49ae89fabf3371d11d7ddda98e64a0f90acd67d77c5ed",
+}
 CONFIG_JSON_SHA256 = {
     "DAC": "837e3e7a06eb52fc37d91067b5cd1c244244f9998418700610c7f3a89508f1fd",
     "DACT": "3f135355d5636d9403c32b8a5a419df0d9c9b4a27c84ecbf829e52890a91e2df",
@@ -58,6 +73,20 @@ def test_decoded_samples(golden_stream, full_config, full_store):
 def test_compare_report_json():
     text = analysis.report_to_json(analysis.compare_report(1.0, 2))
     assert _sha256(text.encode("utf-8")) == COMPARE_JSON_SHA256
+
+
+@pytest.mark.parametrize("duration_s", sorted(COMPARE_JSON_3SRC_SHA256))
+def test_compare_report_json_three_sources(duration_s):
+    text = analysis.report_to_json(analysis.compare_report(duration_s, 3))
+    assert _sha256(text.encode("utf-8")) == COMPARE_JSON_3SRC_SHA256[duration_s]
+
+
+@pytest.mark.parametrize("family", codec.ARCH_FAMILIES)
+def test_manifest(family):
+    specs = codec.manifest(codec.default_config(family))
+    text = json.dumps([[s.name, list(s.shape), s.init, s.fan_in]
+                       for s in specs])
+    assert _sha256(text.encode("utf-8")) == MANIFEST_SHA256[family]
 
 
 @pytest.mark.parametrize("family", codec.ARCH_FAMILIES)

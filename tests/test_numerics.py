@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,15 @@ class TestTransformer:
         x = rng.standard_normal((4, 2, 3))
         with pytest.raises(ContractViolationError):
             numerics.rope_rotate(x, np.arange(4))
+
+    @pytest.mark.parametrize("change", [
+        dict(n_heads=3), dict(n_heads=16), dict(wq=np.zeros((16, 8), np.float32)),
+        dict(ff_b1=np.zeros(16, np.float32)),
+    ])
+    def test_weights_are_checked_on_construction(self, rng, change):
+        # n_heads=16 leaves a head dim of 1, which rotary coding cannot pair.
+        with pytest.raises(ContractViolationError):
+            dataclasses.replace(random_layer(rng), **change)
 
     def test_hidden_dim_mismatch(self, rng):
         layer = random_layer(rng)

@@ -59,17 +59,20 @@ class TestEncodeMixture:
         assert by_name.prompt_types == (S, M)
         assert pack_stream(by_name) == pack_stream(by_type)
 
-    @pytest.mark.parametrize("entry", [pipeline.encode_mixture,
-                                       pipeline.extract_features])
+    @pytest.mark.parametrize("entry, prompts", [
+        pytest.param(entry, prompts, id=entry.__name__ + suffix)
+        for prompts, suffix in ((("bogus",), ""), ((), "-empty"))
+        for entry in (pipeline.encode_mixture, pipeline.extract_features)
+    ])
     def test_unknown_prompt_fails_before_encoding(self, tiny_config,
                                                   tiny_store, mixture,
-                                                  monkeypatch, entry):
+                                                  monkeypatch, entry, prompts):
         def encode(*args, **kwargs):
             raise AssertionError("the shared encoder ran")
 
         monkeypatch.setattr(codec, "encode", encode)
         with pytest.raises(InvalidArgumentError):
-            entry(mixture.mixture, ("bogus",), tiny_config, tiny_store)
+            entry(mixture.mixture, prompts, tiny_config, tiny_store)
 
     def test_requires_prompted_family(self, tiny_store, mixture):
         import dataclasses
@@ -107,6 +110,16 @@ class TestDecodeStream:
         fewer_books = dataclasses.replace(tiny_config, n_codebooks=2)
         with pytest.raises(InvalidArgumentError):
             pipeline.decode_stream(stream, fewer_books, tiny_store)
+
+    def test_rejects_analyzer_only_family(self, tiny_config, tiny_store,
+                                          mixture):
+        import dataclasses
+
+        stream = pipeline.encode_mixture(
+            mixture.mixture, (S,), tiny_config, tiny_store)
+        config = dataclasses.replace(tiny_config, arch_family="SDCodec")
+        with pytest.raises(InvalidArgumentError, match="cost analysis only"):
+            pipeline.decode_stream(stream, config, tiny_store)
 
     def test_rejects_inconsistent_frame_count(self, tiny_config, tiny_store,
                                               mixture):
