@@ -321,7 +321,10 @@ class ResidualNode:
             raise ContractViolationError(
                 f"residual branch changed shape {x.shape} -> {y.shape}"
             )
-        return np.add(x, y, dtype=np.float64).astype(np.float32)
+        # Both operands are float32.  A float32 add rounds once to the same
+        # value as a float64 add rounded back (53 >= 2 * 24 + 2 significand
+        # bits make the double rounding harmless), without the float64 copy.
+        return np.add(x, y)
 
 
 class TanhNode:

@@ -8,8 +8,11 @@ Neural kernels keep tensors in float32 but accumulate every dot product in
 float64, so outputs are reproducible bit for bit on a given platform.
 Convolutions accumulate one float64 matrix product per kernel tap, in tap
 order, over strided views of the signal, so no buffer larger than the
-input or output is built.  All functions are pure: no hidden state, safe
-to call concurrently.
+input or output is built.  Attention runs both of its products on BLAS,
+one fixed-size block of queries at a time, so its memory grows linearly
+with the token count; a softmax row needs only its own query, so the
+blocking leaves the bits unchanged.  All functions are pure: no hidden
+state, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ __all__ = [
 
 _LN_EPS = 1e-5
 _ROPE_BASE = 10000.0
+# Queries per attention block; bounds the score buffer at (H, 256, T).
+_QUERY_BLOCK = 256
 
 
 def as_samples(audio) -> np.ndarray:
@@ -189,7 +194,14 @@ def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Periodic activation x + sin^2(alpha * x) / alpha with per-channel alpha."""
     x = np.asarray(x, dtype=np.float32)
     a = np.asarray(alpha, dtype=np.float32)[:, None]
-    return (x + np.square(np.sin(a * x)) / a).astype(np.float32, copy=False)
+    # One output buffer, every step in place: same float32 operations in the
+    # same order as x + sin(a * x) ** 2 / a, without four temporaries.
+    y = a * x
+    np.sin(y, out=y)
+    np.square(y, out=y)
+    y /= a
+    y += x
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +325,28 @@ def _attention(tokens: np.ndarray, w: TransformerLayerWeights, use_rope: bool):
         positions = np.arange(t)
         q = rope_rotate(q, positions)
         k = rope_rotate(k, positions)
-    scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(dh)
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("hts,shd->thd", probs, v).reshape(t, d)
+    # Both products run on BLAS (np.matmul over per-head views), one block
+    # of at most _QUERY_BLOCK queries at a time.  A softmax row depends on
+    # its own query alone, so blocking needs no online rescaling: the bits
+    # do not depend on the block size, and the one score buffer is
+    # (H, _QUERY_BLOCK, T) rather than (H, T, T), linear in T.
+    q_h = q.transpose(1, 0, 2)
+    k_ht = k.transpose(1, 2, 0)
+    v_h = v.transpose(1, 0, 2)
+    scale = np.sqrt(dh)
+    block = min(t, _QUERY_BLOCK)
+    score_buf = np.empty((heads, block, t))
+    ctx = np.empty((heads, t, dh))
+    for start in range(0, t, block):
+        rows = slice(start, min(start + block, t))
+        scores = score_buf[:, : rows.stop - start]
+        np.matmul(q_h[:, rows], k_ht, out=scores)
+        scores /= scale
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        np.matmul(scores, v_h, out=ctx[:, rows])
+    ctx = ctx.transpose(1, 0, 2).reshape(t, d)
     return ctx @ w.wo.T.astype(np.float64) + w.bo
 
 

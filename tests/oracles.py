@@ -6,6 +6,7 @@ agreement between the two is evidence rather than tautology.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -132,4 +133,63 @@ def film_naive(x, prompt, scale_w, scale_b, shift_w, shift_b):
     out = np.zeros_like(x)
     for t in range(n_frames):
         out[:, t] = x[:, t] + gain * x[:, t] + shift
+    return out
+
+
+def transformer_block_naive(x, w, use_rope=True):
+    """Pre-norm Transformer layer over an (F, T) map, one token at a time.
+
+    `w` is any object with the attributes of a TransformerLayerWeights.
+    Attention loops over heads and then queries; every query takes a plain
+    softmax over all keys.  Everything runs in float64.
+    """
+    ln_eps, rope_base = 1e-5, 10000.0
+    x = np.asarray(x, dtype=np.float64)
+    d, n_tok = x.shape
+    heads = w.n_heads
+    dh = d // heads
+
+    def f64(a):
+        return np.asarray(a, dtype=np.float64)
+
+    def norm(col, gain, bias):
+        centred = col - col.mean()
+        return centred / math.sqrt((centred ** 2).mean() + ln_eps) * f64(gain) + f64(bias)
+
+    def rotate(vec, pos):
+        out = vec.copy()
+        for i in range(dh // 2):
+            angle = pos * rope_base ** (-2.0 * i / dh)
+            c, s = math.cos(angle), math.sin(angle)
+            a, b = vec[2 * i], vec[2 * i + 1]
+            out[2 * i] = a * c - b * s
+            out[2 * i + 1] = a * s + b * c
+        return out
+
+    tokens = [x[:, t].copy() for t in range(n_tok)]
+    normed = [norm(tok, w.ln1_gain, w.ln1_bias) for tok in tokens]
+    q = [f64(w.wq) @ n + f64(w.bq) for n in normed]
+    k = [f64(w.wk) @ n + f64(w.bk) for n in normed]
+    v = [f64(w.wv) @ n + f64(w.bv) for n in normed]
+    ctx = [np.zeros(d) for _ in range(n_tok)]
+    for h in range(heads):
+        part = slice(h * dh, (h + 1) * dh)
+        q_h = [q[t][part] for t in range(n_tok)]
+        k_h = np.array([k[s][part] for s in range(n_tok)])
+        if use_rope:
+            q_h = [rotate(q_h[t], t) for t in range(n_tok)]
+            k_h = np.array([rotate(k_h[s], s) for s in range(n_tok)])
+        v_h = np.array([v[s][part] for s in range(n_tok)])
+        for t in range(n_tok):
+            scores = k_h @ q_h[t] / math.sqrt(dh)
+            weights = np.exp(scores - scores.max())
+            weights /= weights.sum()
+            ctx[t][part] = weights @ v_h
+    out = np.zeros((d, n_tok))
+    for t in range(n_tok):
+        tok = tokens[t] + f64(w.wo) @ ctx[t] + f64(w.bo)
+        n = norm(tok, w.ln2_gain, w.ln2_bias)
+        pre = f64(w.ff_w1) @ n + f64(w.ff_b1)
+        hidden = np.array([0.5 * p * (1.0 + math.erf(p / math.sqrt(2.0))) for p in pre])
+        out[:, t] = tok + f64(w.ff_w2) @ hidden + f64(w.ff_b2)
     return out

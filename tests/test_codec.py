@@ -245,6 +245,45 @@ class TestFrameArithmetic:
             codec.frames_for_length(codec.ModelConfig(), 0)
 
 
+class _Returns:
+    """Stand-in child node whose output is fixed in advance."""
+
+    def __init__(self, y):
+        self.y = y
+
+    def manifest(self):
+        return []
+
+    def apply(self, x, store):
+        return self.y
+
+
+class TestResidualNode:
+    def test_float32_add_equals_float64_add_rounded(self):
+        rng = np.random.default_rng(7)
+        n = 1 << 16
+        # Uniform finite bit patterns: every exponent gap, subnormals and
+        # near-max magnitudes whose sums overflow.  A quarter of the pairs
+        # are x and -x with scrambled low bits, which cancel.
+        bits = rng.integers(0, 1 << 32, size=6 * n, dtype=np.uint64)
+        pool = bits.astype(np.uint32).view(np.float32)
+        x, y = pool[np.isfinite(pool)][: 2 * n].reshape(2, n)
+        noise = rng.integers(0, 1 << 10, size=n, dtype=np.uint32)
+        near = -(x.view(np.uint32) ^ noise).view(np.float32)
+        y = np.where(rng.random(n) < 0.25, near, y)
+        tiny = np.finfo(np.float32).smallest_subnormal
+        big = np.finfo(np.float32).max
+        x = np.concatenate([x, [tiny, tiny, big, -big, 1, 3]]).astype(np.float32)
+        y = np.concatenate([y, [tiny, -tiny, big, -big, 2.0 ** -24, 2.0 ** -23]])
+        x, y = x.reshape(1, -1), y.astype(np.float32).reshape(1, -1)
+        with np.errstate(over="ignore"):
+            got = codec.ResidualNode([_Returns(y)]).apply(x, {})
+            want = np.add(x, y, dtype=np.float64).astype(np.float32)
+        assert got.dtype == np.float32
+        assert np.isinf(got).any() and (got == 0).any()
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def buffer_of(n, rate=16000, seed=0):
     rng = np.random.default_rng(seed)
     samples = (0.1 * rng.standard_normal(n)).astype(np.float32)

@@ -146,6 +146,15 @@ class TestActivations:
         want = x + np.sin(alpha[:, None] * x) ** 2 / alpha[:, None]
         np.testing.assert_allclose(numerics.snake(x, alpha), want, atol=1e-6)
 
+    def test_snake_matches_expression_bit_for_bit(self, rng):
+        # The in-place form performs the same float32 operations, in order.
+        x = (rng.standard_normal((32, 64000)) * 3).astype(np.float32)
+        alpha = (rng.random(32) * 2 + 0.1).astype(np.float32)[:, None]
+        want = x + np.square(np.sin(alpha * x)) / alpha
+        got = numerics.snake(x, alpha[:, 0])
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
     def test_gelu_known_points(self):
         got = numerics.gelu(np.array([0.0, 100.0, -100.0]))
         np.testing.assert_allclose(got, [0.0, 100.0, 0.0], atol=1e-6)
@@ -198,6 +207,38 @@ class TestTransformer:
         a = numerics.transformer_block(x, layer)
         b = numerics.transformer_block(x, layer)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n_tokens", [1, 50, 257, 600])
+    def test_matches_per_query_oracle(self, rng, n_tokens):
+        # 257 and 600 span two and three query blocks.  The oracle runs in
+        # float64, so the gap is the float32 rounding of the output plus
+        # float64 summation-order noise: 1e-6 covers a few float32 ulps.
+        layer = random_layer(rng)
+        x = rng.standard_normal((16, n_tokens)).astype(np.float32)
+        want = oracles.transformer_block_naive(x, layer)
+        got = numerics.transformer_block(x, layer)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+    def test_query_blocks_do_not_change_bits(self, rng, monkeypatch):
+        layer = random_layer(rng)
+        x = rng.standard_normal((16, 600)).astype(np.float32)
+        blocked = numerics.transformer_block(x, layer)
+        monkeypatch.setattr(numerics, "_QUERY_BLOCK", 10**9)
+        np.testing.assert_array_equal(numerics.transformer_block(x, layer), blocked)
+
+    def test_attention_memory_is_linear_in_length(self, rng):
+        # One (H, T, T) float64 score tensor at T = 2048 is 64 MiB; query
+        # blocking keeps the whole call under a quarter of that.
+        layer = random_layer(rng)
+        n_tokens = 2048
+        x = rng.standard_normal((16, n_tokens)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            numerics.transformer_block(x, layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * layer.n_heads * n_tokens * n_tokens / 4
 
     def test_rope_rejects_odd_head_dim(self, rng):
         x = rng.standard_normal((4, 2, 3))
