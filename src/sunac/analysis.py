@@ -10,8 +10,8 @@ decoded source), and flagged by whether its cost grows linearly or
 quadratically with the frame count, since attention leaves the linear
 regime as inputs get longer.
 
-Each built-in spec is one walk over codec.model_nodes: the nodes give the
-counted rows and, through their manifests, the parameter total, so the
+Each built-in spec is one walk over codec.model_nodes: every node gives
+its own counted rows and, through its manifest, its parameters, so the
 analyzer cannot drift from the signal path it describes.  A row is `const`
 when its name starts with a prefix the family runs once per mixture.
 """
@@ -19,6 +19,7 @@ when its name starts with a prefix the family runs once per mixture.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import codec as _codec
@@ -43,6 +44,9 @@ __all__ = [
 
 TAG_CONST = "const"
 TAG_PER_SOURCE = "per_source"
+
+# Largest sample count a float holds exactly.
+_MAX_SAMPLES = 2**53
 
 SCALING_LINEAR = "linear"
 SCALING_QUADRATIC = "quadratic"
@@ -145,10 +149,21 @@ class MacReport:
         }
 
 
-def _layer_cost(spec: LayerSpec, length: int) -> tuple[int, int, str]:
-    """Return (macs, new_length, scaling) for one layer at frame count `length`."""
+def _check_width(spec: LayerSpec, width: int | None, channels: int) -> None:
+    if width != channels:
+        raise ConfigError(
+            f"layer {spec.name}: expects width {width} but the previous "
+            f"layer produced {channels}"
+        )
+
+
+def _layer_cost(spec: LayerSpec, length: int,
+                channels: int) -> tuple[int, int, int, str]:
+    """Return (macs, new_length, new_channels, scaling) for one layer fed
+    `channels` wide at frame count `length`."""
     t = length
     if spec.kind in ("conv1d", "transposed_conv1d"):
+        _check_width(spec, spec.c_in, channels)
         out_len = numerics.conv_out_len(
             t, spec.kernel, stride=spec.stride, padding=spec.padding,
             dilation=spec.dilation, transposed=spec.kind == "transposed_conv1d",
@@ -161,48 +176,26 @@ def _layer_cost(spec: LayerSpec, length: int) -> tuple[int, int, str]:
             )
         per_col = spec.c_out * spec.c_in * spec.kernel
         cols = t if spec.kind == "transposed_conv1d" else out_len
-        return per_col * cols, out_len, SCALING_LINEAR
+        return per_col * cols, out_len, spec.c_out, SCALING_LINEAR
     if spec.kind == "linear":
-        return spec.d_out * spec.d_in * t, t, SCALING_LINEAR
+        _check_width(spec, spec.d_in, channels)
+        return spec.d_out * spec.d_in * t, t, spec.d_out, SCALING_LINEAR
+    # Every other kind keeps the width it is fed.
+    d = spec.d_model
+    _check_width(spec, d, channels)
     if spec.kind == "attention":
-        d = spec.d_model
-        macs = 4 * t * d * d + 2 * t * t * d
-        return macs, t, SCALING_QUADRATIC
+        return 4 * t * d * d + 2 * t * t * d, t, d, SCALING_QUADRATIC
     if spec.kind == "feed_forward":
-        return 2 * t * spec.d_model * spec.d_ff, t, SCALING_LINEAR
+        return 2 * t * d * spec.d_ff, t, d, SCALING_LINEAR
     if spec.kind == "film":
-        d = spec.d_model
         # Two affine maps on one prompt vector plus the per-frame modulation.
-        return 2 * d * d + 2 * d * t, t, SCALING_LINEAR
+        return 2 * d * d + 2 * d * t, t, d, SCALING_LINEAR
     if spec.kind == "rvq_scan":
-        d = spec.code_dim
-        scan = spec.n_codebooks * spec.n_entries * d
-        projections = 2 * spec.d_model * d
-        return (scan + projections) * t, t, SCALING_LINEAR
+        c = spec.code_dim
+        scan = spec.n_codebooks * spec.n_entries * c
+        projections = 2 * d * c
+        return (scan + projections) * t, t, d, SCALING_LINEAR
     raise ConfigError(f"unknown layer kind {spec.kind!r}")
-
-
-def _channels_after(spec: LayerSpec, channels: int) -> int:
-    if spec.kind in ("conv1d", "transposed_conv1d"):
-        if spec.c_in != channels:
-            raise ConfigError(
-                f"layer {spec.name}: expects {spec.c_in} channels but the "
-                f"previous layer produced {channels}"
-            )
-        return spec.c_out
-    if spec.kind == "linear":
-        if spec.d_in != channels:
-            raise ConfigError(
-                f"layer {spec.name}: expects width {spec.d_in}, got {channels}"
-            )
-        return spec.d_out
-    width = spec.d_model
-    if width is not None and width != channels:
-        raise ConfigError(
-            f"layer {spec.name}: operates at width {width} but the previous "
-            f"layer produced {channels}"
-        )
-    return channels
 
 
 def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> MacReport:
@@ -212,8 +205,12 @@ def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> M
     updated by every conv layer, so attention stages automatically see the
     frame count in effect where they sit.
     """
-    if duration_s <= 0:
-        raise InvalidArgumentError(f"duration must be positive, got {duration_s}")
+    if not 0 < duration_s < math.inf:
+        raise InvalidArgumentError(
+            f"duration must be positive and finite, got {duration_s}")
+    if duration_s * sample_rate > _MAX_SAMPLES:
+        raise InvalidArgumentError(
+            f"{duration_s} s at {sample_rate} Hz exceeds {_MAX_SAMPLES} samples")
     length = int(round(duration_s * sample_rate))
     if length < 1:
         raise InvalidArgumentError("duration too short for one sample")
@@ -222,8 +219,7 @@ def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> M
     const_total = 0
     per_source_total = 0
     for layer in spec.layers:
-        channels = _channels_after(layer, channels)
-        macs, length, scaling = _layer_cost(layer, length)
+        macs, length, channels, scaling = _layer_cost(layer, length, channels)
         costs.append(LayerCost(layer.name, layer.kind, layer.tag, macs, scaling))
         if layer.tag == TAG_CONST:
             const_total += macs
@@ -242,39 +238,6 @@ def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> M
 
 # ---------------------------------------------------------------------------
 # built-in architecture specs
-
-
-def _specs_from_nodes(nodes, const: tuple[str, ...]) -> list[LayerSpec]:
-    """Flatten a codec node tree into counted LayerSpec rows, in node order,
-    tagged `const` where the row name starts with a `const` prefix."""
-    out: list[LayerSpec] = []
-
-    def row(name: str, kind: str, **shape) -> None:
-        tag = TAG_CONST if name.startswith(const) else TAG_PER_SOURCE
-        out.append(LayerSpec(name=name, kind=kind, tag=tag, **shape))
-
-    for node in nodes:
-        if isinstance(node, _codec.ResidualNode):
-            out.extend(_specs_from_nodes(node.children, const))
-        elif isinstance(node, _codec.ConvNode):
-            row(node.name, "transposed_conv1d" if node.transposed else "conv1d",
-                c_in=node.c_in, c_out=node.c_out, kernel=node.kernel,
-                stride=node.stride, dilation=node.dilation,
-                padding=node.padding, output_padding=node.output_padding)
-        elif isinstance(node, _codec.TransformerNode):
-            row(f"{node.name}.attn", "attention", d_model=node.hidden,
-                n_heads=node.n_heads)
-            row(f"{node.name}.ff", "feed_forward", d_model=node.hidden,
-                d_ff=node.ff_dim)
-        elif isinstance(node, _codec.FilmNode):
-            row(node.name, "film", d_model=node.dim)
-        elif isinstance(node, _codec.RvqNode):
-            c = node.config
-            row(node.name, "rvq_scan", d_model=c.latent_dim,
-                n_codebooks=c.n_codebooks, n_entries=c.codebook_size,
-                code_dim=c.code_dim)
-        # Snake, Tanh and the prompt bank carry no counted MACs.
-    return out
 
 
 # Row-name prefixes each family runs once per mixture; every other row
@@ -300,9 +263,13 @@ def _arch_spec(name: str, config: _codec.ModelConfig,
     nodes = _codec.model_nodes(config)
     if not with_decoder:
         del nodes[-len(_codec.decoder_nodes(config)):]
-    layers = _specs_from_nodes(nodes, _CONST_PREFIXES[config.arch_family])
+    const = _CONST_PREFIXES[config.arch_family]
+    layers = tuple(
+        LayerSpec(row, kind, TAG_CONST if row.startswith(const)
+                  else TAG_PER_SOURCE, **shape)
+        for node in nodes for row, kind, shape in node.rows())
     params = sum(spec.size for node in nodes for spec in node.manifest())
-    return ArchSpec(name=name, layers=tuple(layers), params=params)
+    return ArchSpec(name=name, layers=layers, params=params)
 
 
 BUILTIN_ORDER = ("DAC", "DACT", "SDCodec", "SDCodecT", "SUNAC",

@@ -12,9 +12,10 @@ transposed-convolution decoder.  Five named configurations cover the family:
     SUNAC     DACT conv stacks plus a prompt-driven extraction front end
 
 Every architecture is first described as a tree of layer nodes, FiLM and
-the quantizer included.  The same tree yields the tensor manifest, the
-encoder and decoder forward passes, the parameter count and the analyzer's
-cost rows, so those views cannot drift apart.
+the quantizer included.  Each node alone knows its shape fields and tensor
+order, and gives its manifest, its forward pass, its cost rows as (name,
+kind, shape fields) and its tensors read from a store, so the analyzer and
+the weight loaders cannot drift from the signal path.
 """
 
 from __future__ import annotations
@@ -258,7 +259,17 @@ class TensorSpec:
         return int(math.prod(self.shape))
 
 
-class ConvNode:
+class _Node:
+    """Defaults: no counted cost rows, tensors read in manifest order."""
+
+    def rows(self):
+        return []
+
+    def read(self, store):
+        return [store[spec.name] for spec in self.manifest()]
+
+
+class ConvNode(_Node):
     def __init__(self, name, c_in, c_out, kernel, *, stride=1, dilation=1,
                  padding=0, transposed=False, output_padding=0):
         self.name = name
@@ -279,11 +290,17 @@ class ConvNode:
             TensorSpec(f"{self.name}.bias", (self.c_out,), INIT_UNIFORM, fan_in),
         ]
 
+    def rows(self):
+        kind = "transposed_conv1d" if self.transposed else "conv1d"
+        return [(self.name, kind, dict(
+            c_in=self.c_in, c_out=self.c_out, kernel=self.kernel,
+            stride=self.stride, dilation=self.dilation, padding=self.padding,
+            output_padding=self.output_padding))]
+
     def apply(self, x, store):
         return numerics.conv1d(
             x,
-            store[f"{self.name}.weight"],
-            store[f"{self.name}.bias"],
+            *self.read(store),
             stride=self.stride,
             padding=self.padding,
             dilation=self.dilation,
@@ -292,7 +309,7 @@ class ConvNode:
         )
 
 
-class SnakeNode:
+class SnakeNode(_Node):
     def __init__(self, name, channels):
         self.name = name
         self.channels = channels
@@ -301,10 +318,10 @@ class SnakeNode:
         return [TensorSpec(f"{self.name}.alpha", (self.channels,), INIT_ONES)]
 
     def apply(self, x, store):
-        return numerics.snake(x, store[f"{self.name}.alpha"])
+        return numerics.snake(x, *self.read(store))
 
 
-class ResidualNode:
+class ResidualNode(_Node):
     """y = x + f(x) where f is the child chain; children preserve length."""
 
     def __init__(self, children):
@@ -312,6 +329,9 @@ class ResidualNode:
 
     def manifest(self):
         return [spec for child in self.children for spec in child.manifest()]
+
+    def rows(self):
+        return [row for child in self.children for row in child.rows()]
 
     def apply(self, x, store):
         y = x
@@ -327,7 +347,7 @@ class ResidualNode:
         return np.add(x, y)
 
 
-class TanhNode:
+class TanhNode(_Node):
     def manifest(self):
         return []
 
@@ -335,7 +355,7 @@ class TanhNode:
         return np.tanh(x).astype(np.float32)
 
 
-class LinearNode:
+class LinearNode(_Node):
     """Per-column affine map, used by the quantizer projections and FiLM."""
 
     def __init__(self, name, d_in, d_out):
@@ -351,7 +371,7 @@ class LinearNode:
         ]
 
 
-class ParamNode:
+class ParamNode(_Node):
     """A bare tensor with no forward op (the prompt vectors)."""
 
     def __init__(self, name, shape, init, fan_in=0):
@@ -364,7 +384,7 @@ class ParamNode:
         return [TensorSpec(self.name, self.shape, self.init, self.fan_in)]
 
 
-class FilmNode:
+class FilmNode(_Node):
     """Scale and shift maps of a prompt column, each a (dim, dim) affine."""
 
     def __init__(self, name, dim):
@@ -376,8 +396,11 @@ class FilmNode:
                 for spec in LinearNode(f"{self.name}.{part}", self.dim,
                                        self.dim).manifest()]
 
+    def rows(self):
+        return [(self.name, "film", dict(d_model=self.dim))]
 
-class RvqNode:
+
+class RvqNode(_Node):
     """Quantizer modules, each a down and an up projection plus one codebook
     per layer.  Runnable families have one module, `rvq`; the SDCodec
     families have three, `rvq0`..`rvq2`, and a source runs through one."""
@@ -398,8 +421,14 @@ class RvqNode:
                                  INIT_CODEBOOK, d) for i in range(c.n_codebooks)]
         return specs
 
+    def rows(self):
+        c = self.config
+        return [(self.name, "rvq_scan", dict(
+            d_model=c.latent_dim, n_codebooks=c.n_codebooks,
+            n_entries=c.codebook_size, code_dim=c.code_dim))]
 
-class TransformerNode:
+
+class TransformerNode(_Node):
     def __init__(self, name, hidden, n_heads, ff_dim):
         self.name = name
         self.hidden = hidden
@@ -423,19 +452,14 @@ class TransformerNode:
         specs.append(TensorSpec(f"{n}.ff.w2.bias", (d,), INIT_UNIFORM, f))
         return specs
 
+    def rows(self):
+        return [(f"{self.name}.attn", "attention",
+                 dict(d_model=self.hidden, n_heads=self.n_heads)),
+                (f"{self.name}.ff", "feed_forward",
+                 dict(d_model=self.hidden, d_ff=self.ff_dim))]
+
     def weights(self, store) -> numerics.TransformerLayerWeights:
-        n = self.name
-        return numerics.TransformerLayerWeights(
-            n_heads=self.n_heads,
-            wq=store[f"{n}.attn.wq.weight"], bq=store[f"{n}.attn.wq.bias"],
-            wk=store[f"{n}.attn.wk.weight"], bk=store[f"{n}.attn.wk.bias"],
-            wv=store[f"{n}.attn.wv.weight"], bv=store[f"{n}.attn.wv.bias"],
-            wo=store[f"{n}.attn.wo.weight"], bo=store[f"{n}.attn.wo.bias"],
-            ln1_gain=store[f"{n}.ln1.gain"], ln1_bias=store[f"{n}.ln1.bias"],
-            ln2_gain=store[f"{n}.ln2.gain"], ln2_bias=store[f"{n}.ln2.bias"],
-            ff_w1=store[f"{n}.ff.w1.weight"], ff_b1=store[f"{n}.ff.w1.bias"],
-            ff_w2=store[f"{n}.ff.w2.weight"], ff_b2=store[f"{n}.ff.w2.bias"],
-        )
+        return numerics.TransformerLayerWeights(self.n_heads, *self.read(store))
 
     def apply(self, x, store):
         return numerics.transformer_block(x, self.weights(store), name=self.name)
@@ -673,11 +697,10 @@ def init_weights(config: ModelConfig, seed: int) -> WeightStore:
     return WeightStore(seed=seed, tensors=tensors)
 
 
-def load_weights(path: str, config: ModelConfig | None = None) -> WeightStore:
-    """Load a weight store, optionally validating it against a config."""
+def load_weights(path: str, config: ModelConfig) -> WeightStore:
+    """Load a weight store and validate it against a config."""
     store = WeightStore.load(path)
-    if config is not None:
-        validate_store(config, store)
+    validate_store(config, store)
     return store
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ModelConfig, TransformerNode, WeightStore, extractor_nodes
+from .codec import ModelConfig, WeightStore, extractor_nodes
 from .errors import ContractViolationError, InvalidArgumentError
 from .numerics import TransformerLayerWeights, check_finite, transformer_block
 
@@ -138,10 +138,9 @@ class ExtractorWeights:
 
     @classmethod
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "ExtractorWeights":
-        cross, *refine = (n.weights(store) for n in extractor_nodes(config)
-                          if isinstance(n, TransformerNode))
-        return cls(cross=cross, film=FilmWeights.from_store(store),
-                   refine=tuple(refine))
+        _, cross, _, *refine = extractor_nodes(config)
+        return cls(cross=cross.weights(store), film=FilmWeights.from_store(store),
+                   refine=tuple(node.weights(store) for node in refine))
 
 
 def cross_prompt(

@@ -157,12 +157,20 @@ _GEN_FUNCS = {
 }
 
 
+# Longest render: 10 minutes at 16 kHz, the longest input the codec targets.
+_MAX_SAMPLES = 9_600_000
+
+
 def generate(spec: FixtureSpec, duration_s: float = 1.0,
              sample_rate: int = 16000) -> AudioBuffer:
     """Render one source; identical inputs give identical samples."""
     if not 0 < duration_s < np.inf:
         raise InvalidArgumentError(
             f"duration must be positive and finite, got {duration_s}")
+    if duration_s * sample_rate > _MAX_SAMPLES:
+        raise InvalidArgumentError(
+            f"{duration_s} s at {sample_rate} Hz exceeds the "
+            f"{_MAX_SAMPLES}-sample render limit")
     n = int(round(duration_s * sample_rate))
     if n < 8:
         raise InvalidArgumentError("duration too short to synthesize")

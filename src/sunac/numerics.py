@@ -259,21 +259,23 @@ class TransformerLayerWeights:
     forward expands to ff_dim and contracts back.  Construction checks that
     the shapes agree and that the per-head dimension is even, which the
     rotary coding requires, so a block never runs on weights that fail.
+    Fields after n_heads follow the tensor order of a Transformer node's
+    manifest, which `TransformerNode.weights` reads positionally.
     """
 
     n_heads: int
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    bq: np.ndarray
-    bk: np.ndarray
-    bv: np.ndarray
-    bo: np.ndarray
     ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
     ln2_gain: np.ndarray
+    ln1_bias: np.ndarray
     ln2_bias: np.ndarray
+    wq: np.ndarray
+    bq: np.ndarray
+    wk: np.ndarray
+    bk: np.ndarray
+    wv: np.ndarray
+    bv: np.ndarray
+    wo: np.ndarray
+    bo: np.ndarray
     ff_w1: np.ndarray
     ff_b1: np.ndarray
     ff_w2: np.ndarray

@@ -77,8 +77,7 @@ class RvqWeights:
 
     @classmethod
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "RvqWeights":
-        down_w, down_b, up_w, up_b, *codebooks = (
-            store[spec.name] for spec in RvqNode(config).manifest())
+        down_w, down_b, up_w, up_b, *codebooks = RvqNode(config).read(store)
         return cls(down_w, down_b, up_w, up_b, tuple(codebooks))
 
 

@@ -96,6 +96,23 @@ class TestCountMacs:
         with pytest.raises(ConfigError):
             analysis.count_macs(spec, 1.0, 16000)
 
+    @pytest.mark.parametrize("kind, shape", [
+        ("linear", dict(d_in=16, d_out=16)),
+        ("attention", dict(d_model=16, n_heads=4)),
+        ("feed_forward", dict(d_model=16, d_ff=32)),
+        ("film", dict(d_model=16)),
+        ("rvq_scan", dict(d_model=16, n_codebooks=2, n_entries=4, code_dim=2)),
+    ])
+    def test_width_mismatch_is_rejected(self, kind, shape):
+        with pytest.raises(ConfigError):
+            analysis.count_macs(single(kind, width=8, **shape), 1.0, 100)
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), 1e300])
+    def test_duration_must_be_finite_and_exact(self, duration):
+        spec = single("linear", width=8, d_in=8, d_out=8)
+        with pytest.raises(InvalidArgumentError):
+            analysis.count_macs(spec, duration, 16000)
+
     def test_duration_must_be_positive(self):
         spec = single("linear", width=8, d_in=8, d_out=8)
         with pytest.raises(InvalidArgumentError):

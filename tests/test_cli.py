@@ -114,8 +114,10 @@ def test_fixtures_types_without_seed_fails(tmp_path):
     {"seed": -1},
     {"band": [100.0]},
     None,
+    {"duration_s": 1e12},
+    {"duration_s": 1e305},
 ], ids=["duration text", "duration NaN", "seed text", "negative seed",
-        "one-edge band", "negative --seed"])
+        "one-edge band", "negative --seed", "duration 1e12", "duration 1e305"])
 def test_fixtures_rejects_bad_manifest_or_seed(tmp_path, edit, capsys):
     if edit is None:
         argv = ["fixtures", "--types", "speech", "--seed", "-1"]
@@ -492,6 +494,13 @@ def test_analyze_arch_name_is_case_insensitive(capsys):
 
 def test_analyze_unknown_arch(capsys):
     assert cli.main(["analyze", "--arch", "vocoder9000"]) == 2
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan", "1e300"])
+@pytest.mark.parametrize("arch", [[], ["--arch", "sunac"]], ids=["table", "arch"])
+def test_analyze_rejects_unusable_duration(capsys, duration, arch):
+    assert cli.main(["analyze", "--duration", duration] + arch) == 2
+    assert capsys.readouterr().err.startswith("sunac: ")
 
 
 def test_analyze_table_text_lists_all_architectures(capsys):

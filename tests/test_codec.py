@@ -192,18 +192,18 @@ class TestInitWeights:
         for name in tiny_store.names():
             np.testing.assert_array_equal(back[name], tiny_store[name])
 
-    def test_load_rejects_corruption(self, tiny_store, tmp_path):
+    def test_load_rejects_corruption(self, tiny_config, tiny_store, tmp_path):
         path = str(tmp_path / "weights.suwt")
         tiny_store.save(path)
         blob = open(path, "rb").read()
         bad_magic = str(tmp_path / "bad_magic.suwt")
         open(bad_magic, "wb").write(b"XXXX" + blob[4:])
         with pytest.raises(CorruptStreamError):
-            codec.load_weights(bad_magic)
+            codec.load_weights(bad_magic, tiny_config)
         truncated = str(tmp_path / "trunc.suwt")
         open(truncated, "wb").write(blob[:len(blob) // 2])
         with pytest.raises(CorruptStreamError):
-            codec.load_weights(truncated)
+            codec.load_weights(truncated, tiny_config)
 
     def test_validate_store_catches_mismatch(self, tiny_config, tiny_store):
         tensors = dict(tiny_store.tensors)
@@ -243,6 +243,32 @@ class TestFrameArithmetic:
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
             codec.frames_for_length(codec.ModelConfig(), 0)
+
+
+class TestTransformerNode:
+    # Field of TransformerLayerWeights -> tensor name under the node's name.
+    # Both norm gains start at one and both biases at zero, so a swapped
+    # pair would leave every output unchanged; only this table catches it.
+    FIELDS = {
+        "ln1_gain": "ln1.gain", "ln2_gain": "ln2.gain",
+        "ln1_bias": "ln1.bias", "ln2_bias": "ln2.bias",
+        "wq": "attn.wq.weight", "bq": "attn.wq.bias",
+        "wk": "attn.wk.weight", "bk": "attn.wk.bias",
+        "wv": "attn.wv.weight", "bv": "attn.wv.bias",
+        "wo": "attn.wo.weight", "bo": "attn.wo.bias",
+        "ff_w1": "ff.w1.weight", "ff_b1": "ff.w1.bias",
+        "ff_w2": "ff.w2.weight", "ff_b2": "ff.w2.bias",
+    }
+
+    def test_weights_map_each_field_to_its_tensor(self, tiny_config,
+                                                  tiny_store):
+        node = codec.decoder_nodes(tiny_config)[0]
+        weights = node.weights(tiny_store)
+        names = {f.name for f in dataclasses.fields(weights)}
+        assert names == set(self.FIELDS) | {"n_heads"}
+        assert weights.n_heads == tiny_config.n_heads
+        for field, name in self.FIELDS.items():
+            assert getattr(weights, field) is tiny_store[f"{node.name}.{name}"]
 
 
 class _Returns:

@@ -73,7 +73,7 @@ class TestGenerate:
             fixtures.generate(spec, duration_s=0.0)
         with pytest.raises(InvalidArgumentError):
             fixtures.generate(spec, duration_s=1e-5)
-        for duration in (float("nan"), float("inf")):
+        for duration in (float("nan"), float("inf"), 1e12, 1e305):
             with pytest.raises(InvalidArgumentError):
                 fixtures.generate(spec, duration_s=duration)
 
