@@ -45,8 +45,8 @@ __all__ = [
 TAG_CONST = "const"
 TAG_PER_SOURCE = "per_source"
 
-# Largest sample count a float holds exactly.
-_MAX_SAMPLES = 2**53
+# Largest sample or source count a float holds exactly.
+_MAX_COUNT = 2**53
 
 SCALING_LINEAR = "linear"
 SCALING_QUADRATIC = "quadratic"
@@ -124,8 +124,7 @@ class MacReport:
     layers: tuple[LayerCost, ...] = field(repr=False)
 
     def total_macs(self, n_sources: int) -> int:
-        if n_sources < 1:
-            raise InvalidArgumentError("need at least one source")
+        _check_sources(n_sources)
         return self.const_macs + n_sources * self.per_source_macs
 
     def to_dict(self, n_sources: int) -> dict:
@@ -208,9 +207,9 @@ def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> M
     if not 0 < duration_s < math.inf:
         raise InvalidArgumentError(
             f"duration must be positive and finite, got {duration_s}")
-    if duration_s * sample_rate > _MAX_SAMPLES:
+    if duration_s * sample_rate > _MAX_COUNT:
         raise InvalidArgumentError(
-            f"{duration_s} s at {sample_rate} Hz exceeds {_MAX_SAMPLES} samples")
+            f"{duration_s} s at {sample_rate} Hz exceeds {_MAX_COUNT} samples")
     length = int(round(duration_s * sample_rate))
     if length < 1:
         raise InvalidArgumentError("duration too short for one sample")
@@ -300,14 +299,19 @@ class CompareReport:
 def compare_report(duration_s: float = 1.0, n_sources: int = 1,
                    sample_rate: int = 16000) -> CompareReport:
     """Cost table over every built-in spec at one duration and source count."""
-    if n_sources < 1:
-        raise InvalidArgumentError("need at least one source")
+    _check_sources(n_sources)
     rows = tuple(
         count_macs(spec, duration_s, sample_rate)
         for spec in builtin_specs().values()
     )
     return CompareReport(duration_s=duration_s, n_sources=n_sources,
                          sample_rate=sample_rate, rows=rows)
+
+
+def _check_sources(n_sources: int) -> None:
+    if not 1 <= n_sources <= _MAX_COUNT:
+        raise InvalidArgumentError(
+            f"source count must be in [1, {_MAX_COUNT}], got {n_sources}")
 
 
 def _gmacs(value: int) -> float:

@@ -6,13 +6,15 @@ mask-based evaluation.
 
 Neural kernels keep tensors in float32 but accumulate every dot product in
 float64, so outputs are reproducible bit for bit on a given platform.
-Convolutions accumulate one float64 matrix product per kernel tap, in tap
-order, over strided views of the signal, so no buffer larger than the
-input or output is built.  Attention runs both of its products on BLAS,
-one fixed-size block of queries at a time, so its memory grows linearly
-with the token count; a softmax row needs only its own query, so the
-blocking leaves the bits unchanged.  All functions are pure: no hidden
-state, safe to call concurrently.
+Convolutions produce their output one time tile at a time, so beyond the
+float32 input and output a call holds O(channels x tile) float64 memory;
+every output column gets the same per-tap products, summed in the same
+order, as in one untiled pass, so the bits do not depend on the tile
+size.  Attention
+runs both of its products on BLAS, one fixed-size block of queries at a
+time, so its memory grows linearly with the token count; a softmax row
+needs only its own query, so the blocking leaves the bits unchanged.  All
+functions are pure: no hidden state, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ _LN_EPS = 1e-5
 _ROPE_BASE = 10000.0
 # Queries per attention block; bounds the score buffer at (H, 256, T).
 _QUERY_BLOCK = 256
+# Convolution tiles (see conv1d): _TILE_COLUMNS output columns, times as
+# many as fit when the layer is narrower than _TILE_CHANNELS.  A float64
+# tile buffer of a narrow layer then holds about 3 MB and a 16,000-column
+# full-rate layer (one second of audio) stays one tile, while wide layers
+# amortize each tap's weight widening over 2,048 columns.  _GEMM_ALIGN
+# columns make the widest BLAS register block.
+_TILE_COLUMNS = 2048
+_TILE_CHANNELS = 192
+_GEMM_ALIGN = 16
 
 
 def as_samples(audio) -> np.ndarray:
@@ -116,21 +127,34 @@ def conv1d(
     Returns:
         (C_out, L_out) float32, with L_out given by `conv_out_len`.
 
-    Both directions add one float64 product `weight[:, :, tap] @ signal`
-    per tap, taps in ascending order: forward, each product reads a strided
-    view of the zero-padded input; transposed, each lands on a strided
-    slice of the padded output.  The peak working set is therefore the
-    padded signal, the output and one tap's operands and product, whatever
-    K is.
+    The output is built one tile of output columns at a time.  A tile
+    widens the input columns it reads (its window, halo and zero padding
+    included) into a reused float64 buffer; then for each tap in ascending
+    order it widens that tap's weights, computes the float64 product
+    `weight[:, :, tap] @ window` into a reused buffer and adds it to the
+    tile's float64 accumulator.  Forward, the product reads a strided view
+    of the window; transposed, it lands on a strided slice of the
+    accumulator.  The bias is added and the tile is written to the float32
+    output.  Tiles are 2,048 columns, or a multiple of that for layers
+    narrower than 192 channels, and the last one also takes the remainder,
+    so it is less than twice as wide.  Beyond the float32 input and output,
+    the peak working set is three (channels, tile) float64 buffers (3 to
+    6 MB each for a narrow layer; the forward window is `stride` times
+    wider) and one tap's weights, whatever L and K are.
 
-    The summation order is part of the result.  Transposed, every output
-    column receives the per-tap sums over C_in in tap order, so any
-    per-tap scatter gives identical float64 values.  Forward, the sum over
-    (C_in, K) is grouped by tap; every float32 x float32 product is exact
-    in float64, so another grouping moves only float64 rounding, far below
-    a float32 step, and changes a float32 output only at a near-tie.
-    Keeping the tap order fixed keeps stream bytes and decoded samples
-    pinned (`tests/test_golden.py`).
+    The summation order is part of the result, and tiling keeps it: every
+    output column receives the same per-tap sums over C_in, added in tap
+    order.  BLAS computes a column's sum the same way wherever it sits in a
+    product, except in a product's last few columns, which it handles in
+    narrower register blocks.  So every product starts on a multiple of
+    _GEMM_ALIGN columns and either spans a whole number of them or ends
+    where an untiled product would: tiles start on multiples of 2,048, and
+    each transposed product is widened out to multiples of _GEMM_ALIGN
+    input columns.  Each float64 sum is then the one an untiled pass
+    computes, and stream bytes and decoded samples stay pinned
+    (`tests/test_golden.py`).  Forward, the sum over (C_in, K) is grouped
+    by tap; every float32 x float32 product is exact in float64, so another
+    grouping would move only float64 rounding, far below a float32 step.
     """
     x = np.asarray(x, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
@@ -161,33 +185,107 @@ def conv1d(
     if l_out < 1:
         raise InvalidArgumentError(f"conv output length {l_out} is not positive")
 
-    # Each tap's weights are widened on their own, straight into the
-    # contiguous (C_out, C_in) operand its product needs; no float64 copy
-    # of the whole kernel is made or kept.
-    if transposed:
-        # Input column t lands on output column t * stride + tap * dilation.
-        x64 = x.astype(np.float64)
-        full = np.zeros((c_out, l_out + 2 * padding))
-        last = (length - 1) * stride + 1
-        for tap in range(k):
-            start = tap * dilation
-            w_tap = w[:, :, tap].astype(np.float64)
-            full[:, start : start + last : stride] += w_tap @ x64
-        y = full[:, padding : padding + l_out]
-    else:
-        # Output column t reads input column t * stride + tap * dilation.
-        xp = np.zeros((c_in, length + 2 * padding))
-        xp[:, padding : padding + length] = x
-        last = (l_out - 1) * stride + 1
-        y = np.zeros((c_out, l_out))
-        for tap in range(k):
-            start = tap * dilation
-            w_tap = w[:, :, tap].astype(np.float64)
-            y += w_tap @ xp[:, start : start + last : stride]
+    y = np.empty((c_out, l_out), dtype=np.float32)
+    b64 = None if bias is None else np.asarray(bias, dtype=np.float64)[:, None]
+    # Float64 rows per output column in the largest tile buffer: C_out in
+    # the accumulator, C_in in the window (C_in / stride when transposed).
+    rows = max(c_out, c_in // stride if transposed else c_in)
+    columns = _TILE_COLUMNS * max(1, _TILE_CHANNELS // rows)
+    # Whole tiles from column 0; the last one also takes the remainder.
+    edges = [i * columns for i in range(max(1, l_out // columns))] + [l_out]
+    tiled = _conv_transposed_tiles if transposed else _conv_forward_tiles
+    tiled(x, w, b64, y, edges, stride, padding, dilation)
+    return y
 
-    if bias is not None:
-        y += np.asarray(bias, dtype=np.float64)[:, None]
-    return y.astype(np.float32)
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _front(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    # A contiguous (rows, cols) view of the front of a flat tile buffer, so
+    # the elementwise steps run on contiguous arrays whatever the tile width.
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+def _conv_forward_tiles(x, w, b64, y, edges, stride, padding, dilation):
+    # Output column t reads padded input column t * stride + tap * dilation,
+    # so a tile of n outputs from t0 reads (n - 1) * stride + span padded
+    # columns from t0 * stride: its window, zero padding written in place.
+    c_out, c_in, k = w.shape
+    length = x.shape[1]
+    span = (k - 1) * dilation + 1
+    widest = max(b - a for a, b in zip(edges, edges[1:]))
+    window_buf = np.empty(c_in * ((widest - 1) * stride + span))
+    acc_buf = np.empty(c_out * widest)
+    prod_buf = np.empty(c_out * widest)
+    w_tap = np.empty((c_out, c_in))
+    for t0, t1 in zip(edges, edges[1:]):
+        n = t1 - t0
+        first = t0 * stride - padding
+        width = (n - 1) * stride + span
+        window = _front(window_buf, c_in, width)
+        # Window columns [a, b) hold input; the rest is padding.
+        a = min(max(-first, 0), width)
+        b = min(max(length - first, a), width)
+        window[:, :a] = 0.0
+        window[:, a:b] = x[:, first + a : first + b]
+        window[:, b:] = 0.0
+        acc = _front(acc_buf, c_out, n)
+        acc.fill(0.0)
+        prod = _front(prod_buf, c_out, n)
+        for tap in range(k):
+            start = tap * dilation
+            np.copyto(w_tap, w[:, :, tap])
+            np.matmul(w_tap, window[:, start : start + (n - 1) * stride + 1 : stride],
+                      out=prod)
+            acc += prod
+        if b64 is not None:
+            acc += b64
+        y[:, t0:t1] = acc
+
+
+def _conv_transposed_tiles(x, w, b64, y, edges, stride, padding, dilation):
+    # Input column i lands on padded output column i * stride + tap * dilation,
+    # so into a tile of padded columns [p0, p1) tap `tap` scatters input
+    # columns [ceil((p0 - tap * dilation) / stride), ceil((p1 - ...) / stride)).
+    # Each tap's product runs over that range widened out to multiples of
+    # _GEMM_ALIGN (clipped at the input's end), where an untiled product over
+    # the whole input would have BLAS block boundaries too.
+    c_out, c_in, k = w.shape
+    length = x.shape[1]
+    reach = (k - 1) * dilation
+    widest = max(b - a for a, b in zip(edges, edges[1:]))
+    window_buf = np.empty(c_in * ((widest + reach) // stride + 2 + 2 * _GEMM_ALIGN))
+    acc_buf = np.empty(c_out * widest)
+    prod_buf = np.empty(c_out * (_ceil_div(widest, stride) + 2 * _GEMM_ALIGN))
+    w_tap = np.empty((c_out, c_in))
+    for t0, t1 in zip(edges, edges[1:]):
+        n = t1 - t0
+        p0, p1 = t0 + padding, t1 + padding
+        base = max(0, _ceil_div(p0 - reach, stride))
+        base -= base % _GEMM_ALIGN
+        end = min(length, _ceil_div(p1, _GEMM_ALIGN * stride) * _GEMM_ALIGN)
+        window = _front(window_buf, c_in, end - base)
+        window[...] = x[:, base:end]
+        acc = _front(acc_buf, c_out, n)
+        acc.fill(0.0)
+        for tap in range(k):
+            start = tap * dilation
+            lo = max(0, _ceil_div(p0 - start, stride))
+            hi = min(length, _ceil_div(p1 - start, stride))
+            if lo >= hi:
+                continue
+            c0 = lo - lo % _GEMM_ALIGN
+            c1 = min(length, hi + -hi % _GEMM_ALIGN)
+            prod = _front(prod_buf, c_out, c1 - c0)
+            np.copyto(w_tap, w[:, :, tap])
+            np.matmul(w_tap, window[:, c0 - base : c1 - base], out=prod)
+            col = lo * stride + start - p0
+            acc[:, col : col + (hi - lo - 1) * stride + 1 : stride] += prod[:, lo - c0 : hi - c0]
+        if b64 is not None:
+            acc += b64
+        y[:, t0:t1] = acc
 
 
 def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -503,6 +503,16 @@ def test_analyze_rejects_unusable_duration(capsys, duration, arch):
     assert capsys.readouterr().err.startswith("sunac: ")
 
 
+@pytest.mark.parametrize("sources", ["1" + "0" * 400, str(2**53 + 1), "0", "-1"],
+                         ids=["401-digits", "2**53+1", "zero", "negative"])
+@pytest.mark.parametrize("extra", [[], ["--format", "json"],
+                                   ["--arch", "sunac", "--format", "json"]],
+                         ids=["table", "table-json", "arch-json"])
+def test_analyze_rejects_unusable_source_count(capsys, sources, extra):
+    assert cli.main(["analyze", "--sources", sources] + extra) == 2
+    assert capsys.readouterr().err.startswith("sunac: ")
+
+
 def test_analyze_table_text_lists_all_architectures(capsys):
     from sunac import analysis
     rc = cli.main(["analyze", "--sources", "3"])

@@ -127,6 +127,100 @@ class TestConv1d:
             tracemalloc.stop()
         assert peak < bound * 8 * (x.size + y.size)
 
+    @pytest.mark.parametrize("c_in,c_out,length,k,kwargs", [
+        (48, 48, 160000, 7, dict(dilation=9, padding=27)),
+        (96, 48, 40000, 8, dict(stride=4, padding=2, transposed=True)),
+    ], ids=["forward", "transposed"])
+    def test_working_set_is_the_output_plus_tiles(self, rng, c_in, c_out,
+                                                  length, k, kwargs):
+        # Beyond the float32 output, a call holds only tile-sized float64
+        # buffers; a full-length float64 padded input, accumulator or
+        # product would each be twice the output.
+        x = rng.standard_normal((c_in, length)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y = numerics.conv1d(x, w, b, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * y.nbytes
+
+    @staticmethod
+    def _conv_in_tiles(monkeypatch, columns, *args, **kwargs):
+        monkeypatch.setattr(numerics, "_TILE_COLUMNS", columns)
+        monkeypatch.setattr(numerics, "_TILE_CHANNELS", 1)
+        return numerics.conv1d(*args, **kwargs)
+
+    def _assert_tiles_do_not_change_bits(self, rng, monkeypatch, c_in, c_out,
+                                         length, k, **kwargs):
+        # Tiles of 1 and 3 columns also cut BLAS register blocks, which can
+        # move a float64 sum in its last bit; the float32 output must still
+        # match one tile's.
+        x = rng.standard_normal((c_in, length)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        whole = self._conv_in_tiles(monkeypatch, 10**9, x, w, b, **kwargs)
+        for columns in (1, 3, 64):
+            tiled = self._conv_in_tiles(monkeypatch, columns, x, w, b, **kwargs)
+            np.testing.assert_array_equal(tiled, whole, err_msg=f"{columns}")
+
+    @pytest.mark.parametrize("stride", range(1, 9))
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["forward", "transposed"])
+    def test_tiles_do_not_change_bits(self, rng, monkeypatch, transposed,
+                                      stride):
+        # Tiles of 1, 3 and 64 output columns against one tile; at least 150
+        # outputs, so 64-column tiles leave a remainder.
+        length = 150 if transposed else 150 * stride
+        for dilation in (1, 3, 9):
+            self._assert_tiles_do_not_change_bits(
+                rng, monkeypatch, 6, 5, length, 4, stride=stride,
+                dilation=dilation, padding=2 * dilation, transposed=transposed)
+
+    @pytest.mark.parametrize("c_in,c_out,length,k,kwargs", [
+        (3, 4, 5, 3, dict(padding=12)),
+        (3, 4, 5, 16, dict(stride=2, padding=7, transposed=True)),
+        (4, 3, 41, 6, dict(stride=3, padding=2, transposed=True,
+                           output_padding=1)),
+        (4, 3, 41, 10, dict(stride=5, padding=3, transposed=True,
+                            output_padding=4)),
+        (4, 3, 41, 7, dict(stride=7, dilation=3, padding=1, transposed=True,
+                           output_padding=6)),
+        (768, 384, 20, 16, dict(stride=8, padding=4, transposed=True)),
+    ], ids=["padding-wider-than-input", "transposed-padding-wider-than-input",
+            "stride3-output-padding", "stride5-output-padding",
+            "stride7-dilation3-output-padding", "decoder-k16-stride8"])
+    def test_tiles_do_not_change_bits_at_edges(self, rng, monkeypatch, c_in,
+                                               c_out, length, k, kwargs):
+        self._assert_tiles_do_not_change_bits(rng, monkeypatch, c_in, c_out,
+                                              length, k, **kwargs)
+
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["forward", "transposed"])
+    def test_aligned_tiles_keep_float64_sums(self, rng, transposed):
+        # Tiles that start on multiples of _GEMM_ALIGN, as production tiles
+        # do, keep every float64 sum of one tile, not only its float32
+        # rounding.
+        x = rng.standard_normal((48, 700)).astype(np.float32)
+        w = rng.standard_normal((24, 48, 7)).astype(np.float32)
+        b64 = rng.standard_normal((24, 1))
+        conv = dict(stride=2, padding=3, dilation=3)
+        l_out = numerics.conv_out_len(700, 7, transposed=transposed, **conv)
+        run = (numerics._conv_transposed_tiles if transposed
+               else numerics._conv_forward_tiles)
+
+        def sums(edges):
+            y = np.empty((24, l_out))
+            run(x, w, b64, y, edges, conv["stride"], conv["padding"],
+                conv["dilation"])
+            return y
+
+        step = 2 * numerics._GEMM_ALIGN
+        edges = list(range(0, l_out - step, step)) + [l_out]
+        np.testing.assert_array_equal(sums(edges), sums([0, l_out]))
+
     def test_kernel_longer_than_input(self, rng):
         x = rng.standard_normal((1, 4)).astype(np.float32)
         w = rng.standard_normal((1, 1, 9)).astype(np.float32)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,27 @@ def test_non_finite_weight_names_its_stage(tiny_config, tiny_store, mixture,
     store = codec.WeightStore(tiny_store.seed, {**tiny_store.tensors, tensor: bad})
     with pytest.raises(NumericError, match=f"non-finite output in {stage}"):
         pipeline.separate(mixture.mixture, (S, M), tiny_config, store)
+
+
+def test_minute_long_round_trip_stays_under_memory_ceilings(tiny_config,
+                                                            tiny_store, rng):
+    # Traced peaks of a 60 s input (3.8 MB of float32 samples): about 67 MB
+    # to encode and 41 MB to decode.  Full-length float64 convolution
+    # buffers would need about 127 and 62 MB.
+    audio = AudioBuffer(
+        (0.1 * rng.standard_normal(60 * 16000)).astype(np.float32), 16000)
+    tracemalloc.start()
+    try:
+        stream = pipeline.encode_mixture(audio, (S,), tiny_config, tiny_store)
+        encode_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        decoded = pipeline.decode_stream(stream, tiny_config, tiny_store)
+        decode_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded[0][0].n_samples == audio.n_samples
+    assert encode_peak < 80e6
+    assert decode_peak < 45e6
 
 
 def noisy_copy(buf, rng, scale=0.01):
