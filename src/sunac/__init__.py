@@ -6,153 +6,32 @@ quantizer and decoder turn back into audio.  The package also carries the
 cost model used to compare this layout against conventional one-pass and
 multi-branch codecs, plus fixtures, evaluation, and serialization for the
 full loop.  Forward passes only; there is no training code here.
+
+The package re-exports every name in the `__all__` of the modules below,
+so each module's `__all__` is the one place its public API is declared.
 """
 
-from .errors import (
-    ConfigError,
-    ContractViolationError,
-    CorruptStreamError,
-    InvalidArgumentError,
-    NumericError,
-    SunacError,
-)
-from .audio import AudioBuffer, pcm16_roundtrip, read_wav, write_wav
-from .codec import (
-    ARCH_FAMILIES,
-    ModelConfig,
-    ParamCount,
-    WeightStore,
-    bitrate_bps,
-    count_params,
-    decode,
-    default_config,
-    encode,
-    frames_for_length,
-    init_weights,
-    load_weights,
-)
-from .extractor import (
-    ExtractorWeights,
-    PromptBank,
-    PromptType,
-    extract,
-    parse_prompts,
-)
-from .rvq import QuantizeResult, RvqWeights, codes_to_features, quantize
-from .assignment import (
-    Assignment,
-    SourceSet,
-    best_assignment,
-    magnitude_mask_reconstruct,
-    restricted_permutations,
-    si_sdr,
-)
-from .analysis import (
-    ArchSpec,
-    LayerSpec,
-    MacReport,
-    builtin_specs,
-    compare_report,
-    count_macs,
-)
-from .fixtures import (
-    FixtureSpec,
-    MixtureManifest,
-    generate,
-    load_manifest,
-    make_mixture,
-    realize,
-    save_manifest,
-)
-from .bitstream import (
-    EncodedStream,
-    pack_stream,
-    read_stream,
-    unpack_stream,
-    write_stream,
-)
-from .pipeline import (
-    EvalReport,
-    decode_stream,
-    encode_mixture,
-    evaluate_estimates,
-    evaluate_manifest,
-    separate,
-)
+from .errors import *
+from .audio import *
+from .codec import *
+from .extractor import *
+from .rvq import *
+from .assignment import *
+from .analysis import *
+from .fixtures import *
+from .bitstream import *
+from .pipeline import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "SunacError",
-    "InvalidArgumentError",
-    "ContractViolationError",
-    "NumericError",
-    "ConfigError",
-    "CorruptStreamError",
-    # audio
-    "AudioBuffer",
-    "read_wav",
-    "write_wav",
-    "pcm16_roundtrip",
-    # codec
-    "ARCH_FAMILIES",
-    "ModelConfig",
-    "ParamCount",
-    "WeightStore",
-    "default_config",
-    "bitrate_bps",
-    "count_params",
-    "init_weights",
-    "load_weights",
-    "encode",
-    "decode",
-    "frames_for_length",
-    # extractor
-    "PromptType",
-    "parse_prompts",
-    "PromptBank",
-    "ExtractorWeights",
-    "extract",
-    # rvq
-    "RvqWeights",
-    "QuantizeResult",
-    "quantize",
-    "codes_to_features",
-    # assignment
-    "si_sdr",
-    "SourceSet",
-    "restricted_permutations",
-    "Assignment",
-    "best_assignment",
-    "magnitude_mask_reconstruct",
-    # analysis
-    "LayerSpec",
-    "ArchSpec",
-    "MacReport",
-    "count_macs",
-    "builtin_specs",
-    "compare_report",
-    # fixtures
-    "FixtureSpec",
-    "MixtureManifest",
-    "generate",
-    "make_mixture",
-    "realize",
-    "save_manifest",
-    "load_manifest",
-    # bitstream
-    "EncodedStream",
-    "pack_stream",
-    "unpack_stream",
-    "write_stream",
-    "read_stream",
-    # pipeline
-    "encode_mixture",
-    "decode_stream",
-    "separate",
-    "evaluate_estimates",
-    "evaluate_manifest",
-    "EvalReport",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += audio.__all__
+__all__ += codec.__all__
+__all__ += extractor.__all__
+__all__ += rvq.__all__
+__all__ += assignment.__all__
+__all__ += analysis.__all__
+__all__ += fixtures.__all__
+__all__ += bitstream.__all__
+__all__ += pipeline.__all__

@@ -204,6 +204,8 @@ def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> M
     updated by every conv layer, so attention stages automatically see the
     frame count in effect where they sit.
     """
+    if sample_rate < 1:
+        raise InvalidArgumentError(f"sample rate must be positive, got {sample_rate}")
     if not 0 < duration_s < math.inf:
         raise InvalidArgumentError(
             f"duration must be positive and finite, got {duration_s}")

@@ -67,10 +67,8 @@ def _write_sources(sources, stem: str, out_dir: str) -> dict:
         "n_samples": sources[0][0].n_samples,
         "sources": entries,
     }
-    sidecar_path = os.path.join(out_dir, f"{stem}.sources.json")
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    _atomic_write_bytes(os.path.join(out_dir, f"{stem}.sources.json"),
+                        (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
     return sidecar
 
 
@@ -210,6 +208,7 @@ def _cmd_analyze(args) -> int:
             )
         row = analysis.count_macs(analysis.builtin_specs()[key],
                                   args.duration, args.rate)
+        row.total_macs(args.sources)  # rejects an unusable count in either format
         if args.format == "json":
             payload = row.to_dict(args.sources)
             layers = payload.pop("layers")

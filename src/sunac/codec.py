@@ -436,21 +436,13 @@ class TransformerNode(_Node):
         self.ff_dim = ff_dim
 
     def manifest(self):
-        d, f = self.hidden, self.ff_dim
-        n = self.name
-        specs = []
-        for part in ("ln1.gain", "ln2.gain"):
-            specs.append(TensorSpec(f"{n}.{part}", (d,), INIT_ONES))
-        for part in ("ln1.bias", "ln2.bias"):
-            specs.append(TensorSpec(f"{n}.{part}", (d,), INIT_ZEROS))
-        for part in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-            specs.append(TensorSpec(f"{n}.{part}.weight", (d, d), INIT_UNIFORM, d))
-            specs.append(TensorSpec(f"{n}.{part}.bias", (d,), INIT_UNIFORM, d))
-        specs.append(TensorSpec(f"{n}.ff.w1.weight", (f, d), INIT_UNIFORM, d))
-        specs.append(TensorSpec(f"{n}.ff.w1.bias", (f,), INIT_UNIFORM, d))
-        specs.append(TensorSpec(f"{n}.ff.w2.weight", (d, f), INIT_UNIFORM, f))
-        specs.append(TensorSpec(f"{n}.ff.w2.bias", (d,), INIT_UNIFORM, f))
-        return specs
+        d, f, n = self.hidden, self.ff_dim, self.name
+        norms = ("ln1", "ln2")
+        specs = [TensorSpec(f"{n}.{ln}.gain", (d,), INIT_ONES) for ln in norms]
+        specs += [TensorSpec(f"{n}.{ln}.bias", (d,), INIT_ZEROS) for ln in norms]
+        linears = [LinearNode(f"{n}.attn.{w}", d, d) for w in ("wq", "wk", "wv", "wo")]
+        linears += [LinearNode(f"{n}.ff.w1", d, f), LinearNode(f"{n}.ff.w2", f, d)]
+        return specs + [spec for node in linears for spec in node.manifest()]
 
     def rows(self):
         return [(f"{self.name}.attn", "attention",

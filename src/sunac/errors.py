@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SunacError",
+    "InvalidArgumentError",
+    "ContractViolationError",
+    "NumericError",
+    "ConfigError",
+    "CorruptStreamError",
+]
+
 
 class SunacError(Exception):
     """Base class for every error this package raises on purpose."""

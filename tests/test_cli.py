@@ -331,6 +331,21 @@ def test_decode_rerun_is_byte_identical(work, tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def test_decode_failed_sidecar_write_keeps_old_sidecar(work, tmp_path, monkeypatch):
+    argv = ["decode", work["stream"], "--config", work["cfg"], "-o", str(tmp_path)]
+    assert cli.main(argv) == 0
+    before = (tmp_path / "out.sources.json").read_bytes()
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", fail)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        cli.main(argv)
+    assert (tmp_path / "out.sources.json").read_bytes() == before
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".part")]
+
+
 def test_decode_truncated_stream_is_corrupt(work, tmp_path):
     blob = open(work["stream"], "rb").read()
     bad = tmp_path / "cut.snac"
@@ -506,11 +521,20 @@ def test_analyze_rejects_unusable_duration(capsys, duration, arch):
 @pytest.mark.parametrize("sources", ["1" + "0" * 400, str(2**53 + 1), "0", "-1"],
                          ids=["401-digits", "2**53+1", "zero", "negative"])
 @pytest.mark.parametrize("extra", [[], ["--format", "json"],
-                                   ["--arch", "sunac", "--format", "json"]],
-                         ids=["table", "table-json", "arch-json"])
+                                   ["--arch", "sunac", "--format", "json"],
+                                   ["--arch", "sunac"]],
+                         ids=["table", "table-json", "arch-json", "arch-text"])
 def test_analyze_rejects_unusable_source_count(capsys, sources, extra):
     assert cli.main(["analyze", "--sources", sources] + extra) == 2
     assert capsys.readouterr().err.startswith("sunac: ")
+
+
+@pytest.mark.parametrize("rate", ["0", "-5"])
+@pytest.mark.parametrize("arch", [[], ["--arch", "sunac"]], ids=["table", "arch"])
+def test_analyze_rejects_non_positive_rate(capsys, rate, arch):
+    assert cli.main(["analyze", "--rate", rate] + arch) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sunac: ") and "sample rate" in err
 
 
 def test_analyze_table_text_lists_all_architectures(capsys):

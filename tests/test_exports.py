@@ -9,6 +9,8 @@ import pytest
 import sunac
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(sunac.__path__))
+REEXPORTED = ("errors", "audio", "codec", "extractor", "rvq", "assignment",
+              "analysis", "fixtures", "bitstream", "pipeline")
 
 
 def _check_all(module):
@@ -22,11 +24,18 @@ def test_package_exports_resolve():
     _check_all(sunac)
 
 
+def test_package_exports_are_the_modules_exports():
+    expected = ["__version__"]
+    for name in REEXPORTED:
+        expected += importlib.import_module(f"sunac.{name}").__all__
+    assert sunac.__all__ == expected
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_exports_resolve(name):
     module = importlib.import_module(f"sunac.{name}")
-    if hasattr(module, "__all__"):
-        _check_all(module)
+    assert hasattr(module, "__all__"), f"sunac.{name} declares no __all__"
+    _check_all(module)
 
 
 def test_star_import():
