@@ -16,10 +16,24 @@ the quantizer included.  Each node alone knows its shape fields and tensor
 order, and gives its manifest, its forward pass, its cost rows as (name,
 kind, shape fields) and its tensors read from a store, so the analyzer and
 the weight loaders cannot drift from the signal path.
+
+`encode` and `decode` stream a signal through their node chain in column
+pieces.  A conv node emits each tile of its whole-length output (see
+`numerics.conv_tiles`) as soon as the tile's input window has arrived, and
+holds only the input a later tile still reads; pointwise nodes run on the
+pieces or windows a reader takes, a residual unit holds its skip pieces
+until its branch catches up, and a Transformer layer collects its
+frame-rate input and runs once.  So the conv stacks hold tile-sized pieces
+at any length.  The bits do not depend on how the pieces arrive: each tile
+is computed from exactly the input columns a whole-length call would give
+it, by the same BLAS products in the same order, and the pointwise maps and
+the residual add act on each column alone.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import json
 import math
 import struct
@@ -245,6 +259,13 @@ INIT_UNIFORM = "uniform"      # U[-a, a] with a = sqrt(1 / fan_in)
 INIT_ONES = "ones"
 INIT_ZEROS = "zeros"
 INIT_CODEBOOK = "codebook"    # uniform rows, entry 0 pinned to zero
+# Values per uniform draw in init_weights.  Freeing a 16 MiB float64 draw
+# buffer raises glibc's adaptive mmap threshold to 16 MiB (and its trim
+# threshold to 32 MiB), as whole-tensor draws of the largest tensors did,
+# so later encode and decode calls keep recycling their tile and weight
+# buffers on the heap.  With 2**18-value draws the thresholds stayed low,
+# and every round trip mapped and faulted in 40 to 100 MB of pages anew.
+_INIT_CHUNK = 2**21
 
 
 @dataclass(frozen=True)
@@ -260,13 +281,17 @@ class TensorSpec:
 
 
 class _Node:
-    """Defaults: no counted cost rows, tensors read in manifest order."""
+    """Defaults: no counted cost rows, tensors read in manifest order, the
+    output as long as the input."""
 
     def rows(self):
         return []
 
     def read(self, store):
         return [store[spec.name] for spec in self.manifest()]
+
+    def out_len(self, length):
+        return length
 
 
 class ConvNode(_Node):
@@ -297,16 +322,27 @@ class ConvNode(_Node):
             stride=self.stride, dilation=self.dilation, padding=self.padding,
             output_padding=self.output_padding))]
 
-    def apply(self, x, store):
-        return numerics.conv1d(
-            x,
-            *self.read(store),
-            stride=self.stride,
-            padding=self.padding,
-            dilation=self.dilation,
-            transposed=self.transposed,
-            output_padding=self.output_padding,
-        )
+    def _conv(self):
+        return dict(stride=self.stride, padding=self.padding,
+                    dilation=self.dilation, transposed=self.transposed,
+                    output_padding=self.output_padding)
+
+    def out_len(self, length):
+        return numerics.conv_out_len(length, self.kernel, **self._conv())
+
+    def stream(self, pieces, store, length):
+        # One conv1d call per tile of the whole-length layer, each on its
+        # own input window; a window's pieces stay held only while a later
+        # tile still reads them.
+        conv = self._conv()
+        weight, bias = self.read(store)
+        tiles = numerics.conv_tiles(length, self.c_out, self.c_in, self.kernel,
+                                    **conv)
+        held = _Columns(pieces)
+        keeps = [lo for _, _, lo, _ in tiles[1:]] + [length]
+        for tile, keep in zip(tiles, keeps):
+            yield numerics.conv1d(held.window(tile[2], tile[3], keep), weight,
+                                  bias, tile=tile, **conv)
 
 
 class SnakeNode(_Node):
@@ -333,18 +369,19 @@ class ResidualNode(_Node):
     def rows(self):
         return [row for child in self.children for row in child.rows()]
 
+    def stream(self, pieces, store, length):
+        # The skip path holds each input piece until the branch has emitted
+        # every column of it.  Both operands are float32.  A float32 add
+        # rounds once to the same value as a float64 add rounded back
+        # (53 >= 2 * 24 + 2 significand bits make the double rounding
+        # harmless), without the float64 copy.
+        skip = _Columns(pieces)
+        return map(lambda y: np.add(skip.take(y.shape[1]), y),
+                   _stream(self.children, skip.feed(), store, length))
+
     def apply(self, x, store):
-        y = x
-        for child in self.children:
-            y = child.apply(y, store)
-        if y.shape != x.shape:
-            raise ContractViolationError(
-                f"residual branch changed shape {x.shape} -> {y.shape}"
-            )
-        # Both operands are float32.  A float32 add rounds once to the same
-        # value as a float64 add rounded back (53 >= 2 * 24 + 2 significand
-        # bits make the double rounding harmless), without the float64 copy.
-        return np.add(x, y)
+        """The unit over a whole (C, L) signal, as one piece."""
+        return _join(self.stream([x], store, x.shape[1]))
 
 
 class TanhNode(_Node):
@@ -453,14 +490,129 @@ class TransformerNode(_Node):
     def weights(self, store) -> numerics.TransformerLayerWeights:
         return numerics.TransformerLayerWeights(self.n_heads, *self.read(store))
 
-    def apply(self, x, store):
-        return numerics.transformer_block(x, self.weights(store), name=self.name)
+    def stream(self, pieces, store, length):
+        # Attention needs every frame, so the layer runs once on the whole
+        # frame-rate map.
+        yield numerics.transformer_block(_join(pieces), self.weights(store),
+                                         name=self.name)
 
 
-def _apply_chain(nodes, x, store):
+def _join(pieces) -> np.ndarray:
+    parts = list(pieces)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+class _Mapped:
+    """Pieces with a pointwise function still to apply.
+
+    Iterating applies it piece by piece.  A `_Columns` reader instead holds
+    the raw pieces and applies it to each window it hands out, so a conv
+    after a pointwise node shares its held input with the skip path.  The
+    function is elementwise, so a window gets the bits of the same columns
+    of the mapped pieces.
+    """
+
+    def __init__(self, pieces, fn):
+        self.pieces, self.fn = pieces, fn
+
+    def __iter__(self):
+        return map(self.fn, self.pieces)
+
+
+class _Columns:
+    """Columns of a stream of (C, n) pieces, held while a reader needs them.
+
+    Pieces are pulled from the source only when a window reaches past the
+    held columns, and dropped once no later window reads them.
+    """
+
+    def __init__(self, pieces):
+        self._fn = None
+        if isinstance(pieces, _Mapped):
+            pieces, self._fn = pieces.pieces, pieces.fn
+        self._source = iter(pieces)
+        self._held = collections.deque()
+        self._start = 0      # first held column
+        self._end = 0        # one past the last held column
+        self._taken = 0      # columns handed out by take()
+
+    def _hold(self, piece):
+        self._held.append(piece)
+        self._end += piece.shape[1]
+        return piece
+
+    def feed(self):
+        """The source pieces, each held here as it passes."""
+        fed = map(self._hold, self._source)
+        return fed if self._fn is None else _Mapped(fed, self._fn)
+
+    def window(self, lo: int, hi: int, keep: int) -> np.ndarray:
+        """Columns [lo, hi) as one array; afterwards only pieces that reach
+        past column `keep` stay held."""
+        while self._end < hi:
+            self._hold(next(self._source))
+        parts, start = [], self._start
+        for piece in self._held:
+            end = start + piece.shape[1]
+            if start < hi and end > lo:
+                parts.append(piece[:, max(lo - start, 0) : hi - start])
+            start = end
+        self._drop(keep, hi - lo)
+        columns = _join(parts)
+        return columns if self._fn is None else self._fn(columns)
+
+    def _drop(self, keep: int, width: int) -> None:
+        # Drop the pieces that end by column `keep`.  Of a piece that
+        # straddles it, keep a copy of the tail from `keep` on when that
+        # tail is no wider than the window just read, so a halo does not
+        # hold a whole piece and the copies stay linear in the length.
+        while self._held and self._start + self._held[0].shape[1] <= keep:
+            self._start += self._held.popleft().shape[1]
+        if self._held and 0 < self._start + self._held[0].shape[1] - keep <= width:
+            self._held[0] = self._held[0][:, keep - self._start :].copy()
+            self._start = keep
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n columns, which are then dropped."""
+        lo, self._taken = self._taken, self._taken + n
+        return self.window(lo, self._taken, self._taken)
+
+
+def _stream(nodes, pieces, store, length):
+    """Chain nodes over a stream of pieces of a `length`-column signal.
+
+    A node with a `stream` method takes the stream and yields its output
+    pieces as soon as their inputs have arrived; any other node is
+    pointwise, and its `apply` runs on each piece or window that a later
+    reader takes (`_Mapped`).  Nothing runs until the result is iterated,
+    and no step holds a piece it has passed on.
+    """
     for node in nodes:
-        x = node.apply(x, store)
-    return x
+        if hasattr(node, "stream"):
+            pieces = node.stream(pieces, store, length)
+            length = node.out_len(length)
+        else:
+            pieces = _Mapped(pieces, functools.partial(node.apply, store=store))
+    return pieces
+
+
+def _write(pieces, out: np.ndarray, stage: str) -> None:
+    """Fill `out` with a stream of pieces, checking each is finite."""
+    done = 0
+    for piece in pieces:
+        n = piece.shape[1]
+        if piece.shape[0] != out.shape[0] or done + n > out.shape[1]:
+            raise ContractViolationError(
+                f"{stage} produced a {piece.shape} piece at column {done} "
+                f"of a {out.shape} output"
+            )
+        out[:, done : done + n] = numerics.check_finite(piece, stage)
+        done += n
+        del piece  # not held while the next piece is computed
+    if done != out.shape[1]:
+        raise ContractViolationError(
+            f"{stage} produced {done} columns, expected {out.shape[1]}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +831,15 @@ def init_weights(config: ModelConfig, seed: int) -> WeightStore:
         elif spec.init == INIT_ZEROS:
             value = np.zeros(spec.shape, dtype=np.float32)
         elif spec.init in (INIT_UNIFORM, INIT_CODEBOOK):
+            # One draw is one generator step, so chunked draws cast into the
+            # float32 tensor give the bits of one whole-tensor draw without
+            # its float64 copy.
             bound = math.sqrt(1.0 / max(spec.fan_in, 1))
-            value = rng.uniform(-bound, bound, size=spec.shape).astype(np.float32)
+            value = np.empty(spec.shape, dtype=np.float32)
+            flat = value.reshape(-1)
+            for start in range(0, flat.size, _INIT_CHUNK):
+                chunk = flat[start : start + _INIT_CHUNK]
+                chunk[...] = rng.uniform(-bound, bound, size=chunk.size)
             if spec.init == INIT_CODEBOOK:
                 value[0, :] = 0.0
         else:
@@ -757,18 +916,16 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
     if audio.n_samples < 1:
         raise InvalidArgumentError("cannot encode empty audio")
     validate_store(config, store)
-    hop = config.hop
-    padded_len = frames_for_length(config, audio.n_samples) * hop
-    x = np.zeros((1, padded_len), dtype=np.float32)
-    x[0, : audio.n_samples] = audio.samples
-    features = numerics.check_finite(
-        _apply_chain(encoder_nodes(config), x, store), "codec.encode")
-    expected_t = padded_len // hop
-    if features.shape != (config.latent_dim, expected_t):
-        raise ContractViolationError(
-            f"encoder produced {features.shape}, expected "
-            f"({config.latent_dim}, {expected_t})"
-        )
+    n = audio.n_samples
+    frames = frames_for_length(config, n)
+    # The zero padding to a whole frame arrives as its own last piece, so
+    # the waveform is read in place.
+    pieces = [audio.samples[None, :]]
+    if frames * config.hop > n:
+        pieces.append(np.zeros((1, frames * config.hop - n), dtype=np.float32))
+    features = np.empty((config.latent_dim, frames), dtype=np.float32)
+    _write(_stream(encoder_nodes(config), pieces, store, frames * config.hop),
+           features, "codec.encode")
     return features
 
 
@@ -787,11 +944,7 @@ def decode(features: np.ndarray, config: ModelConfig, store: WeightStore) -> Aud
     if features.shape[1] < 1:
         raise InvalidArgumentError("cannot decode an empty feature map")
     validate_store(config, store)
-    out = numerics.check_finite(
-        _apply_chain(decoder_nodes(config), features, store), "codec.decode")
-    expected = features.shape[1] * config.hop
-    if out.shape != (1, expected):
-        raise ContractViolationError(
-            f"decoder produced {out.shape}, expected (1, {expected})"
-        )
+    out = np.empty((1, features.shape[1] * config.hop), dtype=np.float32)
+    _write(_stream(decoder_nodes(config), [features], store, features.shape[1]),
+           out, "codec.decode")
     return AudioBuffer(out[0], config.sample_rate)

@@ -6,15 +6,17 @@ mask-based evaluation.
 
 Neural kernels keep tensors in float32 but accumulate every dot product in
 float64, so outputs are reproducible bit for bit on a given platform.
-Convolutions produce their output one time tile at a time, so beyond the
-float32 input and output a call holds O(channels x tile) float64 memory;
-every output column gets the same per-tap products, summed in the same
-order, as in one untiled pass, so the bits do not depend on the tile
-size.  Attention
-runs both of its products on BLAS, one fixed-size block of queries at a
-time, so its memory grows linearly with the token count; a softmax row
-needs only its own query, so the blocking leaves the bits unchanged.  All
-functions are pure: no hidden state, safe to call concurrently.
+Convolutions produce their output one time tile at a time (`conv_tiles`).
+A tile reads only its own input window, so `conv1d` can also compute one
+tile from that window alone, and a caller can stream a signal through a
+stack of convolutions holding tile-sized pieces.  Every output column gets
+the same per-tap products, summed in the same order, whether its tile runs
+alone or inside a whole-length call, so the bits depend neither on the tile
+size nor on how the input arrives.  Attention runs both of its products on
+BLAS, one fixed-size block of queries at a time, so its memory grows
+linearly with the token count; a softmax row needs only its own query, so
+the blocking leaves the bits unchanged.  All functions are pure: no hidden
+state, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import ContractViolationError, InvalidArgumentError, NumericError
 
 __all__ = [
     "conv_out_len",
+    "conv_tiles",
     "conv1d",
     "snake",
     "layer_norm",
@@ -43,8 +46,8 @@ _LN_EPS = 1e-5
 _ROPE_BASE = 10000.0
 # Queries per attention block; bounds the score buffer at (H, 256, T).
 _QUERY_BLOCK = 256
-# Convolution tiles (see conv1d): _TILE_COLUMNS output columns, times as
-# many as fit when the layer is narrower than _TILE_CHANNELS.  A float64
+# Convolution tiles (see conv_tiles): _TILE_COLUMNS output columns, times
+# as many as fit when the layer is narrower than _TILE_CHANNELS.  A float64
 # tile buffer of a narrow layer then holds about 3 MB and a 16,000-column
 # full-rate layer (one second of audio) stays one tile, while wide layers
 # amortize each tap's weight widening over 2,048 columns.  _GEMM_ALIGN
@@ -100,6 +103,52 @@ def conv_out_len(
     return (length + 2 * padding - span) // stride + 1
 
 
+def conv_tiles(
+    length: int,
+    c_out: int,
+    c_in: int,
+    kernel: int,
+    *,
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+    transposed: bool = False,
+    output_padding: int = 0,
+) -> list[tuple[int, int, int, int]]:
+    """The output tiles of `conv1d` over `length` input columns, in order.
+
+    Each tile is (t0, t1, lo, hi): it computes output columns [t0, t1) and
+    reads input columns [lo, hi), its receptive field plus, when
+    transposed, the widening to _GEMM_ALIGN columns.  Tiles are
+    _TILE_COLUMNS output columns, times as many as fit when the layer is
+    narrower than _TILE_CHANNELS; they start on multiples of that width and
+    the last one also takes the remainder, so it is less than twice as
+    wide.  `lo` never decreases from one tile to the next.
+    """
+    l_out = conv_out_len(length, kernel, stride=stride, padding=padding,
+                         dilation=dilation, transposed=transposed,
+                         output_padding=output_padding)
+    if l_out < 1:
+        raise InvalidArgumentError(f"conv output length {l_out} is not positive")
+    # Float64 rows per output column in the largest tile buffer: C_out in
+    # the accumulator, C_in in the window (C_in / stride when transposed).
+    rows = max(c_out, c_in // stride if transposed else c_in)
+    columns = _TILE_COLUMNS * max(1, _TILE_CHANNELS // rows)
+    edges = [i * columns for i in range(max(1, l_out // columns))] + [l_out]
+    span = (kernel - 1) * dilation + 1
+    tiles = []
+    for t0, t1 in zip(edges, edges[1:]):
+        if transposed:
+            lo, hi = _transposed_window(t0 + padding, t1 + padding, span - 1,
+                                        stride, length)
+        else:
+            first = t0 * stride - padding
+            lo = min(max(first, 0), length)
+            hi = min(max(first + (t1 - t0 - 1) * stride + span, lo), length)
+        tiles.append((t0, t1, lo, hi))
+    return tiles
+
+
 def conv1d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -110,11 +159,13 @@ def conv1d(
     dilation: int = 1,
     transposed: bool = False,
     output_padding: int = 0,
+    tile: tuple[int, int, int, int] | None = None,
 ) -> np.ndarray:
     """Strided 1-D convolution, or its transpose, over a channel-major signal.
 
     Args:
-        x: input of shape (C_in, L), float32.
+        x: input of shape (C_in, L), float32; with `tile`, only the input
+            columns [lo, hi) that the tile reads.
         weight: kernels of shape (C_out, C_in, K).  The same layout is used
             for the transposed direction; C_in is always the channel count
             of `x`.
@@ -123,24 +174,25 @@ def conv1d(
         transposed: scatter instead of gather.
         output_padding: extra columns appended in the transposed direction
             only, to disambiguate the output length for odd strides.
+        tile: one (t0, t1, lo, hi) entry of `conv_tiles` for the whole
+            input; then only output columns [t0, t1) are computed.
 
     Returns:
-        (C_out, L_out) float32, with L_out given by `conv_out_len`.
+        (C_out, L_out) float32, with L_out given by `conv_out_len`, or
+        (C_out, t1 - t0) with `tile`.
 
-    The output is built one tile of output columns at a time.  A tile
-    widens the input columns it reads (its window, halo and zero padding
-    included) into a reused float64 buffer; then for each tap in ascending
-    order it widens that tap's weights, computes the float64 product
-    `weight[:, :, tap] @ window` into a reused buffer and adds it to the
-    tile's float64 accumulator.  Forward, the product reads a strided view
-    of the window; transposed, it lands on a strided slice of the
+    Without `tile` the output is built one tile of `conv_tiles` at a time.
+    A tile widens the input columns it reads (its window, halo and zero
+    padding included) into a reused float64 buffer; then for each tap in
+    ascending order it widens that tap's weights, computes the float64
+    product `weight[:, :, tap] @ window` into a reused buffer and adds it to
+    the tile's float64 accumulator.  Forward, the product reads a strided
+    view of the window; transposed, it lands on a strided slice of the
     accumulator.  The bias is added and the tile is written to the float32
-    output.  Tiles are 2,048 columns, or a multiple of that for layers
-    narrower than 192 channels, and the last one also takes the remainder,
-    so it is less than twice as wide.  Beyond the float32 input and output,
-    the peak working set is three (channels, tile) float64 buffers (3 to
-    6 MB each for a narrow layer; the forward window is `stride` times
-    wider) and one tap's weights, whatever L and K are.
+    output.  Beyond the float32 input and output, the peak working set is
+    three (channels, tile) float64 buffers (3 to 6 MB each for a narrow
+    layer; the forward window is `stride` times wider) and one tap's
+    weights, whatever L and K are.
 
     The summation order is part of the result, and tiling keeps it: every
     output column receives the same per-tap sums over C_in, added in tap
@@ -151,10 +203,12 @@ def conv1d(
     where an untiled product would: tiles start on multiples of 2,048, and
     each transposed product is widened out to multiples of _GEMM_ALIGN
     input columns.  Each float64 sum is then the one an untiled pass
-    computes, and stream bytes and decoded samples stay pinned
-    (`tests/test_golden.py`).  Forward, the sum over (C_in, K) is grouped
-    by tap; every float32 x float32 product is exact in float64, so another
-    grouping would move only float64 rounding, far below a float32 step.
+    computes, and a tile computed from its window alone issues exactly the
+    products it issues inside a whole-length call, so stream bytes and
+    decoded samples stay pinned (`tests/test_golden.py`).  Forward, the sum
+    over (C_in, K) is grouped by tap; every float32 x float32 product is
+    exact in float64, so another grouping would move only float64
+    rounding, far below a float32 step.
     """
     x = np.asarray(x, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
@@ -178,28 +232,38 @@ def conv1d(
         raise ContractViolationError(
             f"input has {x.shape[0]} channels, kernels expect {c_in}"
         )
-    length = x.shape[1]
-    l_out = conv_out_len(length, k, stride=stride, padding=padding,
-                         dilation=dilation, transposed=transposed,
-                         output_padding=output_padding)
-    if l_out < 1:
-        raise InvalidArgumentError(f"conv output length {l_out} is not positive")
-
-    y = np.empty((c_out, l_out), dtype=np.float32)
+    if tile is None:
+        offset = 0
+        tiles = conv_tiles(x.shape[1], c_out, c_in, k, stride=stride,
+                           padding=padding, dilation=dilation,
+                           transposed=transposed, output_padding=output_padding)
+    else:
+        offset, tiles = tile[2], [tile]
+        if x.shape[1] != tile[3] - tile[2]:
+            raise ContractViolationError(
+                f"tile {tile} reads {tile[3] - tile[2]} input columns, "
+                f"got {x.shape[1]}"
+            )
+    edges = [t0 for t0, _, _, _ in tiles] + [tiles[-1][1]]
+    y = np.empty((c_out, edges[-1] - edges[0]), dtype=np.float32)
     b64 = None if bias is None else np.asarray(bias, dtype=np.float64)[:, None]
-    # Float64 rows per output column in the largest tile buffer: C_out in
-    # the accumulator, C_in in the window (C_in / stride when transposed).
-    rows = max(c_out, c_in // stride if transposed else c_in)
-    columns = _TILE_COLUMNS * max(1, _TILE_CHANNELS // rows)
-    # Whole tiles from column 0; the last one also takes the remainder.
-    edges = [i * columns for i in range(max(1, l_out // columns))] + [l_out]
     tiled = _conv_transposed_tiles if transposed else _conv_forward_tiles
-    tiled(x, w, b64, y, edges, stride, padding, dilation)
+    tiled(x, w, b64, y, edges, stride, padding, dilation, offset)
     return y
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _transposed_window(p0: int, p1: int, reach: int, stride: int,
+                       length: int) -> tuple[int, int]:
+    # The input columns [base, end) that scatter into padded output columns
+    # [p0, p1), widened out to multiples of _GEMM_ALIGN and clipped at the
+    # input's end.
+    base = max(0, _ceil_div(p0 - reach, stride))
+    end = min(length, _ceil_div(p1, _GEMM_ALIGN * stride) * _GEMM_ALIGN)
+    return base - base % _GEMM_ALIGN, end
 
 
 def _front(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -208,12 +272,18 @@ def _front(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[: rows * cols].reshape(rows, cols)
 
 
-def _conv_forward_tiles(x, w, b64, y, edges, stride, padding, dilation):
+# The tile kernels write output columns [edges[0], edges[-1]) into y, one
+# tile per pair of edges.  x holds input columns [offset, offset + x.shape[1]),
+# which must include the window [lo, hi) of every one of those tiles
+# (`conv_tiles`); columns outside x read as zero padding.
+
+
+def _conv_forward_tiles(x, w, b64, y, edges, stride, padding, dilation,
+                        offset=0):
     # Output column t reads padded input column t * stride + tap * dilation,
     # so a tile of n outputs from t0 reads (n - 1) * stride + span padded
     # columns from t0 * stride: its window, zero padding written in place.
     c_out, c_in, k = w.shape
-    length = x.shape[1]
     span = (k - 1) * dilation + 1
     widest = max(b - a for a, b in zip(edges, edges[1:]))
     window_buf = np.empty(c_in * ((widest - 1) * stride + span))
@@ -222,12 +292,12 @@ def _conv_forward_tiles(x, w, b64, y, edges, stride, padding, dilation):
     w_tap = np.empty((c_out, c_in))
     for t0, t1 in zip(edges, edges[1:]):
         n = t1 - t0
-        first = t0 * stride - padding
+        first = t0 * stride - padding - offset
         width = (n - 1) * stride + span
         window = _front(window_buf, c_in, width)
         # Window columns [a, b) hold input; the rest is padding.
         a = min(max(-first, 0), width)
-        b = min(max(length - first, a), width)
+        b = min(max(x.shape[1] - first, a), width)
         window[:, :a] = 0.0
         window[:, a:b] = x[:, first + a : first + b]
         window[:, b:] = 0.0
@@ -242,18 +312,21 @@ def _conv_forward_tiles(x, w, b64, y, edges, stride, padding, dilation):
             acc += prod
         if b64 is not None:
             acc += b64
-        y[:, t0:t1] = acc
+        y[:, t0 - edges[0] : t1 - edges[0]] = acc
 
 
-def _conv_transposed_tiles(x, w, b64, y, edges, stride, padding, dilation):
+def _conv_transposed_tiles(x, w, b64, y, edges, stride, padding, dilation,
+                           offset=0):
     # Input column i lands on padded output column i * stride + tap * dilation,
     # so into a tile of padded columns [p0, p1) tap `tap` scatters input
     # columns [ceil((p0 - tap * dilation) / stride), ceil((p1 - ...) / stride)).
     # Each tap's product runs over that range widened out to multiples of
     # _GEMM_ALIGN (clipped at the input's end), where an untiled product over
-    # the whole input would have BLAS block boundaries too.
+    # the whole input would have BLAS block boundaries too.  That clip never
+    # reaches past a tile's window from `conv_tiles`, so when x ends with the
+    # window, clipping at the end of x is clipping at the input's end.
     c_out, c_in, k = w.shape
-    length = x.shape[1]
+    length = offset + x.shape[1]
     reach = (k - 1) * dilation
     widest = max(b - a for a, b in zip(edges, edges[1:]))
     window_buf = np.empty(c_in * ((widest + reach) // stride + 2 + 2 * _GEMM_ALIGN))
@@ -263,11 +336,9 @@ def _conv_transposed_tiles(x, w, b64, y, edges, stride, padding, dilation):
     for t0, t1 in zip(edges, edges[1:]):
         n = t1 - t0
         p0, p1 = t0 + padding, t1 + padding
-        base = max(0, _ceil_div(p0 - reach, stride))
-        base -= base % _GEMM_ALIGN
-        end = min(length, _ceil_div(p1, _GEMM_ALIGN * stride) * _GEMM_ALIGN)
+        base, end = _transposed_window(p0, p1, reach, stride, length)
         window = _front(window_buf, c_in, end - base)
-        window[...] = x[:, base:end]
+        window[...] = x[:, base - offset : end - offset]
         acc = _front(acc_buf, c_out, n)
         acc.fill(0.0)
         for tap in range(k):
@@ -285,7 +356,7 @@ def _conv_transposed_tiles(x, w, b64, y, edges, stride, padding, dilation):
             acc[:, col : col + (hi - lo - 1) * stride + 1 : stride] += prod[:, lo - c0 : hi - c0]
         if b64 is not None:
             acc += b64
-        y[:, t0:t1] = acc
+        y[:, t0 - edges[0] : t1 - edges[0]] = acc
 
 
 def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:

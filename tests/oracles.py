@@ -193,3 +193,24 @@ def transformer_block_naive(x, w, use_rope=True):
         hidden = np.array([0.5 * p * (1.0 + math.erf(p / math.sqrt(2.0))) for p in pre])
         out[:, t] = tok + f64(w.ff_w2) @ hidden + f64(w.ff_b2)
     return out
+
+
+def init_tensors_whole(specs, seed):
+    """Seeded weight tensors, each drawn whole in float64 and then cast.
+
+    specs are (name, shape, init, fan_in) in manifest order; init is
+    "ones", "zeros", "uniform" or "codebook" (uniform with row 0 zeroed).
+    Yields (name, float32 tensor) pairs in that order.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for name, shape, init, fan_in in specs:
+        if init == "ones":
+            yield name, np.ones(shape, dtype=np.float32)
+        elif init == "zeros":
+            yield name, np.zeros(shape, dtype=np.float32)
+        else:
+            bound = math.sqrt(1.0 / max(fan_in, 1))
+            value = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            if init == "codebook":
+                value[0, :] = 0.0
+            yield name, value

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sunac import codec
+import oracles
+from sunac import codec, numerics
 from sunac.audio import AudioBuffer
 from sunac.errors import (
     ConfigError,
@@ -205,6 +207,36 @@ class TestInitWeights:
         with pytest.raises(CorruptStreamError):
             codec.load_weights(truncated, tiny_config)
 
+    @pytest.mark.parametrize("which", ["tiny", "SUNAC"])
+    def test_chunked_draws_equal_whole_tensor_draws(self, tiny_config,
+                                                    tiny_store, full_config,
+                                                    full_store, which):
+        config, store = ((tiny_config, tiny_store) if which == "tiny"
+                         else (full_config, full_store))
+        specs = [(s.name, s.shape, s.init, s.fan_in)
+                 for s in codec.manifest(config)]
+        names = []
+        for name, want in oracles.init_tensors_whole(specs, store.seed):
+            names.append(name)
+            got = store[name]
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.uint32),
+                                          want.view(np.uint32), err_msg=name)
+        assert names == store.names()
+
+    def test_init_holds_no_float64_copy_of_a_tensor(self, full_config):
+        # A whole-tensor float64 draw of decoder.conv_in.weight alone is
+        # 42 MiB.  A chunked draw holds at most 16 MiB beyond the tensors
+        # drawn so far, under 1 MiB beyond the finished store.
+        tracemalloc.start()
+        try:
+            store = codec.init_weights(full_config, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(t.nbytes for t in store.tensors.values())
+        assert peak < stored + 8 * 2**20
+
     def test_validate_store_catches_mismatch(self, tiny_config, tiny_store):
         tensors = dict(tiny_store.tensors)
         del tensors["rvq.down.bias"]
@@ -382,3 +414,156 @@ class TestEncodeDecode:
         assert features.shape == (8, 2)
         out = codec.decode(features, config, store)
         assert out.samples.shape == (640,)
+
+
+def _toy_dact():
+    """DACT at toy widths: Transformer layers end the encoder chain and
+    start the decoder chain."""
+    return dataclasses.replace(
+        codec.default_config("DACT"), enc_base_dim=4, dec_base_dim=32,
+        latent_dim=16, transformer_hidden=16, n_heads=2, ff_dim=24,
+        n_enc_transformer=2, n_dec_transformer=1, n_codebooks=2,
+        codebook_size=16, code_dim=4)
+
+
+def _random_store(nodes, rng):
+    # Snake slopes stay away from zero, which they divide by.
+    return {spec.name: rng.uniform(0.5, 1.5, spec.shape).astype(np.float32)
+            for node in nodes for spec in node.manifest()}
+
+
+def _split(x, widths):
+    """Column pieces of x with the given widths, the last taking the rest."""
+    edges = np.cumsum([0, *widths, x.shape[1]]).clip(max=x.shape[1])
+    return [x[:, a:b].copy() for a, b in zip(edges, edges[1:]) if b > a]
+
+
+class TestStreaming:
+    """Streaming the conv stacks must not move a bit: every piece size and
+    every way the input can arrive gives the one-piece output."""
+
+    @staticmethod
+    def _tiles(monkeypatch, columns):
+        monkeypatch.setattr(numerics, "_TILE_COLUMNS", columns)
+        monkeypatch.setattr(numerics, "_TILE_CHANNELS", 1)
+
+    @pytest.mark.parametrize("family", ["SUNAC", "DACT"])
+    def test_streamed_chains_keep_the_bits(self, monkeypatch, tiny_config,
+                                           tiny_store, family):
+        # 700 samples pad to 960, so the zero padding arrives as its own
+        # piece; 3 frames are shorter than every tile but the 1-column one.
+        # The decoder's stride-5 transposed conv has output_padding 1.
+        if family == "SUNAC":
+            config, store = tiny_config, tiny_store
+        else:
+            config = _toy_dact()
+            store = codec.init_weights(config, seed=5)
+        audio = buffer_of(700)
+        features = np.random.default_rng(3).standard_normal(
+            (config.latent_dim, 3)).astype(np.float32)
+
+        def run():
+            return (codec.encode(audio, config, store),
+                    codec.decode(features, config, store).samples)
+
+        self._tiles(monkeypatch, 10**9)
+        whole = run()
+        for columns in (1, 3, 16, 64):
+            self._tiles(monkeypatch, columns)
+            for got, want in zip(run(), whole):
+                np.testing.assert_array_equal(got, want, err_msg=f"{columns}")
+
+    @pytest.mark.parametrize("widths", [(1,), (5, 7, 30, 1, 2), (33, 64),
+                                        (199,)])
+    def test_residual_unit_over_uneven_pieces(self, monkeypatch, rng, widths):
+        # Input pieces end on columns 16-column branch tiles never end on,
+        # so skip and branch pieces end on different columns.
+        unit = codec._residual_unit("unit", 3, 3)
+        store = _random_store([unit], rng)
+        x = rng.standard_normal((3, 200)).astype(np.float32)
+        self._tiles(monkeypatch, 10**9)
+        whole = unit.apply(x, store)
+        self._tiles(monkeypatch, 16)
+        pieces = list(unit.stream(_split(x, widths), store, 200))
+        assert len(pieces) == 12
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
+
+    @pytest.mark.parametrize("widths", [(1,), (3, 4, 1, 9), (17,)])
+    @pytest.mark.parametrize("columns", [1, 3, 16, 64])
+    def test_transposed_conv_with_output_padding_over_pieces(
+            self, monkeypatch, rng, widths, columns):
+        node = codec.ConvNode("up", 6, 4, 10, stride=5, padding=3,
+                              transposed=True, output_padding=1)
+        store = _random_store([node], rng)
+        x = rng.standard_normal((6, 41)).astype(np.float32)
+        whole = numerics.conv1d(x, store["up.weight"], store["up.bias"],
+                                stride=5, padding=3, transposed=True,
+                                output_padding=1)
+        self._tiles(monkeypatch, columns)
+        got = np.concatenate(list(node.stream(_split(x, widths), store, 41)),
+                             axis=1)
+        np.testing.assert_array_equal(got, whole)
+
+    @pytest.mark.parametrize("widths", [(1,), (2, 3, 5, 8, 13, 21, 34),
+                                        (320, 1), (959,)])
+    def test_encoder_output_does_not_depend_on_input_pieces(
+            self, tiny_config, tiny_store, widths):
+        x = buffer_of(960).samples[None, :]
+        want = codec.encode(AudioBuffer(x[0], 16000), tiny_config, tiny_store)
+        got = np.concatenate(list(codec._stream(
+            codec.encoder_nodes(tiny_config), _split(x, widths), tiny_store,
+            960)), axis=1)
+        np.testing.assert_array_equal(got, want)
+
+    def test_input_shorter_than_one_tile(self, monkeypatch, tiny_config,
+                                         tiny_store):
+        audio = buffer_of(1)
+        want = codec.encode(audio, tiny_config, tiny_store)
+        self._tiles(monkeypatch, 1)
+        np.testing.assert_array_equal(
+            codec.encode(audio, tiny_config, tiny_store), want)
+
+
+def _traced_peaks(audio, config, store):
+    """Traced peaks of codec.encode and codec.decode, net of the float32
+    arrays they return and the features decode reads."""
+    tracemalloc.start()
+    try:
+        features = codec.encode(audio, config, store)
+        encode_peak = tracemalloc.get_traced_memory()[1] - features.nbytes
+        tracemalloc.reset_peak()
+        out = codec.decode(features, config, store)
+        decode_peak = (tracemalloc.get_traced_memory()[1] - features.nbytes
+                       - out.samples.nbytes)
+    finally:
+        tracemalloc.stop()
+    return encode_peak, decode_peak
+
+
+class TestStreamingMemory:
+    def test_pure_conv_memory_is_flat_in_length(self):
+        # A conv layer below two tiles runs as one tile that grows with the
+        # input, so with a hop of 320 the frame-rate layers of a narrow
+        # model keep growing to about 8 minutes.  A hop of 8 puts every
+        # layer at two or more tiles from 60 s on; from there only the
+        # remainder tile moves.  Whole-length layers grew 3x over 60-240 s
+        # (60 -> 185 MiB encode, 56 -> 171 MiB decode); streamed, both peaks
+        # are about 40 MiB at either length.
+        config = dataclasses.replace(
+            codec.default_config("DAC"), strides=(2, 4), enc_base_dim=4,
+            dec_base_dim=16, latent_dim=8, transformer_hidden=8, n_heads=2,
+            ff_dim=16, n_codebooks=2, codebook_size=16, code_dim=4)
+        store = codec.init_weights(config, seed=3)
+        short = _traced_peaks(buffer_of(60 * 16000), config, store)
+        long = _traced_peaks(buffer_of(240 * 16000), config, store)
+        for stage, a, b in zip(("encode", "decode"), short, long):
+            assert b - a < 2**20, (stage, a, b)
+
+    def test_full_model_32s_round_trip_stays_under_ceilings(self, full_config,
+                                                            full_store):
+        # Traced 70 / 140 MiB; whole-length layers took 205 / 301 MiB.  The
+        # decode peak is one Transformer layer at T = 1,600.
+        encode_peak, decode_peak = _traced_peaks(
+            buffer_of(32 * 16000), full_config, full_store)
+        assert encode_peak < 80 * 2**20
+        assert decode_peak < 155 * 2**20

@@ -221,6 +221,72 @@ class TestConv1d:
         edges = list(range(0, l_out - step, step)) + [l_out]
         np.testing.assert_array_equal(sums(edges), sums([0, l_out]))
 
+    CASES = [
+        (6, 5, 300, 7, dict(padding=9, dilation=3)),
+        (6, 5, 300, 4, dict(stride=3, padding=2)),
+        (6, 5, 90, 10, dict(stride=5, padding=3, transposed=True,
+                            output_padding=1)),
+        (6, 5, 90, 8, dict(stride=4, padding=2, dilation=2, transposed=True)),
+        (3, 4, 5, 16, dict(stride=2, padding=7, transposed=True)),
+    ]
+    CASE_IDS = ["dilated", "strided", "transposed-output-padding",
+                "transposed-dilated", "transposed-padding-wider-than-input"]
+
+    @pytest.mark.parametrize("c_in,c_out,length,k,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("columns", [1, 16, 64])
+    def test_tiles_cover_the_output_in_order(self, monkeypatch, c_in, c_out,
+                                             length, k, kwargs, columns):
+        monkeypatch.setattr(numerics, "_TILE_COLUMNS", columns)
+        tiles = numerics.conv_tiles(length, c_out, c_in, k, **kwargs)
+        l_out = numerics.conv_out_len(length, k, **kwargs)
+        assert [t[0] for t in tiles[1:]] == [t[1] for t in tiles[:-1]]
+        assert tiles[0][0] == 0 and tiles[-1][1] == l_out
+        assert all(0 <= lo <= hi <= length for _, _, lo, hi in tiles)
+        los = [lo for _, _, lo, _ in tiles]
+        assert los == sorted(los)
+
+    @pytest.mark.parametrize("c_in,c_out,length,k,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("columns", [1, 3, 16, 64])
+    def test_a_tile_from_its_window_alone_keeps_float64_sums(
+            self, rng, monkeypatch, c_in, c_out, length, k, kwargs, columns):
+        # Each tile computed from only the input columns it reads, at its
+        # offset, issues the products it issues inside a whole-length call,
+        # so every float64 sum is the same.
+        monkeypatch.setattr(numerics, "_TILE_COLUMNS", columns)
+        monkeypatch.setattr(numerics, "_TILE_CHANNELS", 1)
+        x = rng.standard_normal((c_in, length)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+        b64 = rng.standard_normal((c_out, 1))
+        conv = {"stride": 1, "padding": 0, "dilation": 1, **kwargs}
+        run = (numerics._conv_transposed_tiles if conv.pop("transposed", False)
+               else numerics._conv_forward_tiles)
+        conv.pop("output_padding", None)
+        tiles = numerics.conv_tiles(length, c_out, c_in, k, **kwargs)
+        whole = np.empty((c_out, tiles[-1][1]))
+        run(x, w, b64, whole, [t[0] for t in tiles] + [tiles[-1][1]],
+            conv["stride"], conv["padding"], conv["dilation"])
+        for t0, t1, lo, hi in tiles:
+            alone = np.empty((c_out, t1 - t0))
+            run(x[:, lo:hi], w, b64, alone, [t0, t1], conv["stride"],
+                conv["padding"], conv["dilation"], lo)
+            np.testing.assert_array_equal(alone, whole[:, t0:t1],
+                                          err_msg=f"tile {t0}:{t1}")
+
+    def test_tile_call_returns_its_columns(self, rng, monkeypatch):
+        monkeypatch.setattr(numerics, "_TILE_COLUMNS", 16)
+        monkeypatch.setattr(numerics, "_TILE_CHANNELS", 1)
+        x = rng.standard_normal((4, 50)).astype(np.float32)
+        w = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        conv = dict(stride=3, padding=2, transposed=True, output_padding=1)
+        whole = numerics.conv1d(x, w, b, **conv)
+        for tile in numerics.conv_tiles(50, 3, 4, 6, **conv):
+            t0, t1, lo, hi = tile
+            got = numerics.conv1d(x[:, lo:hi], w, b, tile=tile, **conv)
+            np.testing.assert_array_equal(got, whole[:, t0:t1])
+        with pytest.raises(ContractViolationError):
+            numerics.conv1d(x[:, lo : hi - 1], w, b, tile=tile, **conv)
+
     def test_kernel_longer_than_input(self, rng):
         x = rng.standard_normal((1, 4)).astype(np.float32)
         w = rng.standard_normal((1, 1, 9)).astype(np.float32)
