@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import wave
@@ -49,18 +50,26 @@ class AudioBuffer:
         return self.n_samples / self.sample_rate
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    # Write-then-rename so a crashed run never leaves a half-written file.
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    # Write-then-rename so a crashed run never leaves a half-written file:
+    # the caller writes to the yielded handle of a temporary file next to
+    # `path`, which replaces `path` only once the block has finished.
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path: str, payload: bytes) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(payload)
 
 
 def read_wav(path: str) -> AudioBuffer:

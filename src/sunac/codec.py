@@ -36,12 +36,14 @@ import collections
 import functools
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, _atomic_open
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -259,13 +261,22 @@ INIT_UNIFORM = "uniform"      # U[-a, a] with a = sqrt(1 / fan_in)
 INIT_ONES = "ones"
 INIT_ZEROS = "zeros"
 INIT_CODEBOOK = "codebook"    # uniform rows, entry 0 pinned to zero
-# Values per uniform draw in init_weights.  Freeing a 16 MiB float64 draw
-# buffer raises glibc's adaptive mmap threshold to 16 MiB (and its trim
-# threshold to 32 MiB), as whole-tensor draws of the largest tensors did,
-# so later encode and decode calls keep recycling their tile and weight
-# buffers on the heap.  With 2**18-value draws the thresholds stayed low,
-# and every round trip mapped and faulted in 40 to 100 MB of pages anew.
+# Values per uniform draw in init_weights: each drawn tensor is filled one
+# chunk at a time through one float64 buffer of at most this many values,
+# which the calling thread allocates and frees once per tensor while the
+# workers draw into its parts.  Freeing a 16 MiB float64 draw buffer raises
+# glibc's adaptive mmap threshold to 16 MiB (and its trim threshold to
+# 32 MiB), as whole-tensor draws of the largest tensors did, so later
+# encode and decode calls keep recycling their tile and weight buffers on
+# the heap.  With 2**18-value draws the thresholds stayed low, and every
+# round trip mapped and faulted in 40 to 100 MB of pages anew.
 _INIT_CHUNK = 2**21
+# Most threads init_weights draws on; fewer when the process may run on
+# fewer CPUs.  The drawn bits do not depend on the count.
+_INIT_WORKERS = 4
+# Values a worker draws, scales and casts in one pass (256 KiB of float64,
+# so each pass reads what the last one left in cache).
+_INIT_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -745,67 +756,70 @@ class WeightStore:
         return sum(int(t.size) for t in self.tensors.values())
 
     def save(self, path: str) -> None:
-        from .audio import _atomic_write_bytes
-
-        chunks = [WEIGHTS_MAGIC,
-                  struct.pack("<H", WEIGHTS_VERSION),
-                  struct.pack("<Q", self.seed)]
-        for name, tensor in self.tensors.items():
-            encoded = name.encode("utf-8")
-            chunks.append(struct.pack("<H", len(encoded)))
-            chunks.append(encoded)
-            chunks.append(struct.pack("<B", tensor.ndim))
-            for dim in tensor.shape:
-                chunks.append(struct.pack("<I", dim))
-            chunks.append(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-        _atomic_write_bytes(path, b"".join(chunks))
+        """Write the store atomically, one tensor at a time."""
+        with _atomic_open(path) as handle:
+            handle.write(WEIGHTS_MAGIC)
+            handle.write(struct.pack("<HQ", WEIGHTS_VERSION, self.seed))
+            for name, tensor in self.tensors.items():
+                encoded = name.encode("utf-8")
+                handle.write(struct.pack("<H", len(encoded)))
+                handle.write(encoded)
+                handle.write(struct.pack(f"<B{tensor.ndim}I", tensor.ndim,
+                                         *tensor.shape))
+                handle.write(np.ascontiguousarray(tensor, dtype="<f4").data)
 
     @classmethod
     def load(cls, path: str) -> "WeightStore":
+        """Read a store, each tensor straight into its own float32 array."""
         with open(path, "rb") as handle:
-            blob = handle.read()
-        if blob[:4] != WEIGHTS_MAGIC:
-            raise CorruptStreamError(
-                f"{path}: bad magic {blob[:4]!r}, expected {WEIGHTS_MAGIC!r}"
-            )
-        tensors: dict[str, np.ndarray] = {}
-        try:
-            version, seed = struct.unpack_from("<HQ", blob, 4)
-            if version != WEIGHTS_VERSION:
+            size = os.fstat(handle.fileno()).st_size
+            magic = handle.read(4)
+            if magic != WEIGHTS_MAGIC:
                 raise CorruptStreamError(
-                    f"{path}: unsupported weight format version {version}"
+                    f"{path}: bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}"
                 )
-            offset = 4 + struct.calcsize("<HQ")
-            while offset < len(blob):
-                (name_len,) = struct.unpack_from("<H", blob, offset)
-                offset += 2
-                name = blob[offset : offset + name_len].decode("utf-8")
-                offset += name_len
-                (rank,) = struct.unpack_from("<B", blob, offset)
-                offset += 1
-                shape = struct.unpack_from(f"<{rank}I", blob, offset)
-                offset += 4 * rank
-                count = int(math.prod(shape))
-                end = offset + 4 * count
-                if end > len(blob):
-                    raise CorruptStreamError(f"{path}: truncated tensor {name!r}")
-                if name in tensors:
-                    raise CorruptStreamError(f"{path}: duplicate tensor {name!r}")
-                try:
-                    data = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
-                except ValueError as exc:  # rank above 64, or size overflow
+            tensors: dict[str, np.ndarray] = {}
+            try:
+                version, seed = _read_struct(handle, "<HQ")
+                if version != WEIGHTS_VERSION:
                     raise CorruptStreamError(
-                        f"{path}: tensor {name!r} has unusable shape: {exc}"
-                    ) from exc
-                if not np.all(np.isfinite(data)):
-                    raise CorruptStreamError(
-                        f"{path}: tensor {name!r} holds non-finite values"
+                        f"{path}: unsupported weight format version {version}"
                     )
-                tensors[name] = data.copy()
-                offset = end
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise CorruptStreamError(f"{path}: malformed tensor table: {exc}") from exc
+                while handle.tell() < size:
+                    (name_len,) = _read_struct(handle, "<H")
+                    name = handle.read(name_len).decode("utf-8")
+                    (rank,) = _read_struct(handle, "<B")
+                    shape = _read_struct(handle, f"<{rank}I")
+                    count = int(math.prod(shape))
+                    if handle.tell() + 4 * count > size:
+                        raise CorruptStreamError(
+                            f"{path}: truncated tensor {name!r}")
+                    if name in tensors:
+                        raise CorruptStreamError(
+                            f"{path}: duplicate tensor {name!r}")
+                    try:
+                        data = np.empty(count, dtype="<f4").reshape(shape)
+                    except ValueError as exc:  # rank above 64, or size overflow
+                        raise CorruptStreamError(
+                            f"{path}: tensor {name!r} has unusable shape: {exc}"
+                        ) from exc
+                    if handle.readinto(data.reshape(-1)) != data.nbytes:
+                        raise CorruptStreamError(
+                            f"{path}: truncated tensor {name!r}")
+                    if not np.all(np.isfinite(data)):
+                        raise CorruptStreamError(
+                            f"{path}: tensor {name!r} holds non-finite values"
+                        )
+                    tensors[name] = data
+            except (struct.error, UnicodeDecodeError) as exc:
+                raise CorruptStreamError(
+                    f"{path}: malformed tensor table: {exc}") from exc
         return cls(seed=seed, tensors=tensors)
+
+
+def _read_struct(handle, fmt: str) -> tuple:
+    # struct.error when the file ends first.
+    return struct.unpack(fmt, handle.read(struct.calcsize(fmt)))
 
 
 def init_weights(config: ModelConfig, seed: int) -> WeightStore:
@@ -818,34 +832,77 @@ def init_weights(config: ModelConfig, seed: int) -> WeightStore:
     never increase the residual.  Identical (config, seed) pairs give
     bitwise-identical stores.  The seed must fit the weight file's unsigned
     64-bit field.
+
+    The drawn tensors take one value each, in manifest order, from a single
+    PCG64 stream seeded with `seed`.  Each chunk of a tensor is split into
+    contiguous parts drawn on a small thread pool; a part's generator jumps
+    ahead to the part's own position in the stream, so every value is the
+    one a single sequential generator would give it, whatever the worker
+    count and timing.  The pool is shut down before this returns.
     """
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise InvalidArgumentError(
             f"seed must be an integer in [0, 2**64), got {seed!r}"
         )
-    rng = np.random.Generator(np.random.PCG64(seed))
+    workers = _init_workers()
     tensors: dict[str, np.ndarray] = {}
-    for spec in manifest(config):
-        if spec.init == INIT_ONES:
-            value = np.ones(spec.shape, dtype=np.float32)
-        elif spec.init == INIT_ZEROS:
-            value = np.zeros(spec.shape, dtype=np.float32)
-        elif spec.init in (INIT_UNIFORM, INIT_CODEBOOK):
-            # One draw is one generator step, so chunked draws cast into the
-            # float32 tensor give the bits of one whole-tensor draw without
-            # its float64 copy.
-            bound = math.sqrt(1.0 / max(spec.fan_in, 1))
-            value = np.empty(spec.shape, dtype=np.float32)
-            flat = value.reshape(-1)
-            for start in range(0, flat.size, _INIT_CHUNK):
-                chunk = flat[start : start + _INIT_CHUNK]
-                chunk[...] = rng.uniform(-bound, bound, size=chunk.size)
-            if spec.init == INIT_CODEBOOK:
-                value[0, :] = 0.0
-        else:
-            raise ConfigError(f"unknown init rule {spec.init!r}")
-        tensors[spec.name] = value
+    position = 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for spec in manifest(config):
+            if spec.init == INIT_ONES:
+                value = np.ones(spec.shape, dtype=np.float32)
+            elif spec.init == INIT_ZEROS:
+                value = np.zeros(spec.shape, dtype=np.float32)
+            elif spec.init in (INIT_UNIFORM, INIT_CODEBOOK):
+                bound = math.sqrt(1.0 / max(spec.fan_in, 1))
+                value = np.empty(spec.shape, dtype=np.float32)
+                _draw_tensor(value.reshape(-1), int(seed), position, bound,
+                             pool, workers)
+                position += value.size
+                if spec.init == INIT_CODEBOOK:
+                    value[0, :] = 0.0
+            else:
+                raise ConfigError(f"unknown init rule {spec.init!r}")
+            tensors[spec.name] = value
     return WeightStore(seed=seed, tensors=tensors)
+
+
+def _init_workers() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(_INIT_WORKERS, cpus)
+
+
+def _draw_tensor(flat, seed, position, bound, pool, workers):
+    # Fill `flat` with stream values position, position + 1, ... one chunk
+    # at a time, each chunk split into one contiguous part per worker, all
+    # drawn through one float64 buffer of at most _INIT_CHUNK values.
+    scratch = np.empty(min(flat.size, _INIT_CHUNK))
+    for start in range(0, flat.size, _INIT_CHUNK):
+        n = min(_INIT_CHUNK, flat.size - start)
+        edges = [start + n * i // workers for i in range(workers + 1)]
+        futures = [pool.submit(_draw_part, seed, position + a, bound,
+                               scratch[a - start : b - start], flat[a:b])
+                   for a, b in zip(edges, edges[1:])]
+        for future in futures:
+            future.result()
+
+
+def _draw_part(seed, skip, bound, scratch, out):
+    # Values skip, skip + 1, ... of the stream, mapped as
+    # Generator.uniform(-bound, bound) maps them: one 64-bit step per value,
+    # u = random() in [0, 1), then -bound + (2 * bound) * u in float64.
+    bits = np.random.PCG64(seed)
+    bits.advance(skip)
+    rng = np.random.Generator(bits)
+    for start in range(0, out.size, _INIT_BLOCK):
+        block = scratch[start : start + _INIT_BLOCK]
+        rng.random(out=block)
+        block *= 2 * bound
+        block += -bound
+        out[start : start + _INIT_BLOCK] = block
 
 
 def load_weights(path: str, config: ModelConfig) -> WeightStore:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -236,6 +238,67 @@ class TestInitWeights:
             tracemalloc.stop()
         stored = sum(t.nbytes for t in store.tensors.values())
         assert peak < stored + 8 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_store_does_not_depend_on_worker_count(self, monkeypatch,
+                                                   full_config, full_store,
+                                                   workers):
+        monkeypatch.setattr(codec, "_init_workers", lambda: workers)
+        store = codec.init_weights(full_config, seed=0)
+        assert store.names() == full_store.names()
+        for name in store.names():
+            np.testing.assert_array_equal(store[name].view(np.uint32),
+                                          full_store[name].view(np.uint32),
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_uneven_chunks_keep_the_bits(self, monkeypatch, tiny_config,
+                                         tiny_store, workers):
+        # 7-value chunks split unevenly over 2 and 3 workers, some parts are
+        # empty, and most tensors end in a partial chunk.
+        monkeypatch.setattr(codec, "_INIT_CHUNK", 7)
+        monkeypatch.setattr(codec, "_init_workers", lambda: workers)
+        store = codec.init_weights(tiny_config, seed=tiny_config.seed)
+        for name in tiny_store.names():
+            np.testing.assert_array_equal(store[name].view(np.uint32),
+                                          tiny_store[name].view(np.uint32),
+                                          err_msg=name)
+
+    def test_init_leaves_no_thread_running(self, monkeypatch, tiny_config):
+        monkeypatch.setattr(codec, "_init_workers", lambda: 3)
+        before = threading.active_count()
+        codec.init_weights(tiny_config, seed=1)
+        assert threading.active_count() == before
+        # The unknown rule comes after every drawn tensor, so the pool has
+        # started its threads when init_weights raises.
+        specs = [*codec.manifest(tiny_config),
+                 codec.TensorSpec("extra", (2,), "gaussian", 1)]
+        monkeypatch.setattr(codec, "manifest", lambda config: specs)
+        with pytest.raises(ConfigError, match="gaussian"):
+            codec.init_weights(tiny_config, seed=1)
+        assert threading.active_count() == before
+
+    def test_save_and_load_hold_one_tensor_at_a_time(self, tmp_path):
+        # A 16 MiB store.  Building the file in memory took two copies of
+        # the store to save and the file plus a copy of it to load.
+        tensors = {f"t{i}": np.full((1024, 1024), i + 0.5, dtype=np.float32)
+                   for i in range(4)}
+        path = str(tmp_path / "weights.suwt")
+        tracemalloc.start()
+        try:
+            codec.WeightStore(seed=1, tensors=tensors).save(path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            back = codec.WeightStore.load(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 2**20
+        assert load_peak < os.path.getsize(path) + 8 * 2**20
+        assert back.seed == 1 and back.names() == list(tensors)
+        for name, tensor in tensors.items():
+            np.testing.assert_array_equal(back[name], tensor)
 
     def test_validate_store_catches_mismatch(self, tiny_config, tiny_store):
         tensors = dict(tiny_store.tensors)
@@ -514,6 +577,23 @@ class TestStreaming:
             codec.encoder_nodes(tiny_config), _split(x, widths), tiny_store,
             960)), axis=1)
         np.testing.assert_array_equal(got, want)
+
+    def test_full_model_4s_tiles_keep_the_bits(self, monkeypatch, full_config,
+                                               full_store):
+        # The golden digests cover 1 s, where most layers are one tile; at
+        # 4 s every waveform-rate layer spans several tiles, the last one
+        # taking the remainder.
+        audio = buffer_of(4 * 16000)
+
+        def run():
+            features = codec.encode(audio, full_config, full_store)
+            return features, codec.decode(features, full_config,
+                                          full_store).samples
+
+        tiled = run()
+        self._tiles(monkeypatch, 10**9)
+        for got, want in zip(tiled, run()):
+            np.testing.assert_array_equal(got, want)
 
     def test_input_shorter_than_one_tile(self, monkeypatch, tiny_config,
                                          tiny_store):
