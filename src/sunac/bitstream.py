@@ -48,6 +48,20 @@ STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sHIHHHIQ")
 
 
+def _header_int(name: str, value, top: int) -> int:
+    # An integral value in [1, top], as a Python int.
+    try:
+        as_int = int(value)
+        integral = as_int == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or not 1 <= as_int <= top:
+        raise InvalidArgumentError(
+            f"{name} must be an integer in [1, {top}], got {value!r}"
+        )
+    return as_int
+
+
 @dataclass(frozen=True)
 class EncodedStream:
     """Decoded-header view of one stream: codes plus enough context to
@@ -67,26 +81,29 @@ class EncodedStream:
             )
         if not np.issubdtype(codes.dtype, np.integer):
             raise InvalidArgumentError(f"codes must be integers, got {codes.dtype}")
+        # Every count and header value must fit its field of _HEADER, so
+        # that any stream that constructs also packs, and unpacks to itself.
+        for name, size, top in zip(("sources", "codebooks", "frames"),
+                                   codes.shape, (0xFFFF, 0xFFFF, 0xFFFFFFFF)):
+            _header_int(name, size, top)
         object.__setattr__(self, "codes", codes.astype(np.int32))
-        object.__setattr__(self, "prompt_types", tuple(self.prompt_types))
+        object.__setattr__(self, "prompt_types", tuple(
+            PromptType.parse(p) for p in self.prompt_types))
         if len(self.prompt_types) != codes.shape[0]:
             raise InvalidArgumentError(
                 f"{len(self.prompt_types)} prompt types for "
                 f"{codes.shape[0]} coded sources"
             )
-        if not 1 <= self.bits_per_code <= 16:
-            raise InvalidArgumentError(
-                f"bits per code must be in 1..16, got {self.bits_per_code}"
-            )
+        for name, top in (("sample_rate", 0xFFFFFFFF),
+                          ("original_len", 0xFFFFFFFFFFFFFFFF),
+                          ("bits_per_code", 16)):
+            object.__setattr__(self, name,
+                               _header_int(name, getattr(self, name), top))
         limit = 1 << self.bits_per_code
-        if codes.size and (codes.min() < 0 or codes.max() >= limit):
+        if codes.min() < 0 or codes.max() >= limit:
             raise InvalidArgumentError(
                 f"codes outside [0, {limit}) for {self.bits_per_code}-bit books"
             )
-        if self.original_len < 1:
-            raise InvalidArgumentError("original length must be positive")
-        if self.sample_rate < 1:
-            raise InvalidArgumentError("sample rate must be positive")
 
     @property
     def n_sources(self) -> int:

@@ -15,7 +15,11 @@ alone or inside a whole-length call, so the bits depend neither on the tile
 size nor on how the input arrives.  Attention runs both of its products on
 BLAS, one fixed-size block of queries at a time, so its memory grows
 linearly with the token count; a softmax row needs only its own query, so
-the blocking leaves the bits unchanged.  All functions are pure: no hidden
+the blocking leaves the bits unchanged.  GELU's error function is Cephes'
+rational approximation evaluated here in numpy (`erf`), so numpy is the
+only library the kernels need: it equals scipy's `erf` bit for bit where
+|x| <= 1 and is within one ulp beyond, and the GELU bits do not depend on
+whether or which scipy is installed.  All functions are pure: no hidden
 state, safe to call concurrently.
 """
 
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractViolationError, InvalidArgumentError, NumericError
 
@@ -35,6 +38,7 @@ __all__ = [
     "snake",
     "layer_norm",
     "gelu",
+    "erf",
     "rope_rotate",
     "TransformerLayerWeights",
     "transformer_block",
@@ -378,8 +382,111 @@ def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) Gaussian error linear unit."""
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    """Exact (erf-based) Gaussian error linear unit, in float64.
+
+    The bits are those of 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), but the
+    steps run in place, so the call holds two arrays of the input's size.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    half = 0.5 * x
+    u = np.divide(x, np.sqrt(2.0), order="C")
+    _erf_in_place(u)
+    u += 1.0
+    u *= half
+    return u
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function of float64 values, as Cephes computes it.
+
+    Moshier's rational approximations (Cephes `ndtr.c`, as in
+    `scipy.special.erf`), with the same operations in the same order:
+    x * T(x^2) / U(x^2) for |x| <= 1, 1 - exp(-x^2) * P(|x|) / Q(|x|) with
+    the sign of x for 1 < |x| < 8, and +-1 beyond.  The result equals
+    scipy's bit for bit where |x| <= 1; beyond, it is within one ulp,
+    because numpy's `exp` may round differently from the C library's.
+    erf(-0) is -0, erf(+-inf) is +-1 and a NaN gives a NaN.
+    """
+    u = np.array(x, dtype=np.float64, order="C")
+    _erf_in_place(u)
+    return u
+
+
+# Cephes erf coefficients, highest power first.  U and Q are monic: their
+# leading 1 is not stored (Cephes p1evl).
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+          7.46321056442269912687E0, 4.86371970985681366614E1,
+          1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3,
+          5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+          3.54937778887819891062E2, 9.75708501743205489753E2,
+          1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+# Values per block of _erf_in_place: its three scratch buffers hold 384 KiB.
+_ERF_BLOCK = 1 << 14
+
+
+def _horner(out: np.ndarray, x: np.ndarray, coefs, monic: bool) -> None:
+    # Cephes polevl (monic: p1evl) at x into out, one step at a time in
+    # place: ans = c0 (monic: x + c0), then ans = ans * x + c for each
+    # later c.
+    if monic:
+        np.add(x, coefs[0], out=out)
+        rest = coefs[1:]
+    else:
+        np.multiply(x, coefs[0], out=out)
+        out += coefs[1]
+        rest = coefs[2:]
+    for c in rest:
+        out *= x
+        out += c
+
+
+def _erf_in_place(u: np.ndarray) -> None:
+    # u is C-contiguous, so its blocks are views.  A fixed block at a time:
+    # the |x| <= 1 formula over the whole block in scratch buffers, then the
+    # entries with |x| > 1 (x * x > 1; about 1.4% of the decoder's
+    # activations) recomputed by the other branch.
+    flat = u.reshape(-1)
+    n = min(flat.size, _ERF_BLOCK)
+    z_buf, num_buf, den_buf = np.empty(n), np.empty(n), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _ERF_BLOCK):
+            x = flat[start : start + _ERF_BLOCK]
+            m = x.size
+            z, num, den = z_buf[:m], num_buf[:m], den_buf[:m]
+            np.multiply(x, x, out=z)
+            far = np.flatnonzero(z > 1.0)
+            x_far, z_far = x[far], z[far]
+            _horner(num, z, _ERF_T, monic=False)
+            _horner(den, z, _ERF_U, monic=True)
+            num *= x
+            np.divide(num, den, out=x)
+            if far.size:
+                x[far] = _erf_far(x_far, z_far)
+
+
+def _erf_far(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # erf for |x| > 1 from x and z = x * x: 1 - erfc(|x|) with the sign of
+    # x.  Cephes' other erfc branch (|x| >= 8) only moves values below
+    # 2**-54, which 1 - erfc rounds away, so it is 1 there.
+    a = np.abs(x)
+    p, q = np.empty_like(a), np.empty_like(a)
+    _horner(p, a, _ERF_P, monic=False)
+    _horner(q, a, _ERF_Q, monic=True)
+    y = np.exp(-z)
+    y *= p
+    y /= q
+    np.subtract(1.0, y, out=y)
+    y[a >= 8.0] = 1.0
+    return np.copysign(y, x, out=y)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunac import audio, bitstream
 from sunac.errors import (
@@ -150,6 +151,109 @@ class TestEncodedStream:
                                     prompt_types=(PromptType.MIX,),
                                     codes=codes, original_len=100,
                                     bits_per_code=4)
+
+    @pytest.mark.parametrize("shape,field", [
+        ((0, 4, 5), "sources"), ((1, 0, 5), "codebooks"), ((1, 4, 0), "frames"),
+    ])
+    def test_refuses_empty_code_tensor(self, shape, field):
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be"):
+            bitstream.EncodedStream(
+                sample_rate=16000, prompt_types=(PromptType.MIX,) * shape[0],
+                codes=np.zeros(shape, dtype=np.int32), original_len=100,
+                bits_per_code=5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("sample_rate", 2**32), ("original_len", 2**64),
+        ("sample_rate", 16000.5), ("original_len", 5.5),
+        ("original_len", float("nan")), ("sample_rate", "16000"),
+    ])
+    def test_refuses_header_values_pack_cannot_write(self, field, value):
+        fields = dict(sample_rate=16000, prompt_types=(PromptType.MIX,),
+                      codes=np.zeros((1, 2, 3), dtype=np.int32),
+                      original_len=100, bits_per_code=5)
+        fields[field] = value
+        with pytest.raises(InvalidArgumentError, match=field):
+            bitstream.EncodedStream(**fields)
+
+    def test_refuses_more_codebooks_than_the_header_counts(self):
+        with pytest.raises(InvalidArgumentError, match="codebooks"):
+            bitstream.EncodedStream(
+                sample_rate=16000, prompt_types=(PromptType.MIX,),
+                codes=np.zeros((1, 65536, 1), dtype=np.int32),
+                original_len=100, bits_per_code=5)
+
+    def test_widest_header_values_round_trip(self):
+        stream = bitstream.EncodedStream(
+            sample_rate=2**32 - 1, prompt_types=(PromptType.MIX,),
+            codes=np.full((1, 2, 3), 2**16 - 1), original_len=2**64 - 1,
+            bits_per_code=16)
+        back = bitstream.unpack_stream(bitstream.pack_stream(stream))
+        assert (back.sample_rate, back.original_len) == (2**32 - 1, 2**64 - 1)
+        np.testing.assert_array_equal(back.codes, stream.codes)
+
+    def test_integral_fields_are_stored_as_int(self):
+        stream = bitstream.EncodedStream(
+            sample_rate=16000.0, prompt_types=(PromptType.MIX,),
+            codes=np.zeros((1, 2, 3), dtype=np.int32),
+            original_len=np.int64(100), bits_per_code=np.uint8(5))
+        for name in ("sample_rate", "original_len", "bits_per_code"):
+            assert type(getattr(stream, name)) is int
+
+    def test_parses_prompt_type_names(self):
+        stream = bitstream.EncodedStream(
+            sample_rate=16000, prompt_types=("speech", " Music "),
+            codes=np.zeros((2, 2, 3), dtype=np.int32), original_len=100,
+            bits_per_code=5)
+        assert stream.prompt_types == (PromptType.SPEECH, PromptType.MUSIC)
+        back = bitstream.unpack_stream(bitstream.pack_stream(stream))
+        assert back.prompt_types == stream.prompt_types
+        with pytest.raises(InvalidArgumentError, match="unknown prompt type"):
+            bitstream.EncodedStream(
+                sample_rate=16000, prompt_types=("drums",),
+                codes=np.zeros((1, 2, 3), dtype=np.int32), original_len=100,
+                bits_per_code=5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_stream_that_constructs_round_trips(self, data):
+        # Each field is valid nine draws in ten and otherwise just outside
+        # its range or of a wrong kind, so both sides of every check come
+        # up and a good share of the streams construct.
+        def mostly(valid, odd):
+            return st.integers(1, 10).flatmap(lambda k: odd if k == 10 else valid)
+
+        def field(top):
+            exact = st.integers(1, min(top, 2**53)).map(float)
+            return mostly(st.integers(1, top) | exact,
+                          st.sampled_from([-1, 0, top + 1, 0.5, float("nan"),
+                                           float("inf"), "1"]))
+
+        size = mostly(st.integers(1, 3), st.just(0))
+        shape = data.draw(st.tuples(size, size, size))
+        bits = data.draw(field(16))
+        top = 2**bits if isinstance(bits, int) and 1 <= bits <= 16 else 2
+        codes = np.array(data.draw(st.lists(
+            st.integers(0, top - 1), min_size=int(np.prod(shape)),
+            max_size=int(np.prod(shape)))), dtype=np.int64).reshape(shape)
+        if codes.size:
+            codes.flat[0] = data.draw(mostly(st.just(codes.flat[0]),
+                                             st.sampled_from([-1, top])))
+        kinds = mostly(st.sampled_from([*PromptType, "speech", " MIX"]),
+                       st.just("drums"))
+        n_types = data.draw(mostly(st.just(shape[0]), st.just(shape[0] + 1)))
+        types = data.draw(st.lists(kinds, min_size=n_types, max_size=n_types))
+        try:
+            stream = bitstream.EncodedStream(
+                sample_rate=data.draw(field(2**32 - 1)), prompt_types=types,
+                codes=codes, original_len=data.draw(field(2**64 - 1)),
+                bits_per_code=bits)
+        except InvalidArgumentError:
+            return
+        back = bitstream.unpack_stream(bitstream.pack_stream(stream))
+        for name in ("sample_rate", "prompt_types", "original_len",
+                     "bits_per_code"):
+            assert getattr(back, name) == getattr(stream, name)
+        np.testing.assert_array_equal(back.codes, stream.codes)
 
 
 class TestCorruptStreams:

@@ -326,6 +326,111 @@ class TestActivations:
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
 
+@pytest.fixture(scope="module")
+def scipy_erf():
+    # scipy is a test dependency only: the oracle for numerics.erf.
+    return pytest.importorskip("scipy.special").erf
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def init_scale_layer(rng, d=1024, n_heads=8, ff_dim=1536):
+    # The widths of full SUNAC's Transformer layers, drawn like
+    # init_weights: U[-a, a] with a = sqrt(1 / fan_in), unit norm gains.
+    def uniform(fan_in, *shape):
+        bound = np.sqrt(1.0 / fan_in)
+        return rng.uniform(-bound, bound, shape).astype(np.float32)
+
+    return numerics.TransformerLayerWeights(
+        n_heads=n_heads,
+        wq=uniform(d, d, d), wk=uniform(d, d, d), wv=uniform(d, d, d),
+        wo=uniform(d, d, d), bq=uniform(d, d), bk=uniform(d, d),
+        bv=uniform(d, d), bo=uniform(d, d),
+        ln1_gain=np.ones(d, np.float32), ln1_bias=np.zeros(d, np.float32),
+        ln2_gain=np.ones(d, np.float32), ln2_bias=np.zeros(d, np.float32),
+        ff_w1=uniform(d, ff_dim, d), ff_b1=uniform(d, ff_dim),
+        ff_w2=uniform(ff_dim, d, ff_dim), ff_b2=uniform(ff_dim, d),
+    )
+
+
+class TestErf:
+    def test_bitwise_equal_to_scipy_up_to_one(self, scipy_erf):
+        x = np.random.default_rng(1301).uniform(-1.0, 1.0, 1_000_000)
+        np.testing.assert_array_equal(_bits(numerics.erf(x)),
+                                      _bits(scipy_erf(x)))
+
+    def test_special_points_bit_for_bit(self, scipy_erf):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        points = np.array([0.0, tiny, 1e-310, 1.0, np.nextafter(1.0, 2.0),
+                           8.0, 27.0, 1e300, np.inf])
+        x = np.concatenate([points, -points, [np.nan]])
+        got, want = numerics.erf(x), scipy_erf(x)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert np.signbit(got[len(points)])  # erf(-0) is -0
+        np.testing.assert_array_equal(got[[8, 17]], [1.0, -1.0])
+
+    def test_within_one_ulp_beyond_one(self, scipy_erf):
+        # exp is the one step whose rounding numpy and the C library may
+        # choose differently.
+        x = np.random.default_rng(1302).uniform(1.0, 8.0, 200_000)
+        x = np.concatenate([x, -x])
+        ulps = np.abs(_bits(numerics.erf(x)) - _bits(scipy_erf(x)))
+        assert ulps.max() <= 1
+        assert np.count_nonzero(ulps) < 0.01 * x.size
+
+    def test_odd_bit_for_bit(self):
+        x = np.random.default_rng(1303).standard_normal(100_000) * 3.0
+        np.testing.assert_array_equal(_bits(numerics.erf(-x)),
+                                      _bits(-numerics.erf(x)))
+
+    def test_any_layout_keeps_shape_and_input(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        before = x.copy()
+        want = numerics.erf(x)
+        assert want.shape == (2, 3, 4)
+        np.testing.assert_array_equal(x, before)
+        for view in (x.T, x[:, ::2], x[::-1]):
+            np.testing.assert_array_equal(numerics.erf(view),
+                                          numerics.erf(view.copy()))
+            np.testing.assert_array_equal(numerics.gelu(view),
+                                          numerics.gelu(view.copy()))
+        np.testing.assert_array_equal(x, before)
+
+    def test_gelu_is_the_expression_bit_for_bit(self):
+        # Pins gelu's operation order: the in-place steps round like
+        # 0.5 * x * (1.0 + erf(x / sqrt(2))), on both erf branches and
+        # across block edges.
+        x = np.random.default_rng(1304).standard_normal((3, 40_001)) * 2.0
+        want = 0.5 * x * (1.0 + numerics.erf(x / np.sqrt(2.0)))
+        np.testing.assert_array_equal(_bits(numerics.gelu(x)), _bits(want))
+
+    @pytest.mark.parametrize("t", [50, 201, 800])
+    def test_full_width_layer_bit_equal_to_scipy_gelu(self, scipy_erf,
+                                                      monkeypatch, t):
+        rng = np.random.default_rng(1305 + t)
+        layer = init_scale_layer(rng)
+        x = rng.standard_normal((1024, t)).astype(np.float32)
+        got = numerics.transformer_block(x, layer)
+        monkeypatch.setattr(numerics, "gelu", lambda h: 0.5 * h * (
+            1.0 + scipy_erf(h / np.sqrt(2.0))))
+        want = numerics.transformer_block(x, layer)
+        np.testing.assert_array_equal(got, want)
+
+    def test_gelu_holds_two_arrays_of_its_input(self):
+        x = np.random.default_rng(1306).standard_normal((1600, 1536))
+        tracemalloc.start()
+        try:
+            numerics.gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The result and one temporary, plus 384 KiB of block scratch;
+        # the plain expression holds three.
+        assert peak <= 2 * x.nbytes + (1 << 20)
+
+
 class TestTransformer:
     def test_output_shape_and_finiteness(self, rng):
         layer = random_layer(rng)
