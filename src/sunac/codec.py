@@ -20,14 +20,14 @@ the weight loaders cannot drift from the signal path.
 `encode` and `decode` stream a signal through their node chain in column
 pieces.  A conv node emits each tile of its whole-length output (see
 `numerics.conv_tiles`) as soon as the tile's input window has arrived, and
-holds only the input a later tile still reads; pointwise nodes run on the
-pieces or windows a reader takes, a residual unit holds its skip pieces
-until its branch catches up, and a Transformer layer collects its
-frame-rate input and runs once.  So the conv stacks hold tile-sized pieces
-at any length.  The bits do not depend on how the pieces arrive: each tile
-is computed from exactly the input columns a whole-length call would give
-it, by the same BLAS products in the same order, and the pointwise maps and
-the residual add act on each column alone.
+holds only the input a later tile still reads; pointwise nodes run on each
+piece as it passes, a residual unit holds its skip pieces until its branch
+catches up, and a Transformer layer collects its frame-rate input and runs
+once.  So the conv stacks hold tile-sized pieces at any length.  The bits
+do not depend on how the pieces arrive: each tile is computed from exactly
+the input columns a whole-length call would give it, by the same BLAS
+products in the same order, and the pointwise maps and the residual add act
+on each column alone.
 """
 
 from __future__ import annotations
@@ -513,34 +513,16 @@ def _join(pieces) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-class _Mapped:
-    """Pieces with a pointwise function still to apply.
-
-    Iterating applies it piece by piece.  A `_Columns` reader instead holds
-    the raw pieces and applies it to each window it hands out, so a conv
-    after a pointwise node shares its held input with the skip path.  The
-    function is elementwise, so a window gets the bits of the same columns
-    of the mapped pieces.
-    """
-
-    def __init__(self, pieces, fn):
-        self.pieces, self.fn = pieces, fn
-
-    def __iter__(self):
-        return map(self.fn, self.pieces)
-
-
 class _Columns:
     """Columns of a stream of (C, n) pieces, held while a reader needs them.
 
     Pieces are pulled from the source only when a window reaches past the
-    held columns, and dropped once no later window reads them.
+    held columns, and dropped once no later window reads them.  A pointwise
+    node before the reader has already run on each piece, so windows are
+    plain slices of the held pieces.
     """
 
     def __init__(self, pieces):
-        self._fn = None
-        if isinstance(pieces, _Mapped):
-            pieces, self._fn = pieces.pieces, pieces.fn
         self._source = iter(pieces)
         self._held = collections.deque()
         self._start = 0      # first held column
@@ -554,8 +536,7 @@ class _Columns:
 
     def feed(self):
         """The source pieces, each held here as it passes."""
-        fed = map(self._hold, self._source)
-        return fed if self._fn is None else _Mapped(fed, self._fn)
+        return map(self._hold, self._source)
 
     def window(self, lo: int, hi: int, keep: int) -> np.ndarray:
         """Columns [lo, hi) as one array; afterwards only pieces that reach
@@ -569,8 +550,7 @@ class _Columns:
                 parts.append(piece[:, max(lo - start, 0) : hi - start])
             start = end
         self._drop(keep, hi - lo)
-        columns = _join(parts)
-        return columns if self._fn is None else self._fn(columns)
+        return _join(parts)
 
     def _drop(self, keep: int, width: int) -> None:
         # Drop the pieces that end by column `keep`.  Of a piece that
@@ -594,16 +574,16 @@ def _stream(nodes, pieces, store, length):
 
     A node with a `stream` method takes the stream and yields its output
     pieces as soon as their inputs have arrived; any other node is
-    pointwise, and its `apply` runs on each piece or window that a later
-    reader takes (`_Mapped`).  Nothing runs until the result is iterated,
-    and no step holds a piece it has passed on.
+    pointwise, and its `apply` runs on each piece as it passes.  Nothing
+    runs until the result is iterated, and no step holds a piece it has
+    passed on.
     """
     for node in nodes:
         if hasattr(node, "stream"):
             pieces = node.stream(pieces, store, length)
             length = node.out_len(length)
         else:
-            pieces = _Mapped(pieces, functools.partial(node.apply, store=store))
+            pieces = map(functools.partial(node.apply, store=store), pieces)
     return pieces
 
 

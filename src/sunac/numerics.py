@@ -6,21 +6,22 @@ mask-based evaluation.
 
 Neural kernels keep tensors in float32 but accumulate every dot product in
 float64, so outputs are reproducible bit for bit on a given platform.
-Convolutions produce their output one time tile at a time (`conv_tiles`).
-A tile reads only its own input window, so `conv1d` can also compute one
-tile from that window alone, and a caller can stream a signal through a
-stack of convolutions holding tile-sized pieces.  Every output column gets
-the same per-tap products, summed in the same order, whether its tile runs
-alone or inside a whole-length call, so the bits depend neither on the tile
-size nor on how the input arrives.  Attention runs both of its products on
-BLAS, one fixed-size block of queries at a time, so its memory grows
-linearly with the token count; a softmax row needs only its own query, so
-the blocking leaves the bits unchanged.  GELU's error function is Cephes'
-rational approximation evaluated here in numpy (`erf`), so numpy is the
-only library the kernels need: it equals scipy's `erf` bit for bit where
-|x| <= 1 and is within one ulp beyond, and the GELU bits do not depend on
-whether or which scipy is installed.  All functions are pure: no hidden
-state, safe to call concurrently.
+Convolutions produce their output one time tile at a time (`conv_tiles`),
+none wider than a fixed width.  A tile reads only its own input window, so
+`conv1d` can also compute one tile from that window alone, and a caller can
+stream a signal through a stack of convolutions holding tile-sized pieces.
+Every output column gets the same per-tap products, summed in the same
+order, whether its tile runs alone or inside a whole-length call, so the
+bits depend neither on the tile size nor on how the input arrives.
+Attention runs both of its products on BLAS, one fixed-size block of
+queries at a time, so its memory grows linearly with the token count; a
+softmax row needs only its own query, so the blocking leaves the bits
+unchanged.  GELU's error function is Cephes' rational approximation
+evaluated here in numpy (`erf`), so numpy is the only library the kernels
+need: it equals scipy's `erf` bit for bit where |x| <= 1 and is within one
+ulp beyond, and the GELU bits do not depend on whether or which scipy is
+installed.  All functions are pure: no hidden state, safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ _ROPE_BASE = 10000.0
 _QUERY_BLOCK = 256
 # Convolution tiles (see conv_tiles): _TILE_COLUMNS output columns, times
 # as many as fit when the layer is narrower than _TILE_CHANNELS.  A float64
-# tile buffer of a narrow layer then holds about 3 MB and a 16,000-column
-# full-rate layer (one second of audio) stays one tile, while wide layers
+# tile buffer of a narrow layer then holds about 3 MB, while wide layers
 # amortize each tap's weight widening over 2,048 columns.  _GEMM_ALIGN
 # columns make the widest BLAS register block.
 _TILE_COLUMNS = 2048
@@ -126,8 +126,8 @@ def conv_tiles(
     transposed, the widening to _GEMM_ALIGN columns.  Tiles are
     _TILE_COLUMNS output columns, times as many as fit when the layer is
     narrower than _TILE_CHANNELS; they start on multiples of that width and
-    the last one also takes the remainder, so it is less than twice as
-    wide.  `lo` never decreases from one tile to the next.
+    none is wider than it, so the last one may be narrower.  `lo` never
+    decreases from one tile to the next.
     """
     l_out = conv_out_len(length, kernel, stride=stride, padding=padding,
                          dilation=dilation, transposed=transposed,
@@ -138,7 +138,7 @@ def conv_tiles(
     # the accumulator, C_in in the window (C_in / stride when transposed).
     rows = max(c_out, c_in // stride if transposed else c_in)
     columns = _TILE_COLUMNS * max(1, _TILE_CHANNELS // rows)
-    edges = [i * columns for i in range(max(1, l_out // columns))] + [l_out]
+    edges = [*range(0, l_out, columns), l_out]
     span = (kernel - 1) * dilation + 1
     tiles = []
     for t0, t1 in zip(edges, edges[1:]):

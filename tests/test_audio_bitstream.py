@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,7 +62,7 @@ class TestWavIo:
 
     def test_read_rejects_non_wav(self, tmp_path):
         path = str(tmp_path / "not.wav")
-        open(path, "wb").write(b"garbage bytes")
+        Path(path).write_bytes(b"garbage bytes")
         with pytest.raises(InvalidArgumentError):
             audio.read_wav(path)
 

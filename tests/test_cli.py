@@ -12,6 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ def test_decode_failed_sidecar_write_keeps_old_sidecar(work, tmp_path, monkeypat
 
 
 def test_decode_truncated_stream_is_corrupt(work, tmp_path):
-    blob = open(work["stream"], "rb").read()
+    blob = Path(work["stream"]).read_bytes()
     bad = tmp_path / "cut.snac"
     bad.write_bytes(blob[:-3])
     rc = cli.main(["decode", str(bad), "--config", work["cfg"],
@@ -356,7 +357,7 @@ def test_decode_truncated_stream_is_corrupt(work, tmp_path):
 
 
 def test_decode_bad_magic_is_corrupt(work, tmp_path):
-    blob = bytearray(open(work["stream"], "rb").read())
+    blob = bytearray(Path(work["stream"]).read_bytes())
     blob[0] ^= 0xFF
     bad = tmp_path / "magic.snac"
     bad.write_bytes(bytes(blob))

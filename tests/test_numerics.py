@@ -247,6 +247,17 @@ class TestConv1d:
 
     @pytest.mark.parametrize("c_in,c_out,length,k,kwargs", CASES, ids=CASE_IDS)
     @pytest.mark.parametrize("columns", [1, 3, 16, 64])
+    def test_no_tile_is_wider_than_its_width(self, monkeypatch, c_in, c_out,
+                                             length, k, kwargs, columns):
+        # The last tile takes no remainder, so a tile's buffers are bounded
+        # whatever the length.
+        monkeypatch.setattr(numerics, "_TILE_COLUMNS", columns)
+        monkeypatch.setattr(numerics, "_TILE_CHANNELS", 1)
+        tiles = numerics.conv_tiles(length, c_out, c_in, k, **kwargs)
+        assert all(t1 - t0 <= columns for t0, t1, _, _ in tiles), tiles
+
+    @pytest.mark.parametrize("c_in,c_out,length,k,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("columns", [1, 3, 16, 64])
     def test_a_tile_from_its_window_alone_keeps_float64_sums(
             self, rng, monkeypatch, c_in, c_out, length, k, kwargs, columns):
         # Each tile computed from only the input columns it reads, at its
