@@ -50,8 +50,9 @@ def si_sdr(reference, estimate) -> float:
     ceiling directly rather than dividing by a tiny constant; dividing by
     the bare error energy is what keeps the score invariant under
     rescaling the estimate even before the clamp (bitwise so for
-    power-of-two gains).  Raises if the reference is identically zero or
-    the lengths (or sample rates, when AudioBuffers are passed) disagree.
+    power-of-two gains).  Raises if either signal holds a NaN or an
+    infinity, if the reference is identically zero, or if the lengths (or
+    sample rates, when AudioBuffers are passed) disagree.
     """
     if isinstance(reference, AudioBuffer) and isinstance(estimate, AudioBuffer):
         if reference.sample_rate != estimate.sample_rate:
@@ -65,6 +66,8 @@ def si_sdr(reference, estimate) -> float:
         raise ContractViolationError(
             f"length mismatch: reference {ref.shape[0]}, estimate {est.shape[0]}"
         )
+    if not (np.isfinite(ref).all() and np.isfinite(est).all()):
+        raise InvalidArgumentError("reference or estimate is not finite")
     ref_energy = float(np.dot(ref, ref))
     if ref_energy == 0.0:
         raise InvalidArgumentError("reference signal is identically zero")

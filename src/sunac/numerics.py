@@ -7,12 +7,13 @@ mask-based evaluation.
 Neural kernels keep tensors in float32 but accumulate every dot product in
 float64, so outputs are reproducible bit for bit on a given platform.
 Convolutions produce their output one time tile at a time (`conv_tiles`),
-none wider than a fixed width.  A tile reads only its own input window, so
-`conv1d` can also compute one tile from that window alone, and a caller can
-stream a signal through a stack of convolutions holding tile-sized pieces.
+none wider than a fixed width.  Each kernel call computes one tile from its
+own input window alone, and a whole-length `conv1d` loops over the tiles,
+so a caller can stream a signal through a stack of convolutions holding
+tile-sized pieces, and the peak working set is one tile's float64 buffers.
 Every output column gets the same per-tap products, summed in the same
-order, whether its tile runs alone or inside a whole-length call, so the
-bits depend neither on the tile size nor on how the input arrives.
+order, whatever the tile width, so the bits depend neither on the tile size
+nor on how the input arrives.
 Attention runs both of its products on BLAS, one fixed-size block of
 queries at a time, so its memory grows linearly with the token count; a
 softmax row needs only its own query, so the blocking leaves the bits
@@ -143,8 +144,13 @@ def conv_tiles(
     tiles = []
     for t0, t1 in zip(edges, edges[1:]):
         if transposed:
-            lo, hi = _transposed_window(t0 + padding, t1 + padding, span - 1,
-                                        stride, length)
+            # The input columns that scatter into padded output columns
+            # [t0 + padding, t1 + padding), widened out to multiples of
+            # _GEMM_ALIGN and clipped at the input's end.
+            lo = max(0, _ceil_div(t0 + padding - span + 1, stride))
+            lo -= lo % _GEMM_ALIGN
+            hi = min(length, _ceil_div(t1 + padding, _GEMM_ALIGN * stride)
+                     * _GEMM_ALIGN)
         else:
             first = t0 * stride - padding
             lo = min(max(first, 0), length)
@@ -185,18 +191,19 @@ def conv1d(
         (C_out, L_out) float32, with L_out given by `conv_out_len`, or
         (C_out, t1 - t0) with `tile`.
 
-    Without `tile` the output is built one tile of `conv_tiles` at a time.
-    A tile widens the input columns it reads (its window, halo and zero
-    padding included) into a reused float64 buffer; then for each tap in
+    Each kernel call computes one tile from its window: without `tile`
+    the call loops over `conv_tiles`, with `tile` it is one kernel call.
+    The kernel widens the input columns the tile reads (its window, halo
+    and zero padding included) into a float64 buffer; then for each tap in
     ascending order it widens that tap's weights, computes the float64
-    product `weight[:, :, tap] @ window` into a reused buffer and adds it to
-    the tile's float64 accumulator.  Forward, the product reads a strided
-    view of the window; transposed, it lands on a strided slice of the
-    accumulator.  The bias is added and the tile is written to the float32
-    output.  Beyond the float32 input and output, the peak working set is
-    three (channels, tile) float64 buffers (3 to 6 MB each for a narrow
-    layer; the forward window is `stride` times wider) and one tap's
-    weights, whatever L and K are.
+    product `weight[:, :, tap] @ window` into one product buffer and adds
+    it to the tile's float64 accumulator.  Forward, the product reads a
+    strided view of the window; transposed, it lands on a strided slice of
+    the accumulator.  The bias is added and the tile is written to the
+    float32 output.  Beyond the float32 input and output, the peak working
+    set is one tile's float64 buffers: three (channels, tile) arrays (3 to
+    6 MB each for a narrow layer; the forward window is `stride` times
+    wider) and one tap's weights, whatever L and K are.
 
     The summation order is part of the result, and tiling keeps it: every
     output column receives the same per-tap sums over C_in, added in tap
@@ -207,9 +214,9 @@ def conv1d(
     where an untiled product would: tiles start on multiples of 2,048, and
     each transposed product is widened out to multiples of _GEMM_ALIGN
     input columns.  Each float64 sum is then the one an untiled pass
-    computes, and a tile computed from its window alone issues exactly the
-    products it issues inside a whole-length call, so stream bytes and
-    decoded samples stay pinned (`tests/test_golden.py`).  Forward, the sum
+    computes, and a `tile` call is the kernel call a whole-length call
+    makes for that tile, so stream bytes and decoded samples stay pinned
+    (`tests/test_golden.py`).  Forward, the sum
     over (C_in, K) is grouped by tap; every float32 x float32 product is
     exact in float64, so another grouping would move only float64
     rounding, far below a float32 step.
@@ -236,23 +243,24 @@ def conv1d(
         raise ContractViolationError(
             f"input has {x.shape[0]} channels, kernels expect {c_in}"
         )
-    if tile is None:
-        offset = 0
-        tiles = conv_tiles(x.shape[1], c_out, c_in, k, stride=stride,
-                           padding=padding, dilation=dilation,
-                           transposed=transposed, output_padding=output_padding)
-    else:
-        offset, tiles = tile[2], [tile]
-        if x.shape[1] != tile[3] - tile[2]:
-            raise ContractViolationError(
-                f"tile {tile} reads {tile[3] - tile[2]} input columns, "
-                f"got {x.shape[1]}"
-            )
-    edges = [t0 for t0, _, _, _ in tiles] + [tiles[-1][1]]
-    y = np.empty((c_out, edges[-1] - edges[0]), dtype=np.float32)
     b64 = None if bias is None else np.asarray(bias, dtype=np.float64)[:, None]
-    tiled = _conv_transposed_tiles if transposed else _conv_forward_tiles
-    tiled(x, w, b64, y, edges, stride, padding, dilation, offset)
+    kernel = _conv_transposed_tile if transposed else _conv_forward_tile
+    if tile is not None:
+        t0, t1, lo, hi = tile
+        if x.shape[1] != hi - lo:
+            raise ContractViolationError(
+                f"tile {tile} reads {hi - lo} input columns, got {x.shape[1]}"
+            )
+        y = np.empty((c_out, t1 - t0), dtype=np.float32)
+        kernel(x, w, b64, y, t0, lo, stride, padding, dilation)
+        return y
+    tiles = conv_tiles(x.shape[1], c_out, c_in, k, stride=stride,
+                       padding=padding, dilation=dilation,
+                       transposed=transposed, output_padding=output_padding)
+    y = np.empty((c_out, tiles[-1][1]), dtype=np.float32)
+    for t0, t1, lo, hi in tiles:
+        kernel(x[:, lo:hi], w, b64, y[:, t0:t1], t0, lo, stride, padding,
+               dilation)
     return y
 
 
@@ -260,107 +268,73 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _transposed_window(p0: int, p1: int, reach: int, stride: int,
-                       length: int) -> tuple[int, int]:
-    # The input columns [base, end) that scatter into padded output columns
-    # [p0, p1), widened out to multiples of _GEMM_ALIGN and clipped at the
-    # input's end.
-    base = max(0, _ceil_div(p0 - reach, stride))
-    end = min(length, _ceil_div(p1, _GEMM_ALIGN * stride) * _GEMM_ALIGN)
-    return base - base % _GEMM_ALIGN, end
-
-
-def _front(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    # A contiguous (rows, cols) view of the front of a flat tile buffer, so
-    # the elementwise steps run on contiguous arrays whatever the tile width.
-    return buf[: rows * cols].reshape(rows, cols)
-
-
-# The tile kernels write output columns [edges[0], edges[-1]) into y, one
-# tile per pair of edges.  x holds input columns [offset, offset + x.shape[1]),
-# which must include the window [lo, hi) of every one of those tiles
+# The tile kernels write output columns [t0, t0 + y.shape[1]) into y.  x holds
+# input columns [lo, lo + x.shape[1]), which must include the tile's window
 # (`conv_tiles`); columns outside x read as zero padding.
 
 
-def _conv_forward_tiles(x, w, b64, y, edges, stride, padding, dilation,
-                        offset=0):
+def _conv_forward_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
     # Output column t reads padded input column t * stride + tap * dilation,
     # so a tile of n outputs from t0 reads (n - 1) * stride + span padded
     # columns from t0 * stride: its window, zero padding written in place.
     c_out, c_in, k = w.shape
-    span = (k - 1) * dilation + 1
-    widest = max(b - a for a, b in zip(edges, edges[1:]))
-    window_buf = np.empty(c_in * ((widest - 1) * stride + span))
-    acc_buf = np.empty(c_out * widest)
-    prod_buf = np.empty(c_out * widest)
+    n = y.shape[1]
+    first = t0 * stride - padding - lo
+    width = (n - 1) * stride + (k - 1) * dilation + 1
+    window = np.empty((c_in, width))
+    # Window columns [a, b) hold input; the rest is padding.
+    a = min(max(-first, 0), width)
+    b = min(max(x.shape[1] - first, a), width)
+    window[:, :a] = 0.0
+    window[:, a:b] = x[:, first + a : first + b]
+    window[:, b:] = 0.0
+    acc = np.zeros((c_out, n))
+    prod = np.empty((c_out, n))
     w_tap = np.empty((c_out, c_in))
-    for t0, t1 in zip(edges, edges[1:]):
-        n = t1 - t0
-        first = t0 * stride - padding - offset
-        width = (n - 1) * stride + span
-        window = _front(window_buf, c_in, width)
-        # Window columns [a, b) hold input; the rest is padding.
-        a = min(max(-first, 0), width)
-        b = min(max(x.shape[1] - first, a), width)
-        window[:, :a] = 0.0
-        window[:, a:b] = x[:, first + a : first + b]
-        window[:, b:] = 0.0
-        acc = _front(acc_buf, c_out, n)
-        acc.fill(0.0)
-        prod = _front(prod_buf, c_out, n)
-        for tap in range(k):
-            start = tap * dilation
-            np.copyto(w_tap, w[:, :, tap])
-            np.matmul(w_tap, window[:, start : start + (n - 1) * stride + 1 : stride],
-                      out=prod)
-            acc += prod
-        if b64 is not None:
-            acc += b64
-        y[:, t0 - edges[0] : t1 - edges[0]] = acc
+    for tap in range(k):
+        start = tap * dilation
+        np.copyto(w_tap, w[:, :, tap])
+        np.matmul(w_tap, window[:, start : start + (n - 1) * stride + 1 : stride],
+                  out=prod)
+        acc += prod
+    if b64 is not None:
+        acc += b64
+    y[...] = acc
 
 
-def _conv_transposed_tiles(x, w, b64, y, edges, stride, padding, dilation,
-                           offset=0):
+def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
     # Input column i lands on padded output column i * stride + tap * dilation,
     # so into a tile of padded columns [p0, p1) tap `tap` scatters input
     # columns [ceil((p0 - tap * dilation) / stride), ceil((p1 - ...) / stride)).
     # Each tap's product runs over that range widened out to multiples of
     # _GEMM_ALIGN (clipped at the input's end), where an untiled product over
     # the whole input would have BLAS block boundaries too.  That clip never
-    # reaches past a tile's window from `conv_tiles`, so when x ends with the
-    # window, clipping at the end of x is clipping at the input's end.
+    # reaches past a tile's window from `conv_tiles`, so clipping at the end
+    # of x is clipping at the input's end.
     c_out, c_in, k = w.shape
-    length = offset + x.shape[1]
-    reach = (k - 1) * dilation
-    widest = max(b - a for a, b in zip(edges, edges[1:]))
-    window_buf = np.empty(c_in * ((widest + reach) // stride + 2 + 2 * _GEMM_ALIGN))
-    acc_buf = np.empty(c_out * widest)
-    prod_buf = np.empty(c_out * (_ceil_div(widest, stride) + 2 * _GEMM_ALIGN))
+    n = y.shape[1]
+    p0, p1 = t0 + padding, t0 + n + padding
+    end = lo + x.shape[1]
+    window = x.astype(np.float64)
+    acc = np.zeros((c_out, n))
+    prod_buf = np.empty(c_out * x.shape[1])
     w_tap = np.empty((c_out, c_in))
-    for t0, t1 in zip(edges, edges[1:]):
-        n = t1 - t0
-        p0, p1 = t0 + padding, t1 + padding
-        base, end = _transposed_window(p0, p1, reach, stride, length)
-        window = _front(window_buf, c_in, end - base)
-        window[...] = x[:, base - offset : end - offset]
-        acc = _front(acc_buf, c_out, n)
-        acc.fill(0.0)
-        for tap in range(k):
-            start = tap * dilation
-            lo = max(0, _ceil_div(p0 - start, stride))
-            hi = min(length, _ceil_div(p1 - start, stride))
-            if lo >= hi:
-                continue
-            c0 = lo - lo % _GEMM_ALIGN
-            c1 = min(length, hi + -hi % _GEMM_ALIGN)
-            prod = _front(prod_buf, c_out, c1 - c0)
-            np.copyto(w_tap, w[:, :, tap])
-            np.matmul(w_tap, window[:, c0 - base : c1 - base], out=prod)
-            col = lo * stride + start - p0
-            acc[:, col : col + (hi - lo - 1) * stride + 1 : stride] += prod[:, lo - c0 : hi - c0]
-        if b64 is not None:
-            acc += b64
-        y[:, t0 - edges[0] : t1 - edges[0]] = acc
+    for tap in range(k):
+        start = tap * dilation
+        i0 = max(0, _ceil_div(p0 - start, stride))
+        i1 = min(end, _ceil_div(p1 - start, stride))
+        if i0 >= i1:
+            continue
+        c0 = i0 - i0 % _GEMM_ALIGN
+        c1 = min(end, i1 + -i1 % _GEMM_ALIGN)
+        prod = prod_buf[: c_out * (c1 - c0)].reshape(c_out, c1 - c0)
+        np.copyto(w_tap, w[:, :, tap])
+        np.matmul(w_tap, window[:, c0 - lo : c1 - lo], out=prod)
+        col = i0 * stride + start - p0
+        acc[:, col : col + (i1 - i0 - 1) * stride + 1 : stride] += prod[:, i0 - c0 : i1 - c0]
+    if b64 is not None:
+        acc += b64
+    y[...] = acc
 
 
 def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -168,6 +168,8 @@ def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 2:
         raise ContractViolationError(f"codes must be (layers, T), got {codes.shape}")
+    if codes.shape[1] == 0:
+        raise InvalidArgumentError("codes have no frames")
     n_layers = codes.shape[0]
     _check_active(n_layers, weights)
     if codes.min() < 0 or codes.max() >= weights.n_entries:

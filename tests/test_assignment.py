@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from sunac import assignment
+from sunac import assignment, pipeline
 from sunac.audio import AudioBuffer
 from sunac.errors import ContractViolationError, InvalidArgumentError
 from sunac.extractor import PromptType
@@ -82,6 +82,20 @@ class TestSiSdr:
             assignment.si_sdr(x, x[:-1])
         with pytest.raises(ContractViolationError):
             assignment.si_sdr(buf(x, 16000), buf(x, 8000))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_signals(self, bad):
+        # Raised before any dot product, so no RuntimeWarning comes first;
+        # a NaN score would leave best_assignment without a permutation.
+        x = tone(100.0)
+        y = x.copy()
+        y[17] = bad
+        for ref, est in ((x, y), (y, x), (x, np.full(x.shape[0], bad))):
+            with pytest.raises(InvalidArgumentError):
+                assignment.si_sdr(ref, est)
+        refs = assignment.SourceSet(sources=((buf(x), S),))
+        with pytest.raises(InvalidArgumentError):
+            pipeline.evaluate_estimates(refs, [y], mode="direct")
 
 
 class TestSourceSet:

@@ -583,7 +583,7 @@ class TestStreaming:
                                                full_store):
         # The golden digests cover 1 s, where most layers are one tile; at
         # 4 s every waveform-rate layer spans several tiles, the last one
-        # taking the remainder.
+        # narrower than the others.
         audio = buffer_of(4 * 16000)
 
         def run():
@@ -642,7 +642,7 @@ class TestStreamingMemory:
 
     def test_full_model_32s_round_trip_stays_under_ceilings(self, full_config,
                                                             full_store):
-        # Traced 70 / 140 MiB; whole-length layers took 205 / 301 MiB.  The
+        # Traced 65.6 / 131.6 MiB; whole-length layers took 205 / 301 MiB.  The
         # decode peak is one Transformer layer at T = 1,600.
         encode_peak, decode_peak = _traced_peaks(
             buffer_of(32 * 16000), full_config, full_store)

@@ -208,13 +208,14 @@ class TestConv1d:
         b64 = rng.standard_normal((24, 1))
         conv = dict(stride=2, padding=3, dilation=3)
         l_out = numerics.conv_out_len(700, 7, transposed=transposed, **conv)
-        run = (numerics._conv_transposed_tiles if transposed
-               else numerics._conv_forward_tiles)
+        run = (numerics._conv_transposed_tile if transposed
+               else numerics._conv_forward_tile)
 
         def sums(edges):
             y = np.empty((24, l_out))
-            run(x, w, b64, y, edges, conv["stride"], conv["padding"],
-                conv["dilation"])
+            for t0, t1 in zip(edges, edges[1:]):
+                run(x, w, b64, y[:, t0:t1], t0, 0, conv["stride"],
+                    conv["padding"], conv["dilation"])
             return y
 
         step = 2 * numerics._GEMM_ALIGN
@@ -269,17 +270,18 @@ class TestConv1d:
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         b64 = rng.standard_normal((c_out, 1))
         conv = {"stride": 1, "padding": 0, "dilation": 1, **kwargs}
-        run = (numerics._conv_transposed_tiles if conv.pop("transposed", False)
-               else numerics._conv_forward_tiles)
+        run = (numerics._conv_transposed_tile if conv.pop("transposed", False)
+               else numerics._conv_forward_tile)
         conv.pop("output_padding", None)
         tiles = numerics.conv_tiles(length, c_out, c_in, k, **kwargs)
         whole = np.empty((c_out, tiles[-1][1]))
-        run(x, w, b64, whole, [t[0] for t in tiles] + [tiles[-1][1]],
-            conv["stride"], conv["padding"], conv["dilation"])
+        for t0, t1, _, _ in tiles:
+            run(x, w, b64, whole[:, t0:t1], t0, 0, conv["stride"],
+                conv["padding"], conv["dilation"])
         for t0, t1, lo, hi in tiles:
             alone = np.empty((c_out, t1 - t0))
-            run(x[:, lo:hi], w, b64, alone, [t0, t1], conv["stride"],
-                conv["padding"], conv["dilation"], lo)
+            run(x[:, lo:hi], w, b64, alone, t0, lo, conv["stride"],
+                conv["padding"], conv["dilation"])
             np.testing.assert_array_equal(alone, whole[:, t0:t1],
                                           err_msg=f"tile {t0}:{t1}")
 

@@ -192,6 +192,11 @@ class TestCodesToFeatures:
         with pytest.raises(InvalidArgumentError):
             rvq.codes_to_features(codes, store_weights)
 
+    def test_rejects_codes_without_frames(self, store_weights):
+        with pytest.raises(InvalidArgumentError, match="no frames"):
+            rvq.codes_to_features(np.zeros((2, 0), dtype=np.int64),
+                                  store_weights)
+
     def test_fewer_rows_than_books_is_allowed(self, store_weights, rng):
         codes = rng.integers(0, store_weights.n_entries, size=(1, 4))
         out = rvq.codes_to_features(codes, store_weights)
