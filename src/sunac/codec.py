@@ -27,7 +27,7 @@ once.  So the conv stacks hold tile-sized pieces at any length.  The bits
 do not depend on how the pieces arrive: each tile is computed from exactly
 the input columns a whole-length call would give it, by the same BLAS
 products in the same order, and the pointwise maps and the residual add act
-on each column alone.
+on each column alone.  Pieces may also be (S, C, n) source stacks.
 """
 
 from __future__ import annotations
@@ -347,9 +347,9 @@ class ConvNode(_Node):
         # tile still reads them.
         conv = self._conv()
         weight, bias = self.read(store)
-        tiles = numerics.conv_tiles(length, self.c_out, self.c_in, self.kernel,
-                                    **conv)
         held = _Columns(pieces)
+        tiles = numerics.conv_tiles(length, self.c_out, self.c_in, self.kernel,
+                                    sources=held.sources(), **conv)
         keeps = [lo for _, _, lo, _ in tiles[1:]] + [length]
         for tile, keep in zip(tiles, keeps):
             yield numerics.conv1d(held.window(tile[2], tile[3], keep), weight,
@@ -510,11 +510,11 @@ class TransformerNode(_Node):
 
 def _join(pieces) -> np.ndarray:
     parts = list(pieces)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 class _Columns:
-    """Columns of a stream of (C, n) pieces, held while a reader needs them.
+    """Columns of a stream of ([S,] C, n) pieces, held while read.
 
     Pieces are pulled from the source only when a window reaches past the
     held columns, and dropped once no later window reads them.  A pointwise
@@ -531,8 +531,13 @@ class _Columns:
 
     def _hold(self, piece):
         self._held.append(piece)
-        self._end += piece.shape[1]
+        self._end += piece.shape[-1]
         return piece
+
+    def sources(self) -> int:  # per piece, 1 unstacked; from the first piece
+        if not self._held:
+            self._hold(next(self._source))
+        return math.prod(self._held[0].shape[:-2])
 
     def feed(self):
         """The source pieces, each held here as it passes."""
@@ -545,9 +550,9 @@ class _Columns:
             self._hold(next(self._source))
         parts, start = [], self._start
         for piece in self._held:
-            end = start + piece.shape[1]
+            end = start + piece.shape[-1]
             if start < hi and end > lo:
-                parts.append(piece[:, max(lo - start, 0) : hi - start])
+                parts.append(piece[..., max(lo - start, 0) : hi - start])
             start = end
         self._drop(keep, hi - lo)
         return _join(parts)
@@ -557,10 +562,10 @@ class _Columns:
         # straddles it, keep a copy of the tail from `keep` on when that
         # tail is no wider than the window just read, so a halo does not
         # hold a whole piece and the copies stay linear in the length.
-        while self._held and self._start + self._held[0].shape[1] <= keep:
-            self._start += self._held.popleft().shape[1]
-        if self._held and 0 < self._start + self._held[0].shape[1] - keep <= width:
-            self._held[0] = self._held[0][:, keep - self._start :].copy()
+        while self._held and self._start + self._held[0].shape[-1] <= keep:
+            self._start += self._held.popleft().shape[-1]
+        if self._held and 0 < self._start + self._held[0].shape[-1] - keep <= width:
+            self._held[0] = self._held[0][..., keep - self._start :].copy()
             self._start = keep
 
     def take(self, n: int) -> np.ndarray:
@@ -980,8 +985,23 @@ def decode(features: np.ndarray, config: ModelConfig, store: WeightStore) -> Aud
         )
     if features.shape[1] < 1:
         raise InvalidArgumentError("cannot decode an empty feature map")
+    return AudioBuffer(_decode_sources(features[None], config, store)[0],
+                       config.sample_rate)
+
+
+def _decode_sources(features, config: ModelConfig, store: WeightStore):
+    """(S, F, T) features to (S, L) samples, each source with its own bits:
+    a group (`numerics.stack_groups`) runs up to the first upsampling once,
+    on (G, C, n) pieces, then (stacked, 1.1x slower) sources go one by one."""
     validate_store(config, store)
-    out = np.empty((1, features.shape[1] * config.hop), dtype=np.float32)
-    _write(_stream(decoder_nodes(config), [features], store, features.shape[1]),
-           out, "codec.decode")
-    return AudioBuffer(out[0], config.sample_rate)
+    n_src, _, frames = features.shape
+    nodes = decoder_nodes(config)
+    split = 1 + [getattr(n, "transposed", False) for n in nodes].index(True)
+    out = np.empty((n_src, 1, frames * config.hop), dtype=np.float32)
+    for group in numerics.stack_groups(n_src, frames):
+        cut = split if group.stop - group.start > 1 else 0
+        head = _join(_stream(nodes[:cut], [features[group]], store, frames))
+        for x, y in zip(head, out[group]):
+            _write(_stream(nodes[cut:], [x], store, x.shape[-1]), y,
+                   "codec.decode")
+    return out[:, 0]

@@ -7,7 +7,8 @@ with it, so the n-th transformed prompt has seen the whole mixture and its
 own position.  Each transformed prompt then modulates the transformed
 mixture through a FiLM map with a residual connection, and two further
 Transformer layers refine the modulated map.  The FiLM maps and refinement
-layers are shared across prompts; only the prompt column differs per source.
+layers are shared across prompts, so each runs once over the stack of all
+prompts' maps, with the bits one call per prompt gives.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .codec import ModelConfig, WeightStore, extractor_nodes
 from .errors import ContractViolationError, InvalidArgumentError
-from .numerics import TransformerLayerWeights, check_finite, transformer_block
+from .numerics import (TransformerLayerWeights, check_finite, stack_groups,
+                       transformer_block)
 
 __all__ = [
     "PromptType",
@@ -183,20 +185,28 @@ def film(
 
     out = x + f(p) * x + h(p), where f and h are affine maps of the
     transformed prompt column p, broadcast over time.  With f and h both
-    identically zero this is exactly the identity.
+    identically zero this is exactly the identity.  (F, N) prompt columns
+    give an (N, F, T) stack, each weight widened once for all of them.
     """
     x = np.asarray(x, dtype=np.float32)
-    p = np.asarray(prompt_column, dtype=np.float64).reshape(-1)
-    if x.ndim != 2 or p.shape[0] != x.shape[0]:
+    p = np.asarray(prompt_column, dtype=np.float64)
+    if x.ndim != 2 or p.ndim not in (1, 2) or p.shape[0] != x.shape[0]:
         raise ContractViolationError(
-            f"prompt column of length {p.shape[0]} does not match "
-            f"feature map {x.shape}"
+            f"prompt columns {p.shape} do not match feature map {x.shape}"
         )
-    scale = weights.scale_w.astype(np.float64) @ p + weights.scale_b
-    shift = weights.shift_w.astype(np.float64) @ p + weights.shift_b
+    columns = np.ascontiguousarray(p.reshape(p.shape[0], -1).T)
+    scale = _per_column(weights.scale_w, columns) + weights.scale_b
+    shift = _per_column(weights.shift_w, columns) + weights.shift_b
     x64 = x.astype(np.float64)
-    out = x64 + scale[:, None] * x64 + shift[:, None]
-    return check_finite(out.astype(np.float32), "extractor.film")
+    out = np.empty((len(columns), *x.shape), dtype=np.float32)
+    for n in range(len(columns)):
+        out[n] = x64 + scale[n][:, None] * x64 + shift[n][:, None]
+    return check_finite(out if p.ndim == 2 else out[0], "extractor.film")
+
+
+def _per_column(weight: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    w64 = weight.astype(np.float64)
+    return np.stack([w64 @ column for column in columns])
 
 
 def extract(
@@ -207,16 +217,15 @@ def extract(
 ) -> list[np.ndarray]:
     """Produce one refined feature map per prompt from shared mixture latents.
 
-    Runs cross_prompt once, then per prompt: FiLM modulation with that
-    prompt's transformed column followed by the two shared refinement
-    layers.  Output order matches the prompt order.
+    Runs cross_prompt once, then FiLM and the two shared refinement layers
+    once per group of prompts (`numerics.stack_groups`), on its stack of
+    maps.  Output order matches the prompt order.
     """
     x_shared, p_shared = cross_prompt(features, prompts, bank, weights.cross)
     maps = []
-    for n in range(len(prompts)):
-        branch = film(x_shared, p_shared[:, n], weights.film)
-        for li, layer in enumerate(weights.refine):
-            branch = transformer_block(branch, layer,
-                                       name=f"extractor.refine{li}")
-        maps.append(branch)
+    for group in stack_groups(len(prompts), x_shared.shape[1]):
+        stack = film(x_shared, p_shared[:, group], weights.film)
+        for i, layer in enumerate(weights.refine):
+            stack = transformer_block(stack, layer, name=f"extractor.refine{i}")
+        maps.extend(stack)
     return maps

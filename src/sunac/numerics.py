@@ -17,16 +17,20 @@ nor on how the input arrives.
 Attention runs both of its products on BLAS, one fixed-size block of
 queries at a time, so its memory grows linearly with the token count; a
 softmax row needs only its own query, so the blocking leaves the bits
-unchanged.  GELU's error function is Cephes' rational approximation
-evaluated here in numpy (`erf`), so numpy is the only library the kernels
-need: it equals scipy's `erf` bit for bit where |x| <= 1 and is within one
-ulp beyond, and the GELU bits do not depend on whether or which scipy is
-installed.  All functions are pure: no hidden state, safe to call
-concurrently.
+unchanged.  Convolutions and Transformer layers also take an (S, C, L)
+stack of signals, widen each weight once per tile or row group for all of
+them (`conv_tiles`, `stack_groups`; one-token maps stay alone, as numpy
+sums one-row products as GEMVs), and give each its own call's bits.
+GELU's error function is Cephes' rational approximation evaluated here in
+numpy (`erf`), so numpy is the only library the kernels need: it equals
+scipy's `erf` bit for bit where |x| <= 1 and is within one ulp beyond, and
+the GELU bits do not depend on whether or which scipy is installed.  All
+functions are pure: no hidden state, safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,7 @@ __all__ = [
     "rope_rotate",
     "TransformerLayerWeights",
     "transformer_block",
+    "stack_groups",
     "stft",
     "istft",
 ]
@@ -119,6 +124,7 @@ def conv_tiles(
     dilation: int = 1,
     transposed: bool = False,
     output_padding: int = 0,
+    sources: int = 1,
 ) -> list[tuple[int, int, int, int]]:
     """The output tiles of `conv1d` over `length` input columns, in order.
 
@@ -126,9 +132,9 @@ def conv_tiles(
     reads input columns [lo, hi), its receptive field plus, when
     transposed, the widening to _GEMM_ALIGN columns.  Tiles are
     _TILE_COLUMNS output columns, times as many as fit when the layer is
-    narrower than _TILE_CHANNELS; they start on multiples of that width and
-    none is wider than it, so the last one may be narrower.  `lo` never
-    decreases from one tile to the next.
+    narrower than _TILE_CHANNELS, over the least power of two >= `sources`;
+    they start on multiples of that width and none is wider than it, so the
+    last one may be narrower.  `lo` never decreases from one tile to the next.
     """
     l_out = conv_out_len(length, kernel, stride=stride, padding=padding,
                          dilation=dilation, transposed=transposed,
@@ -139,6 +145,8 @@ def conv_tiles(
     # the accumulator, C_in in the window (C_in / stride when transposed).
     rows = max(c_out, c_in // stride if transposed else c_in)
     columns = _TILE_COLUMNS * max(1, _TILE_CHANNELS // rows)
+    columns = max(min(columns, _GEMM_ALIGN),
+                  columns >> (sources - 1).bit_length())
     edges = [*range(0, l_out, columns), l_out]
     span = (kernel - 1) * dilation + 1
     tiles = []
@@ -174,8 +182,8 @@ def conv1d(
     """Strided 1-D convolution, or its transpose, over a channel-major signal.
 
     Args:
-        x: input of shape (C_in, L), float32; with `tile`, only the input
-            columns [lo, hi) that the tile reads.
+        x: input of shape (C_in, L) or an (S, C_in, L) stack, float32;
+            with `tile`, only the input columns [lo, hi) that it reads.
         weight: kernels of shape (C_out, C_in, K).  The same layout is used
             for the transposed direction; C_in is always the channel count
             of `x`.
@@ -189,7 +197,7 @@ def conv1d(
 
     Returns:
         (C_out, L_out) float32, with L_out given by `conv_out_len`, or
-        (C_out, t1 - t0) with `tile`.
+        (C_out, t1 - t0) with `tile`; with a stack, S such maps.
 
     Each kernel call computes one tile from its window: without `tile`
     the call loops over `conv_tiles`, with `tile` it is one kernel call.
@@ -203,7 +211,9 @@ def conv1d(
     float32 output.  Beyond the float32 input and output, the peak working
     set is one tile's float64 buffers: three (channels, tile) arrays (3 to
     6 MB each for a narrow layer; the forward window is `stride` times
-    wider) and one tap's weights, whatever L and K are.
+    wider) and one tap's weights, whatever L and K are.  For a stack,
+    `np.matmul` broadcasts each widened tap as one GEMM call per signal,
+    the call the signal alone makes.
 
     The summation order is part of the result, and tiling keeps it: every
     output column receives the same per-tap sums over C_in, added in tap
@@ -223,10 +233,10 @@ def conv1d(
     """
     x = np.asarray(x, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
-    if x.ndim != 2 or w.ndim != 3:
+    if x.ndim not in (2, 3) or w.ndim != 3:
         raise ContractViolationError(
-            f"conv1d wants (C_in, L) input and (C_out, C_in, K) kernels, "
-            f"got {x.shape} and {w.shape}"
+            f"conv1d wants ([S,] C_in, L) input and (C_out, C_in, K) "
+            f"kernels, got {x.shape} and {w.shape}"
         )
     if stride < 1:
         raise InvalidArgumentError(f"stride must be >= 1, got {stride}")
@@ -239,27 +249,28 @@ def conv1d(
     if not 0 <= output_padding < max(stride, 1) + 1:
         raise InvalidArgumentError(f"output_padding out of range: {output_padding}")
     c_out, c_in, k = w.shape
-    if x.shape[0] != c_in:
+    if x.shape[-2] != c_in:
         raise ContractViolationError(
-            f"input has {x.shape[0]} channels, kernels expect {c_in}"
+            f"input has {x.shape[-2]} channels, kernels expect {c_in}"
         )
     b64 = None if bias is None else np.asarray(bias, dtype=np.float64)[:, None]
     kernel = _conv_transposed_tile if transposed else _conv_forward_tile
     if tile is not None:
         t0, t1, lo, hi = tile
-        if x.shape[1] != hi - lo:
+        if x.shape[-1] != hi - lo:
             raise ContractViolationError(
-                f"tile {tile} reads {hi - lo} input columns, got {x.shape[1]}"
+                f"tile {tile} reads {hi - lo} input columns, got {x.shape[-1]}"
             )
-        y = np.empty((c_out, t1 - t0), dtype=np.float32)
+        y = np.empty((*x.shape[:-2], c_out, t1 - t0), dtype=np.float32)
         kernel(x, w, b64, y, t0, lo, stride, padding, dilation)
         return y
-    tiles = conv_tiles(x.shape[1], c_out, c_in, k, stride=stride,
+    tiles = conv_tiles(x.shape[-1], c_out, c_in, k, stride=stride,
                        padding=padding, dilation=dilation,
-                       transposed=transposed, output_padding=output_padding)
-    y = np.empty((c_out, tiles[-1][1]), dtype=np.float32)
+                       transposed=transposed, output_padding=output_padding,
+                       sources=math.prod(x.shape[:-2]))
+    y = np.empty((*x.shape[:-2], c_out, tiles[-1][1]), dtype=np.float32)
     for t0, t1, lo, hi in tiles:
-        kernel(x[:, lo:hi], w, b64, y[:, t0:t1], t0, lo, stride, padding,
+        kernel(x[..., lo:hi], w, b64, y[..., t0:t1], t0, lo, stride, padding,
                dilation)
     return y
 
@@ -268,8 +279,8 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-# The tile kernels write output columns [t0, t0 + y.shape[1]) into y.  x holds
-# input columns [lo, lo + x.shape[1]), which must include the tile's window
+# The tile kernels write output columns [t0, t0 + y.shape[-1]) into y.  x holds
+# input columns [lo, lo + x.shape[-1]), which must include the tile's window
 # (`conv_tiles`); columns outside x read as zero padding.
 
 
@@ -278,23 +289,23 @@ def _conv_forward_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
     # so a tile of n outputs from t0 reads (n - 1) * stride + span padded
     # columns from t0 * stride: its window, zero padding written in place.
     c_out, c_in, k = w.shape
-    n = y.shape[1]
+    n = y.shape[-1]
     first = t0 * stride - padding - lo
     width = (n - 1) * stride + (k - 1) * dilation + 1
-    window = np.empty((c_in, width))
+    window = np.empty((*x.shape[:-1], width))
     # Window columns [a, b) hold input; the rest is padding.
     a = min(max(-first, 0), width)
-    b = min(max(x.shape[1] - first, a), width)
-    window[:, :a] = 0.0
-    window[:, a:b] = x[:, first + a : first + b]
-    window[:, b:] = 0.0
-    acc = np.zeros((c_out, n))
-    prod = np.empty((c_out, n))
+    b = min(max(x.shape[-1] - first, a), width)
+    window[..., :a] = 0.0
+    window[..., a:b] = x[..., first + a : first + b]
+    window[..., b:] = 0.0
+    acc = np.zeros(y.shape)
+    prod = np.empty(y.shape)
     w_tap = np.empty((c_out, c_in))
     for tap in range(k):
         start = tap * dilation
         np.copyto(w_tap, w[:, :, tap])
-        np.matmul(w_tap, window[:, start : start + (n - 1) * stride + 1 : stride],
+        np.matmul(w_tap, window[..., start : start + (n - 1) * stride + 1 : stride],
                   out=prod)
         acc += prod
     if b64 is not None:
@@ -312,12 +323,12 @@ def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
     # reaches past a tile's window from `conv_tiles`, so clipping at the end
     # of x is clipping at the input's end.
     c_out, c_in, k = w.shape
-    n = y.shape[1]
+    n = y.shape[-1]
     p0, p1 = t0 + padding, t0 + n + padding
-    end = lo + x.shape[1]
+    end = lo + x.shape[-1]
     window = x.astype(np.float64)
-    acc = np.zeros((c_out, n))
-    prod_buf = np.empty(c_out * x.shape[1])
+    acc = np.zeros(y.shape)
+    prod_buf = np.empty(window.size // c_in * c_out)
     w_tap = np.empty((c_out, c_in))
     for tap in range(k):
         start = tap * dilation
@@ -327,11 +338,12 @@ def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
             continue
         c0 = i0 - i0 % _GEMM_ALIGN
         c1 = min(end, i1 + -i1 % _GEMM_ALIGN)
-        prod = prod_buf[: c_out * (c1 - c0)].reshape(c_out, c1 - c0)
+        prod = prod_buf[: prod_buf.size // x.shape[-1] * (c1 - c0)].reshape(
+            *x.shape[:-2], c_out, c1 - c0)
         np.copyto(w_tap, w[:, :, tap])
-        np.matmul(w_tap, window[:, c0 - lo : c1 - lo], out=prod)
+        np.matmul(w_tap, window[..., c0 - lo : c1 - lo], out=prod)
         col = i0 * stride + start - p0
-        acc[:, col : col + (i1 - i0 - 1) * stride + 1 : stride] += prod[:, i0 - c0 : i1 - c0]
+        acc[..., col : col + (i1 - i0 - 1) * stride + 1 : stride] += prod[..., i0 - c0 : i1 - c0]
     if b64 is not None:
         acc += b64
     y[...] = acc
@@ -567,38 +579,38 @@ class TransformerLayerWeights:
             raise ContractViolationError(f"ff_b1 must be ({f},)")
 
 
-def _attention(tokens: np.ndarray, w: TransformerLayerWeights, use_rope: bool):
-    t, d = tokens.shape
+def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
+    m, d = tokens.shape
     heads, dh = w.n_heads, w.head_dim
-    q = (tokens @ w.wq.T.astype(np.float64) + w.bq).reshape(t, heads, dh)
-    k = (tokens @ w.wk.T.astype(np.float64) + w.bk).reshape(t, heads, dh)
-    v = (tokens @ w.wv.T.astype(np.float64) + w.bv).reshape(t, heads, dh)
+    q = (tokens @ w.wq.T.astype(np.float64) + w.bq).reshape(-1, t, heads, dh)
+    k = (tokens @ w.wk.T.astype(np.float64) + w.bk).reshape(-1, t, heads, dh)
+    v = (tokens @ w.wv.T.astype(np.float64) + w.bv).reshape(-1, t, heads, dh)
     if use_rope:
         positions = np.arange(t)
         q = rope_rotate(q, positions)
         k = rope_rotate(k, positions)
-    # Both products run on BLAS (np.matmul over per-head views), one block
-    # of at most _QUERY_BLOCK queries at a time.  A softmax row depends on
-    # its own query alone, so blocking needs no online rescaling: the bits
-    # do not depend on the block size, and the one score buffer is
-    # (H, _QUERY_BLOCK, T) rather than (H, T, T), linear in T.
-    q_h = q.transpose(1, 0, 2)
-    k_ht = k.transpose(1, 2, 0)
-    v_h = v.transpose(1, 0, 2)
+    # Both products run on BLAS (np.matmul over per-map, per-head views),
+    # one block of at most _QUERY_BLOCK queries at a time.  A softmax row
+    # depends on its own query alone, so blocking needs no online
+    # rescaling: the bits do not depend on the block size, and the score
+    # buffer per map is (H, _QUERY_BLOCK, T) rather than (H, T, T).
+    q_h = q.transpose(0, 2, 1, 3)
+    k_ht = k.transpose(0, 2, 3, 1)
+    v_h = v.transpose(0, 2, 1, 3)
     scale = np.sqrt(dh)
     block = min(t, _QUERY_BLOCK)
-    score_buf = np.empty((heads, block, t))
-    ctx = np.empty((heads, t, dh))
+    score_buf = np.empty((q.shape[0], heads, block, t))
+    ctx = np.empty((q.shape[0], heads, t, dh))
     for start in range(0, t, block):
         rows = slice(start, min(start + block, t))
-        scores = score_buf[:, : rows.stop - start]
-        np.matmul(q_h[:, rows], k_ht, out=scores)
+        scores = score_buf[:, :, : rows.stop - start]
+        np.matmul(q_h[:, :, rows], k_ht, out=scores)
         scores /= scale
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
-        np.matmul(scores, v_h, out=ctx[:, rows])
-    ctx = ctx.transpose(1, 0, 2).reshape(t, d)
+        np.matmul(scores, v_h, out=ctx[:, :, rows])
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(m, d)
     return ctx @ w.wo.T.astype(np.float64) + w.bo
 
 
@@ -609,29 +621,49 @@ def transformer_block(
     use_rope: bool = True,
     name: str | None = None,
 ) -> np.ndarray:
-    """Run one pre-norm Transformer layer over an (F, T) feature map.
+    """Run one pre-norm Transformer layer over an (F, T) map or a stack.
 
     Columns are tokens.  F must equal the layer's hidden dim.  Attention is
-    full (non-causal); rotary coding is applied to queries and keys only.
-    Raises NumericError naming the layer if the output is not finite.
+    full (non-causal) within each map, rotary coding (from position 0 in
+    each map) is applied to queries and keys only, and a stack runs in
+    `stack_groups`.  Raises NumericError naming the layer if not finite.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 2 or x.shape[0] != weights.hidden_dim:
+    stack = x if x.ndim == 3 else x[None]
+    if x.ndim not in (2, 3) or stack.shape[1] != weights.hidden_dim:
         raise ContractViolationError(
             f"expected ({weights.hidden_dim}, T) input, got {x.shape}"
         )
-    if x.shape[1] < 1:
+    n, _, t = stack.shape
+    if t < 1:
         raise InvalidArgumentError("transformer input needs at least one token")
-    tokens = x.T.astype(np.float64)
+    parts = [_block_rows(stack[g], weights, use_rope)
+             for g in stack_groups(n, t)]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    check_finite(out, f"transformer layer {name or '<unnamed>'}")
+    return out if x.ndim == 3 else out[0]
+
+
+def stack_groups(n: int, t: int) -> list[slice]:
+    """Groups of consecutive t-token maps of n that share each GEMM: up to
+    _QUERY_BLOCK tokens in all, but longer and one-token maps alone."""
+    size = max(1, _QUERY_BLOCK // t) if t > 1 else 1
+    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
+
+
+def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool):
+    # One group of a stack.  Its (rows, F) tokens are feature-major, as one
+    # map's transpose is, so each row's reductions sum as for that map.
+    g, d, t = stack.shape
+    tokens = stack.transpose(1, 0, 2).reshape(d, g * t).T.astype(np.float64)
 
     normed = _ln_rows(tokens, _f64(weights.ln1_gain), _f64(weights.ln1_bias))
-    tokens = tokens + _attention(normed, weights, use_rope)
+    tokens = tokens + _attention(normed, weights, use_rope, t)
     normed = _ln_rows(tokens, _f64(weights.ln2_gain), _f64(weights.ln2_bias))
     hidden = gelu(normed @ weights.ff_w1.T.astype(np.float64) + weights.ff_b1)
     tokens = tokens + hidden @ weights.ff_w2.T.astype(np.float64) + weights.ff_b2
 
-    return check_finite(tokens.T.astype(np.float32),
-                        f"transformer layer {name or '<unnamed>'}")
+    return tokens.reshape(g, t, d).transpose(0, 2, 1).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

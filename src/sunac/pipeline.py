@@ -108,7 +108,7 @@ def decode_stream(
     config: codec.ModelConfig,
     store: codec.WeightStore,
 ) -> list[tuple[AudioBuffer, PromptType]]:
-    """Decode every source in a stream, trimmed to the original length."""
+    """Decode every source in a stream in one pass, trimmed to length."""
     codec._require_runnable(config, "decode")
     if stream.sample_rate != config.sample_rate:
         raise InvalidArgumentError(
@@ -132,14 +132,11 @@ def decode_stream(
             f"of {stream.original_len} samples implies {expected_frames}"
         )
     quantizer = rvq.RvqWeights.from_store(store, config)
-    out = []
-    for s in range(stream.n_sources):
-        features = rvq.codes_to_features(stream.codes[s], quantizer)
-        decoded = codec.decode(features, config, store)
-        trimmed = AudioBuffer(decoded.samples[: stream.original_len],
-                              config.sample_rate)
-        out.append((trimmed, stream.prompt_types[s]))
-    return out
+    features = np.stack([rvq.codes_to_features(codes, quantizer)
+                         for codes in stream.codes])
+    decoded = codec._decode_sources(features, config, store)
+    return [(AudioBuffer(samples[: stream.original_len], config.sample_rate),
+             ptype) for samples, ptype in zip(decoded, stream.prompt_types)]
 
 
 def separate(
@@ -213,7 +210,9 @@ def evaluate_estimates(
         mixture = mixture if mixture is not None else references.mixture
         if mixture is None:
             raise InvalidArgumentError("masked evaluation needs the mixture")
-        estimates = [magnitude_mask_reconstruct(mixture, est)
+        estimates = [magnitude_mask_reconstruct(
+                         mixture, est if isinstance(est, AudioBuffer)
+                         else AudioBuffer(est, mixture.sample_rate))
                      for est in estimates]
     assignment = best_assignment(references, estimates)
     rows = tuple(

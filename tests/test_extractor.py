@@ -149,6 +149,25 @@ class TestFilm:
         with pytest.raises(ContractViolationError):
             extractor.film(x, np.zeros(8, dtype=np.float32), zero_film(16))
 
+    @pytest.mark.parametrize("dim", [16, 1024])
+    def test_prompt_columns_are_bit_equal_to_one_call_each(self, dim):
+        # One matrix-vector product per column, as a single column gets.
+        rng = np.random.default_rng(dim)
+        bound = np.sqrt(1.0 / dim)
+
+        def uniform(*shape):
+            return rng.uniform(-bound, bound, shape).astype(np.float32)
+
+        w = extractor.FilmWeights(uniform(dim, dim), uniform(dim),
+                                  uniform(dim, dim), uniform(dim))
+        x = rng.standard_normal((dim, 50)).astype(np.float32)
+        columns = rng.standard_normal((dim, 3)).astype(np.float32)
+        got = extractor.film(x, columns, w)
+        assert got.shape == (3, dim, 50)
+        for n in range(3):
+            np.testing.assert_array_equal(
+                got[n], extractor.film(x, columns[:, n], w))
+
 
 class TestExtract:
     @pytest.mark.parametrize("prompts", [

@@ -233,6 +233,40 @@ class TestConv1d:
     CASE_IDS = ["dilated", "strided", "transposed-output-padding",
                 "transposed-dilated", "transposed-padding-wider-than-input"]
 
+    @pytest.mark.parametrize("n_src", [1, 2, 3])
+    @pytest.mark.parametrize("c_in,c_out,length,k,kwargs", [
+        (1024, 768, 50, 7, dict(padding=3)),
+        (768, 384, 50, 16, dict(stride=8, padding=4, transposed=True)),
+        (48, 48, 5000, 7, dict(dilation=9, padding=27)),
+        (96, 48, 1250, 4, dict(stride=2, padding=1, transposed=True)),
+        (6, 5, 300, 4, dict(stride=3, padding=2)),
+    ], ids=["wide", "wide-transposed", "narrow-multi-tile",
+            "narrow-transposed-multi-tile", "strided"])
+    def test_stack_is_bit_equal_to_one_call_per_signal(
+            self, rng, c_in, c_out, length, k, kwargs, n_src):
+        # The stack's tiles are 1 / S as wide as one signal's, and each tap
+        # is one broadcast product over the stack.
+        x = rng.standard_normal((n_src, c_in, length)).astype(np.float32)
+        w = (rng.standard_normal((c_out, c_in, k)) / c_in).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        got = numerics.conv1d(x, w, b, **kwargs)
+        for s in range(n_src):
+            np.testing.assert_array_equal(
+                got[s], numerics.conv1d(x[s], w, b, **kwargs),
+                err_msg=f"signal {s}")
+
+    @pytest.mark.parametrize("rows, n_src, width", [
+        (48, 1, 8192), (48, 2, 4096), (48, 3, 2048), (1024, 1, 2048),
+        (1024, 2, 1024), (1024, 3, 512), (1024, 200, 16),
+    ])
+    def test_sources_share_the_tile_width(self, rows, n_src, width):
+        # The width over the power of two at or above S, so the stack's
+        # float64 buffers are no larger than one signal's, and no tile
+        # narrower than _GEMM_ALIGN, so every tile starts on a multiple.
+        tiles = numerics.conv_tiles(10**5, rows, rows, 1, sources=n_src)
+        assert tiles[0][1] == width
+        assert all(t0 % numerics._GEMM_ALIGN == 0 for t0, _, _, _ in tiles)
+
     @pytest.mark.parametrize("c_in,c_out,length,k,kwargs", CASES, ids=CASE_IDS)
     @pytest.mark.parametrize("columns", [1, 16, 64])
     def test_tiles_cover_the_output_in_order(self, monkeypatch, c_in, c_out,
@@ -537,6 +571,76 @@ class TestTransformer:
         with pytest.raises(ContractViolationError):
             numerics.transformer_block(
                 rng.standard_normal((8, 4)).astype(np.float32), layer)
+
+
+class TestTransformerStack:
+    """An (S, F, T) stack gives each map exactly the bits of its own call."""
+
+    @pytest.fixture(scope="class")
+    def full_layer(self):
+        return init_scale_layer(np.random.default_rng(1601))
+
+    @pytest.mark.parametrize("n_src", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 50, 51, 200])
+    def test_stack_is_bit_equal_to_one_call_per_map(self, full_layer, n_src,
+                                                    t):
+        # At T = 200 two maps already pass the 256-row cap.
+        x = np.random.default_rng(t * 10 + n_src).standard_normal(
+            (n_src, 1024, t)).astype(np.float32)
+        got = numerics.transformer_block(x, full_layer, name="stack")
+        assert got.shape == x.shape
+        for s in range(n_src):
+            np.testing.assert_array_equal(
+                got[s], numerics.transformer_block(x[s], full_layer),
+                err_msg=f"map {s}")
+
+    def test_groups_split_at_the_row_cap(self, full_layer):
+        # Six 51-frame maps: 5 * 51 = 255 rows fit under 256, the sixth
+        # starts a second group.
+        x = np.random.default_rng(1602).standard_normal(
+            (6, 1024, 51)).astype(np.float32)
+        got = numerics.transformer_block(x, full_layer)
+        for s in range(6):
+            np.testing.assert_array_equal(
+                got[s], numerics.transformer_block(x[s], full_layer))
+
+    @pytest.mark.parametrize("n_src, t, groups", [
+        (3, 1, [1, 1, 1]), (3, 2, [3]), (6, 51, [5, 1]), (3, 50, [3]),
+        (2, 200, [1, 1]), (2, 300, [1, 1]), (1, 600, [1]),
+    ])
+    def test_group_sizes(self, rng, monkeypatch, n_src, t, groups):
+        # One-token maps run alone: stacked, their one-row products would
+        # be GEMMs instead of GEMVs, which sum in another order.  That
+        # moves most float64 projections by an ulp and only rarely a
+        # float32 output, so the bit test above cannot be relied on to
+        # see it.
+        layer = random_layer(rng)
+        seen = []
+        block_rows = numerics._block_rows
+
+        def spy(stack, *args):
+            seen.append(stack.shape[0])
+            return block_rows(stack, *args)
+
+        monkeypatch.setattr(numerics, "_block_rows", spy)
+        x = rng.standard_normal((n_src, 16, t)).astype(np.float32)
+        numerics.transformer_block(x, layer)
+        assert seen == groups
+
+    def test_positions_count_from_zero_in_every_map(self, rng):
+        # Equal maps stay equal: no map sees another's positions or keys.
+        layer = random_layer(rng)
+        x = np.broadcast_to(rng.standard_normal((16, 7)),
+                            (3, 16, 7)).astype(np.float32)
+        out = numerics.transformer_block(x, layer)
+        np.testing.assert_array_equal(out[1], out[0])
+        np.testing.assert_array_equal(out[2], out[0])
+
+    def test_rejects_other_ranks(self, rng):
+        layer = random_layer(rng)
+        with pytest.raises(ContractViolationError):
+            numerics.transformer_block(
+                rng.standard_normal((1, 2, 16, 4)).astype(np.float32), layer)
 
 
 class TestStft:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sunac import codec, fixtures, pipeline
+from sunac import codec, extractor, fixtures, numerics, pipeline, rvq
 from sunac.audio import AudioBuffer, pcm16_roundtrip
 from sunac.bitstream import pack_stream
 from sunac.errors import InvalidArgumentError, NumericError
@@ -150,6 +150,97 @@ class TestDecodeStream:
             np.testing.assert_array_equal(a.samples, b.samples)
 
 
+SSM = (S, S, M)
+
+
+def _model(request, which):
+    return (request.getfixturevalue(f"{which}_config"),
+            request.getfixturevalue(f"{which}_store"))
+
+
+def _one_second_mixture():
+    return fixtures.realize(fixtures.make_mixture(
+        ["speech", "speech", "music"], seed=16, duration_s=1.0)).mixture
+
+
+class TestSourceStack:
+    """The per-source layers run once over all prompted sources, and each
+    source gets the bits one call per source gives it."""
+
+    @pytest.mark.parametrize("which", ["tiny", "full"])
+    def test_extract_features_is_bit_equal_to_a_per_source_loop(
+            self, request, which):
+        config, store = _model(request, which)
+        audio = _one_second_mixture()
+        got = pipeline.extract_features(audio, SSM, config, store)
+        weights = extractor.ExtractorWeights.from_store(store, config)
+        x, p = extractor.cross_prompt(
+            codec.encode(audio, config, store), SSM,
+            extractor.PromptBank.from_store(store), weights.cross)
+        assert len(got) == len(SSM)
+        for n, fmap in enumerate(got):
+            want = extractor.film(x, p[:, n], weights.film)
+            for layer in weights.refine:
+                want = numerics.transformer_block(want, layer)
+            np.testing.assert_array_equal(fmap, want, err_msg=f"source {n}")
+
+    @pytest.mark.parametrize("which, prompts", [
+        ("tiny", SSM), ("full", SSM), ("tiny", SSM + (X, X, M))])
+    def test_decode_stream_is_bit_equal_to_a_per_source_loop(
+            self, request, which, prompts):
+        # Six 50-frame sources decode as a group of five and a lone one.
+        config, store = _model(request, which)
+        stream = pipeline.encode_mixture(_one_second_mixture(), prompts,
+                                         config, store)
+        got = pipeline.decode_stream(stream, config, store)
+        quantizer = rvq.RvqWeights.from_store(store, config)
+        for n, (buf, ptype) in enumerate(got):
+            features = rvq.codes_to_features(stream.codes[n], quantizer)
+            want = codec.decode(features, config, store).samples
+            assert ptype is prompts[n]
+            np.testing.assert_array_equal(
+                buf.samples, want[: stream.original_len], err_msg=f"source {n}")
+
+    def test_each_per_source_layer_runs_once_per_round_trip(
+            self, monkeypatch, full_config, full_store):
+        calls = []
+        block = numerics.transformer_block
+
+        def counted(x, weights, **kwargs):
+            calls.append(kwargs.get("name"))
+            return block(x, weights, **kwargs)
+
+        monkeypatch.setattr(numerics, "transformer_block", counted)
+        monkeypatch.setattr(extractor, "transformer_block", counted)
+        audio = _one_second_mixture()
+        stream = pipeline.encode_mixture(audio, (S, M), full_config,
+                                         full_store)
+        pipeline.decode_stream(stream, full_config, full_store)
+        assert sorted(calls) == sorted([
+            "extractor.cross", "extractor.refine0", "extractor.refine1",
+            "decoder.transformer0", "decoder.transformer1",
+            "decoder.transformer2"])
+
+    def test_three_source_4s_decode_stays_under_the_one_source_ceiling(
+            self, full_config, full_store):
+        # The one-source 4 s decode ceiling (36 MiB, in test_codec.py) holds
+        # for three sources: 200-frame maps decode one at a time, and
+        # shorter ones share only the head, whose size the row cap bounds.
+        # Traced 32.8 MiB, as for one source.
+        audio = fixtures.realize(fixtures.make_mixture(
+            ["speech", "music"], seed=17, duration_s=4.0)).mixture
+        stream = pipeline.encode_mixture(audio, SSM, full_config, full_store)
+        tracemalloc.start()
+        try:
+            decoded = pipeline.decode_stream(stream, full_config, full_store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        features = 4 * full_config.latent_dim * stream.n_frames * len(SSM)
+        samples = sum(buf.samples.nbytes for buf, _ in decoded)
+        assert peak - features - samples < 36 * 2**20
+
+
 @pytest.mark.parametrize("tensor, stage", [
     ("encoder.conv_in.weight", "codec.encode"),
     ("extractor.film.scale.weight", "extractor.film"),
@@ -227,6 +318,15 @@ class TestEvaluateEstimates:
         # the direct ceiling but stay high for band-separated fixtures.
         assert masked.mean_si_sdr_db < direct.mean_si_sdr_db
         assert masked.mean_si_sdr_db > 10.0
+
+    def test_masked_mode_takes_bare_arrays(self, mixture):
+        # Arrays are read at the mixture's rate, as direct mode reads them.
+        bufs = [buf for buf, _ in mixture.sources]
+        arrays = [buf.samples.copy() for buf in bufs]
+        for mode in pipeline.EVAL_MODES:
+            want = pipeline.evaluate_estimates(mixture, bufs, mode=mode)
+            got = pipeline.evaluate_estimates(mixture, arrays, mode=mode)
+            assert got == want
 
     def test_unknown_mode(self, mixture):
         with pytest.raises(InvalidArgumentError):
