@@ -27,7 +27,8 @@ once.  So the conv stacks hold tile-sized pieces at any length.  The bits
 do not depend on how the pieces arrive: each tile is computed from exactly
 the input columns a whole-length call would give it, by the same BLAS
 products in the same order, and the pointwise maps and the residual add act
-on each column alone.  Pieces may also be (S, C, n) source stacks.
+on each column alone.  Pieces may also be (S, C, n) source stacks, as
+when `decode` takes an (S, F, T) stack of maps.
 """
 
 from __future__ import annotations
@@ -971,37 +972,37 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
     return features
 
 
-def decode(features: np.ndarray, config: ModelConfig, store: WeightStore) -> AudioBuffer:
-    """Decode a latent feature map back to a waveform.
+def decode(features: np.ndarray, config: ModelConfig,
+           store: WeightStore) -> AudioBuffer | list[AudioBuffer]:
+    """Decode an (F, T) latent map to an AudioBuffer, or an (S, F, T) stack
+    of maps to a list of them, each with the bits of its own (F, T) call.
 
-    Output length is exactly T * prod(strides); callers trim to the
+    A group of sources (`numerics.stack_groups`) runs up to the first
+    upsampling once, on (G, C, n) pieces; from there, where the work is
+    bound by activations and a stack ran 1.1x slower, sources go one by
+    one.  Output length is exactly T * prod(strides); callers trim to the
     original length themselves when they know it.
     """
     _require_runnable(config, "decode")
     features = np.asarray(features, dtype=np.float32)
-    if features.ndim != 2 or features.shape[0] != config.latent_dim:
+    stack = features if features.ndim == 3 else features[None]
+    if features.ndim not in (2, 3) or stack.shape[1] != config.latent_dim:
         raise ContractViolationError(
-            f"expected ({config.latent_dim}, T) features, got {features.shape}"
+            f"expected ({config.latent_dim}, T) features or an "
+            f"(S, {config.latent_dim}, T) stack, got {features.shape}"
         )
-    if features.shape[1] < 1:
+    n_src, _, frames = stack.shape
+    if n_src < 1 or frames < 1:
         raise InvalidArgumentError("cannot decode an empty feature map")
-    return AudioBuffer(_decode_sources(features[None], config, store)[0],
-                       config.sample_rate)
-
-
-def _decode_sources(features, config: ModelConfig, store: WeightStore):
-    """(S, F, T) features to (S, L) samples, each source with its own bits:
-    a group (`numerics.stack_groups`) runs up to the first upsampling once,
-    on (G, C, n) pieces, then (stacked, 1.1x slower) sources go one by one."""
     validate_store(config, store)
-    n_src, _, frames = features.shape
     nodes = decoder_nodes(config)
     split = 1 + [getattr(n, "transposed", False) for n in nodes].index(True)
     out = np.empty((n_src, 1, frames * config.hop), dtype=np.float32)
     for group in numerics.stack_groups(n_src, frames):
         cut = split if group.stop - group.start > 1 else 0
-        head = _join(_stream(nodes[:cut], [features[group]], store, frames))
+        head = _join(_stream(nodes[:cut], [stack[group]], store, frames))
         for x, y in zip(head, out[group]):
             _write(_stream(nodes[cut:], [x], store, x.shape[-1]), y,
                    "codec.decode")
-    return out[:, 0]
+    audio = [AudioBuffer(y[0], config.sample_rate) for y in out]
+    return audio if features.ndim == 3 else audio[0]

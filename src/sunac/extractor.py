@@ -20,8 +20,7 @@ import numpy as np
 
 from .codec import ModelConfig, WeightStore, extractor_nodes
 from .errors import ContractViolationError, InvalidArgumentError
-from .numerics import (TransformerLayerWeights, check_finite, stack_groups,
-                       transformer_block)
+from .numerics import TransformerLayerWeights, check_finite, transformer_block
 
 __all__ = [
     "PromptType",
@@ -194,6 +193,8 @@ def film(
         raise ContractViolationError(
             f"prompt columns {p.shape} do not match feature map {x.shape}"
         )
+    if p.ndim == 2 and p.shape[1] < 1:
+        raise InvalidArgumentError("FiLM needs at least one prompt column")
     columns = np.ascontiguousarray(p.reshape(p.shape[0], -1).T)
     scale = _per_column(weights.scale_w, columns) + weights.scale_b
     shift = _per_column(weights.shift_w, columns) + weights.shift_b
@@ -217,15 +218,12 @@ def extract(
 ) -> list[np.ndarray]:
     """Produce one refined feature map per prompt from shared mixture latents.
 
-    Runs cross_prompt once, then FiLM and the two shared refinement layers
-    once per group of prompts (`numerics.stack_groups`), on its stack of
-    maps.  Output order matches the prompt order.
+    Runs cross_prompt once, then FiLM and each shared refinement layer
+    once, on the stack of all prompts' maps.  Output order matches the
+    prompt order.
     """
     x_shared, p_shared = cross_prompt(features, prompts, bank, weights.cross)
-    maps = []
-    for group in stack_groups(len(prompts), x_shared.shape[1]):
-        stack = film(x_shared, p_shared[:, group], weights.film)
-        for i, layer in enumerate(weights.refine):
-            stack = transformer_block(stack, layer, name=f"extractor.refine{i}")
-        maps.extend(stack)
-    return maps
+    stack = film(x_shared, p_shared, weights.film)
+    for i, layer in enumerate(weights.refine):
+        stack = transformer_block(stack, layer, name=f"extractor.refine{i}")
+    return list(stack)

@@ -635,7 +635,7 @@ def transformer_block(
             f"expected ({weights.hidden_dim}, T) input, got {x.shape}"
         )
     n, _, t = stack.shape
-    if t < 1:
+    if n < 1 or t < 1:
         raise InvalidArgumentError("transformer input needs at least one token")
     parts = [_block_rows(stack[g], weights, use_rope)
              for g in stack_groups(n, t)]

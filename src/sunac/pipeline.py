@@ -134,9 +134,9 @@ def decode_stream(
     quantizer = rvq.RvqWeights.from_store(store, config)
     features = np.stack([rvq.codes_to_features(codes, quantizer)
                          for codes in stream.codes])
-    decoded = codec._decode_sources(features, config, store)
-    return [(AudioBuffer(samples[: stream.original_len], config.sample_rate),
-             ptype) for samples, ptype in zip(decoded, stream.prompt_types)]
+    decoded = codec.decode(features, config, store)
+    return [(AudioBuffer(buf.samples[: stream.original_len], buf.sample_rate),
+             ptype) for buf, ptype in zip(decoded, stream.prompt_types)]
 
 
 def separate(

@@ -451,6 +451,26 @@ class TestEncodeDecode:
             codec.decode(rng.standard_normal((3, 50)).astype(np.float32),
                          tiny_config, tiny_store)
 
+    def test_decode_stack_is_bit_equal_to_one_call_per_source(
+            self, tiny_config, tiny_store, rng):
+        # Six 51-frame maps decode as a group of five and a lone one.
+        f = tiny_config.latent_dim
+        stack = rng.standard_normal((6, f, 51)).astype(np.float32)
+        got = codec.decode(stack, tiny_config, tiny_store)
+        assert len(got) == 6
+        for s, buf in enumerate(got):
+            assert buf.sample_rate == tiny_config.sample_rate
+            np.testing.assert_array_equal(
+                buf.samples,
+                codec.decode(stack[s], tiny_config, tiny_store).samples,
+                err_msg=f"source {s}")
+        with pytest.raises(InvalidArgumentError):
+            codec.decode(stack[:0], tiny_config, tiny_store)
+        with pytest.raises(ContractViolationError):
+            codec.decode(stack[None], tiny_config, tiny_store)
+        with pytest.raises(ContractViolationError):
+            codec.decode(stack[:, 1:], tiny_config, tiny_store)
+
     def test_roundtrip_preserves_frame_grid(self, tiny_config, tiny_store):
         buf = buffer_of(1000)  # not a hop multiple; padded to 1280
         features = codec.encode(buf, tiny_config, tiny_store)

@@ -149,6 +149,12 @@ class TestFilm:
         with pytest.raises(ContractViolationError):
             extractor.film(x, np.zeros(8, dtype=np.float32), zero_film(16))
 
+    def test_rejects_zero_prompt_columns(self, rng):
+        x = rng.standard_normal((16, 4)).astype(np.float32)
+        with pytest.raises(InvalidArgumentError):
+            extractor.film(x, np.zeros((16, 0), dtype=np.float32),
+                           zero_film(16))
+
     @pytest.mark.parametrize("dim", [16, 1024])
     def test_prompt_columns_are_bit_equal_to_one_call_each(self, dim):
         # One matrix-vector product per column, as a single column gets.
@@ -184,6 +190,35 @@ class TestExtract:
         for m in maps:
             assert m.shape == x.shape
             assert np.all(np.isfinite(m))
+
+    def test_each_layer_runs_once_for_all_prompts(self, tiny_config, parts,
+                                                  monkeypatch):
+        # Three 200-frame maps make three groups of one (see
+        # numerics.stack_groups); the layers split the stack themselves.
+        bank, weights = parts
+        x = latents(tiny_config, 200)
+        prompts = (PromptType.SPEECH, PromptType.SPEECH, PromptType.MUSIC)
+        calls = []
+        film, block = extractor.film, extractor.transformer_block
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(kwargs.get("name", "film"))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(extractor, "film", counted(film))
+        monkeypatch.setattr(extractor, "transformer_block", counted(block))
+        maps = extractor.extract(x, prompts, bank, weights)
+        assert calls == ["extractor.cross", "film", "extractor.refine0",
+                         "extractor.refine1"]
+        x_shared, p_shared = extractor.cross_prompt(x, prompts, bank,
+                                                    weights.cross)
+        for n, got in enumerate(maps):
+            want = film(x_shared, p_shared[:, n], weights.film)
+            for layer in weights.refine:
+                want = block(want, layer)
+            np.testing.assert_array_equal(got, want, err_msg=f"prompt {n}")
 
     def test_deterministic(self, tiny_config, parts):
         bank, weights = parts

@@ -642,6 +642,11 @@ class TestTransformerStack:
             numerics.transformer_block(
                 rng.standard_normal((1, 2, 16, 4)).astype(np.float32), layer)
 
+    def test_rejects_an_empty_stack(self, rng):
+        with pytest.raises(InvalidArgumentError):
+            numerics.transformer_block(np.zeros((0, 16, 4), np.float32),
+                                       random_layer(rng))
+
 
 class TestStft:
     def test_frame_count(self, rng):
