@@ -388,12 +388,12 @@ class ResidualNode(_Node):
         # (53 >= 2 * 24 + 2 significand bits make the double rounding
         # harmless), without the float64 copy.
         skip = _Columns(pieces)
-        return map(lambda y: np.add(skip.take(y.shape[1]), y),
+        return map(lambda y: np.add(skip.take(y.shape[-1]), y),
                    _stream(self.children, skip.feed(), store, length))
 
     def apply(self, x, store):
-        """The unit over a whole (C, L) signal, as one piece."""
-        return _join(self.stream([x], store, x.shape[1]))
+        """The unit over a whole ([S,] C, L) signal, as one piece."""
+        return _join(self.stream([x], store, x.shape[-1]))
 
 
 class TanhNode(_Node):

@@ -200,8 +200,13 @@ def film(
     shift = _per_column(weights.shift_w, columns) + weights.shift_b
     x64 = x.astype(np.float64)
     out = np.empty((len(columns), *x.shape), dtype=np.float32)
+    modulated = np.empty_like(x64)
     for n in range(len(columns)):
-        out[n] = x64 + scale[n][:, None] * x64 + shift[n][:, None]
+        # (x + scale * x) + shift in one scratch buffer; the last add
+        # writes the float32 map.
+        np.multiply(scale[n][:, None], x64, out=modulated)
+        np.add(x64, modulated, out=modulated)
+        np.add(modulated, shift[n][:, None], out=out[n])
     return check_finite(out if p.ndim == 2 else out[0], "extractor.film")
 
 

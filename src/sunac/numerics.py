@@ -13,7 +13,9 @@ so a caller can stream a signal through a stack of convolutions holding
 tile-sized pieces, and the peak working set is one tile's float64 buffers.
 Every output column gets the same per-tap products, summed in the same
 order, whatever the tile width, so the bits depend neither on the tile size
-nor on how the input arrives.
+nor on how the input arrives.  A tile makes no float64 pass it does not
+need (`conv1d`), and Transformer layers add their biases and residuals in
+place, in the order the formulas state, so neither moves a bit.
 Attention runs both of its products on BLAS, one fixed-size block of
 queries at a time, so its memory grows linearly with the token count; a
 softmax row needs only its own query, so the blocking leaves the bits
@@ -203,17 +205,22 @@ def conv1d(
     the call loops over `conv_tiles`, with `tile` it is one kernel call.
     The kernel widens the input columns the tile reads (its window, halo
     and zero padding included) into a float64 buffer; then for each tap in
-    ascending order it widens that tap's weights, computes the float64
-    product `weight[:, :, tap] @ window` into one product buffer and adds
-    it to the tile's float64 accumulator.  Forward, the product reads a
-    strided view of the window; transposed, it lands on a strided slice of
-    the accumulator.  The bias is added and the tile is written to the
-    float32 output.  Beyond the float32 input and output, the peak working
-    set is one tile's float64 buffers: three (channels, tile) arrays (3 to
-    6 MB each for a narrow layer; the forward window is `stride` times
-    wider) and one tap's weights, whatever L and K are.  For a stack,
-    `np.matmul` broadcasts each widened tap as one GEMM call per signal,
-    the call the signal alone makes.
+    ascending order it widens that tap's weights and computes the float64
+    product `weight[:, :, tap] @ window`.  Forward, the product reads a
+    strided view of the window: the first tap's product is written
+    straight into the tile's float64 accumulator, and each later one goes
+    through one product buffer (none for a one-tap kernel) and is added to
+    it.  With one input channel the product is the broadcast
+    `weight[:, 0, tap] * window_row` instead of a GEMM, added to an
+    accumulator started from zeros.  Transposed, each product lands on a
+    strided slice of an accumulator started from zeros.  One pass then adds
+    the bias in float64 and writes the float32 tile.  Beyond the float32
+    input and output, the peak working set is one tile's float64 buffers:
+    at most three (channels, tile) arrays (3 to 6 MB each for a narrow
+    layer; the forward window is `stride` times wider) and one tap's
+    weights, whatever L and K are.  For a stack, `np.matmul` broadcasts
+    each widened tap as one GEMM call per signal, the call the signal
+    alone makes.
 
     The summation order is part of the result, and tiling keeps it: every
     output column receives the same per-tap sums over C_in, added in tap
@@ -229,7 +236,13 @@ def conv1d(
     (`tests/test_golden.py`).  Forward, the sum
     over (C_in, K) is grouped by tap; every float32 x float32 product is
     exact in float64, so another grouping would move only float64
-    rounding, far below a float32 step.
+    rounding, far below a float32 step.  The same exactness makes the
+    one-channel broadcast product BLAS's one-term sum.  BLAS and numpy
+    start every sum from +0.0, so a GEMM product is never -0.0 and can
+    start the accumulator; a broadcast product is -0.0 where a negative
+    weight meets a zero sample, so the one-channel accumulator starts from
+    zeros, which adds it in as +0.0 (`tests/test_numerics.py` checks the
+    bits, signed zeros included).
     """
     x = np.asarray(x, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
@@ -299,18 +312,39 @@ def _conv_forward_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
     window[..., :a] = 0.0
     window[..., a:b] = x[..., first + a : first + b]
     window[..., b:] = 0.0
-    acc = np.zeros(y.shape)
-    prod = np.empty(y.shape)
-    w_tap = np.empty((c_out, c_in))
-    for tap in range(k):
-        start = tap * dilation
-        np.copyto(w_tap, w[:, :, tap])
-        np.matmul(w_tap, window[..., start : start + (n - 1) * stride + 1 : stride],
-                  out=prod)
-        acc += prod
-    if b64 is not None:
-        acc += b64
-    y[...] = acc
+    prod = np.empty(y.shape) if k > 1 or c_in == 1 else None
+    if c_in == 1:
+        # Broadcast products, not one-term GEMMs (see conv1d); the zero
+        # start adds a -0.0 product in as +0.0, as BLAS's sums do.
+        w64 = w[:, 0, :, None].astype(np.float64)
+        acc = np.zeros(y.shape)
+        for tap in range(k):
+            start = tap * dilation
+            np.multiply(w64[:, tap],
+                        window[..., start : start + (n - 1) * stride + 1 : stride],
+                        out=prod)
+            acc += prod
+    else:
+        acc = np.empty(y.shape)
+        w_tap = np.empty((c_out, c_in))
+        for tap in range(k):
+            start = tap * dilation
+            np.copyto(w_tap, w[:, :, tap])
+            np.matmul(w_tap,
+                      window[..., start : start + (n - 1) * stride + 1 : stride],
+                      out=prod if tap else acc)
+            if tap:
+                acc += prod
+    _write_tile(acc, b64, y)
+
+
+def _write_tile(acc, b64, y):
+    # The bias add and the float32 cast in one pass: the add is float64,
+    # and only its sum is rounded to float32.
+    if b64 is None:
+        y[...] = acc
+    else:
+        np.add(acc, b64, out=y)
 
 
 def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
@@ -344,9 +378,7 @@ def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
         np.matmul(w_tap, window[..., c0 - lo : c1 - lo], out=prod)
         col = i0 * stride + start - p0
         acc[..., col : col + (i1 - i0 - 1) * stride + 1 : stride] += prod[..., i0 - c0 : i1 - c0]
-    if b64 is not None:
-        acc += b64
-    y[...] = acc
+    _write_tile(acc, b64, y)
 
 
 def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -484,9 +516,14 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 def _ln_rows(tokens: np.ndarray, gain, bias) -> np.ndarray:
     # tokens: (T, D) float64, normalized along the last axis.
-    mean = tokens.mean(axis=-1, keepdims=True)
-    var = np.square(tokens - mean).mean(axis=-1, keepdims=True)
-    return (tokens - mean) / np.sqrt(var + _LN_EPS) * gain + bias
+    # The operations of (x - mean) / sqrt(var + eps) * gain + bias, with
+    # the centred copy made once and every later step in place.
+    out = tokens - tokens.mean(axis=-1, keepdims=True)
+    var = np.square(out).mean(axis=-1, keepdims=True)
+    out /= np.sqrt(var + _LN_EPS)
+    out *= gain
+    out += bias
+    return out
 
 
 def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -505,11 +542,16 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
     cos = np.cos(angles)[:, None, :]
     sin = np.sin(angles)[:, None, :]
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
+    even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    # even * cos - odd * sin and even * sin + odd * cos, written in place
+    # into the two halves of out with one scratch buffer.
+    scratch = odd * sin
+    np.multiply(even, cos, out=out[..., 0::2])
+    out[..., 0::2] -= scratch
+    np.multiply(odd, cos, out=scratch)
+    np.multiply(even, sin, out=out[..., 1::2])
+    out[..., 1::2] += scratch
     return out
 
 
@@ -582,9 +624,9 @@ class TransformerLayerWeights:
 def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
     m, d = tokens.shape
     heads, dh = w.n_heads, w.head_dim
-    q = (tokens @ w.wq.T.astype(np.float64) + w.bq).reshape(-1, t, heads, dh)
-    k = (tokens @ w.wk.T.astype(np.float64) + w.bk).reshape(-1, t, heads, dh)
-    v = (tokens @ w.wv.T.astype(np.float64) + w.bv).reshape(-1, t, heads, dh)
+    q = _project(tokens, w.wq, w.bq).reshape(-1, t, heads, dh)
+    k = _project(tokens, w.wk, w.bk).reshape(-1, t, heads, dh)
+    v = _project(tokens, w.wv, w.bv).reshape(-1, t, heads, dh)
     if use_rope:
         positions = np.arange(t)
         q = rope_rotate(q, positions)
@@ -611,7 +653,14 @@ def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
         scores /= scores.sum(axis=-1, keepdims=True)
         np.matmul(scores, v_h, out=ctx[:, :, rows])
     ctx = ctx.transpose(0, 2, 1, 3).reshape(m, d)
-    return ctx @ w.wo.T.astype(np.float64) + w.bo
+    return _project(ctx, w.wo, w.bo)
+
+
+def _project(rows, weight, bias):
+    # rows @ weight.T + bias, the bias added in place onto the product.
+    out = rows @ weight.T.astype(np.float64)
+    out += bias
+    return out
 
 
 def transformer_block(
@@ -657,11 +706,14 @@ def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool):
     g, d, t = stack.shape
     tokens = stack.transpose(1, 0, 2).reshape(d, g * t).T.astype(np.float64)
 
+    # tokens is this call's own copy, so both residual adds run in place,
+    # in the order (tokens + attn) then (tokens + hidden @ W2) + b2.
     normed = _ln_rows(tokens, _f64(weights.ln1_gain), _f64(weights.ln1_bias))
-    tokens = tokens + _attention(normed, weights, use_rope, t)
+    tokens += _attention(normed, weights, use_rope, t)
     normed = _ln_rows(tokens, _f64(weights.ln2_gain), _f64(weights.ln2_bias))
-    hidden = gelu(normed @ weights.ff_w1.T.astype(np.float64) + weights.ff_b1)
-    tokens = tokens + hidden @ weights.ff_w2.T.astype(np.float64) + weights.ff_b2
+    hidden = gelu(_project(normed, weights.ff_w1, weights.ff_b1))
+    tokens += hidden @ weights.ff_w2.T.astype(np.float64)
+    tokens += weights.ff_b2
 
     return tokens.reshape(g, t, d).transpose(0, 2, 1).astype(np.float32)
 

@@ -91,9 +91,8 @@ def encode_mixture(
     _check_n_active(config, n_active)
     per_source = extract_features(audio, prompts, config, store)
     quantizer = rvq.RvqWeights.from_store(store, config)
-    codes = np.stack(
-        [rvq.quantize(fmap, quantizer, n_active).codes for fmap in per_source]
-    )
+    codes = np.stack([rvq.quantize_codes(fmap, quantizer, n_active)
+                      for fmap in per_source])
     return EncodedStream(
         sample_rate=config.sample_rate,
         prompt_types=prompts,

@@ -22,6 +22,7 @@ __all__ = [
     "RvqWeights",
     "QuantizeResult",
     "quantize",
+    "quantize_codes",
     "codes_to_features",
 ]
 
@@ -114,10 +115,13 @@ def _check_active(n_active: int, weights: RvqWeights) -> None:
 
 
 def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
-    """Greedy layer-by-layer nearest-entry walk in code space.
+    """Greedy layer-by-layer nearest-entry walk in code space, after the
+    input checks.
 
     Returns codes and per-layer residual norms (float64).
     """
+    features = _check_features(features, weights)
+    _check_active(n_active, weights)
     down_w = weights.down_w.astype(np.float64)
     residual = down_w @ features.astype(np.float64) + weights.down_b.astype(
         np.float64
@@ -128,13 +132,12 @@ def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
     norms = np.zeros(n_active)
     for layer in range(n_active):
         entries = weights.codebooks[layer].astype(np.float64)
-        # ||r - e||^2 expanded; the argmin ties break toward the lowest
+        # ||r - e||^2 expanded as (|e|^2 - 2 e.r) + |r|^2, the two adds in
+        # place on the product; the argmin ties break toward the lowest
         # index, which np.argmin guarantees.
-        d2 = (
-            np.sum(entries * entries, axis=1)[:, None]
-            - 2.0 * entries @ residual
-            + np.sum(residual * residual, axis=0)[None, :]
-        )
+        d2 = 2.0 * entries @ residual
+        np.subtract(np.sum(entries * entries, axis=1)[:, None], d2, out=d2)
+        d2 += np.sum(residual * residual, axis=0)
         picked = np.argmin(d2, axis=0)
         codes[layer] = picked.astype(np.int32)
         residual -= entries[picked].T
@@ -149,14 +152,19 @@ def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> Quanti
     The reconstruction is produced by codes_to_features on the emitted
     codes, so the two paths agree bitwise by construction.
     """
-    features = _check_features(features, weights)
-    _check_active(n_active, weights)
     codes, norms = _scan(features, weights, n_active)
     return QuantizeResult(
         quantized=codes_to_features(codes, weights),
         codes=codes,
         residual_norms=norms,
     )
+
+
+def quantize_codes(features: np.ndarray, weights: RvqWeights,
+                   n_active: int) -> np.ndarray:
+    """The (n_active, T) int32 codes of `quantize`, from the same checks and
+    scan, without building the reconstruction."""
+    return _scan(features, weights, n_active)[0]
 
 
 def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:

@@ -572,6 +572,20 @@ class TestStreaming:
         assert len(pieces) == 13
         np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
 
+    def test_residual_unit_over_a_stack_in_pieces(self, monkeypatch, rng):
+        # A (2, 4, 40) stack has fewer channels than columns, so the skip
+        # path must take columns from the last axis, not the channel axis.
+        unit = codec._residual_unit("unit", 4, 3)
+        store = _random_store([unit], rng)
+        x = rng.standard_normal((2, 4, 40)).astype(np.float32)
+        self._tiles(monkeypatch, 16)
+        pieces = [x[..., :23].copy(), x[..., 23:].copy()]
+        got = np.concatenate(list(unit.stream(pieces, store, 40)), axis=-1)
+        assert got.shape == x.shape
+        for s in range(2):
+            np.testing.assert_array_equal(got[s], unit.apply(x[s], store))
+        np.testing.assert_array_equal(unit.apply(x, store), got)
+
     @pytest.mark.parametrize("widths", [(1,), (3, 4, 1, 9), (17,)])
     @pytest.mark.parametrize("columns", [1, 3, 16, 64])
     def test_transposed_conv_with_output_padding_over_pieces(

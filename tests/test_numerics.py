@@ -334,6 +334,75 @@ class TestConv1d:
         with pytest.raises(ContractViolationError):
             numerics.conv1d(x[:, lo : hi - 1], w, b, tile=tile, **conv)
 
+    @staticmethod
+    def _summed_per_tap(x, w, b, stride, padding, dilation, transposed):
+        # One tile's sums as separate passes: an accumulator started from
+        # zeros, one float64 product added per tap in ascending order, the
+        # bias added on its own, then the cast to float32.
+        c_out, c_in, k = w.shape
+        length = x.shape[-1]
+        l_out = numerics.conv_out_len(length, k, stride=stride,
+                                      padding=padding, dilation=dilation,
+                                      transposed=transposed)
+        if transposed:
+            x64 = x.astype(np.float64)
+            full = np.zeros((*x.shape[:-2], c_out,
+                             (length - 1) * stride + (k - 1) * dilation + 1))
+            for tap in range(k):
+                start = tap * dilation
+                full[..., start : start + (length - 1) * stride + 1 : stride] += (
+                    w[:, :, tap].astype(np.float64) @ x64)
+            acc = full[..., padding : padding + l_out]
+        else:
+            width = (l_out - 1) * stride + (k - 1) * dilation + 1
+            window = np.zeros((*x.shape[:-1], width))
+            window[..., padding : padding + length] = x[..., : width - padding]
+            acc = np.zeros((*x.shape[:-2], c_out, l_out))
+            for tap in range(k):
+                start = tap * dilation
+                acc += w[:, :, tap].astype(np.float64) @ window[
+                    ..., start : start + (l_out - 1) * stride + 1 : stride]
+        if b is not None:
+            acc += b.astype(np.float64)[:, None]
+        return acc.astype(np.float32)
+
+    @pytest.mark.parametrize("stride", range(1, 9))
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["forward", "transposed"])
+    def test_signed_zeros_match_per_tap_sums(self, rng, transposed, c_in, k,
+                                             stride):
+        # Every other input column is zero, one block of columns wider than
+        # the kernel's reach is all zeros (some -0.0), and the kernels are
+        # all negative, so products of -0.0 reach the sums; without a bias,
+        # or with a -0.0 one, an output of zero must still be +0.0 wherever
+        # separate per-tap adds from a zero accumulator give +0.0.
+        c_out = 4
+        w = -np.abs(rng.standard_normal((c_out, c_in, k))).astype(np.float32)
+        biases = [None, np.full(c_out, -0.0, np.float32),
+                  rng.standard_normal(c_out).astype(np.float32)]
+        for dilation in (1, 3):
+            span = (k - 1) * dilation + 1
+            reach = span + stride
+            length = 3 * reach
+            conv = dict(stride=stride, padding=span // 2, dilation=dilation,
+                        transposed=transposed)
+            for shape in ((c_in, length), (2, c_in, length)):
+                x = rng.standard_normal(shape).astype(np.float32)
+                x[..., ::2] = 0.0
+                x[..., reach : 2 * reach] = 0.0
+                x[..., reach : 2 * reach : 3] = -0.0
+                for b in biases:
+                    got = numerics.conv1d(x, w, b, **conv)
+                    want = self._summed_per_tap(x, w, b, **conv)
+                    if b is None:
+                        assert (want == 0).any()
+                    np.testing.assert_array_equal(
+                        got.view(np.uint32), want.view(np.uint32),
+                        err_msg=f"dilation {dilation}, input {shape}, "
+                                f"bias {b}")
+
     def test_kernel_longer_than_input(self, rng):
         x = rng.standard_normal((1, 4)).astype(np.float32)
         w = rng.standard_normal((1, 1, 9)).astype(np.float32)

@@ -52,6 +52,24 @@ class TestEncodeMixture:
                                     tiny_store)
         np.testing.assert_array_equal(a.codes, b.codes)
 
+    def test_codes_come_without_rebuilding_features(self, tiny_config,
+                                                    tiny_store, mixture,
+                                                    monkeypatch):
+        per_source = pipeline.extract_features(mixture.mixture, (S, M, S),
+                                               tiny_config, tiny_store)
+        quantizer = rvq.RvqWeights.from_store(tiny_store, tiny_config)
+        want = [rvq.quantize(fmap, quantizer, 2).codes for fmap in per_source]
+
+        def codes_to_features(*args, **kwargs):
+            raise AssertionError("encode_mixture rebuilt the features")
+
+        monkeypatch.setattr(rvq, "codes_to_features", codes_to_features)
+        stream = pipeline.encode_mixture(mixture.mixture, (S, M, S),
+                                         tiny_config, tiny_store, n_active=2)
+        assert stream.codes.dtype == np.int32
+        for got, codes in zip(stream.codes, want, strict=True):
+            np.testing.assert_array_equal(got, codes)
+
     def test_prompt_names_match_prompt_types(self, tiny_config, tiny_store,
                                              mixture):
         by_name = pipeline.encode_mixture(
