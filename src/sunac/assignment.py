@@ -192,12 +192,12 @@ def best_assignment(references: SourceSet, estimates) -> Assignment:
         )
     n = references.n_sources
     perms = restricted_permutations(references.types)
-    # Scores only needed for same-type pairs; fill lazily.
+    # Scores only needed for same-type pairs.
+    types = references.types
     table = np.full((n, n), np.nan)
-    for perm in perms:
-        for i, j in enumerate(perm):
-            if np.isnan(table[i, j]):
-                table[i, j] = si_sdr(references.sources[i][0], estimates[j])
+    for i, j in itertools.product(range(n), repeat=2):
+        if types[i] == types[j]:
+            table[i, j] = si_sdr(references.sources[i][0], estimates[j])
     best_perm = None
     best_score = -np.inf
     for perm in perms:  # lexicographic order; strict > keeps the first tie

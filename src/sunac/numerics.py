@@ -686,9 +686,9 @@ def transformer_block(
     n, _, t = stack.shape
     if n < 1 or t < 1:
         raise InvalidArgumentError("transformer input needs at least one token")
-    parts = [_block_rows(stack[g], weights, use_rope)
-             for g in stack_groups(n, t)]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = np.empty(stack.shape, dtype=np.float32)
+    for g in stack_groups(n, t):
+        _block_rows(stack[g], weights, use_rope, out[g])
     check_finite(out, f"transformer layer {name or '<unnamed>'}")
     return out if x.ndim == 3 else out[0]
 
@@ -700,9 +700,10 @@ def stack_groups(n: int, t: int) -> list[slice]:
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
-def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool):
-    # One group of a stack.  Its (rows, F) tokens are feature-major, as one
-    # map's transpose is, so each row's reductions sum as for that map.
+def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool, out):
+    # One group of a stack, written into `out`.  Its (rows, F) tokens are
+    # feature-major, as one map's transpose is, so each row's reductions sum
+    # as for that map.
     g, d, t = stack.shape
     tokens = stack.transpose(1, 0, 2).reshape(d, g * t).T.astype(np.float64)
 
@@ -715,7 +716,7 @@ def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool):
     tokens += hidden @ weights.ff_w2.T.astype(np.float64)
     tokens += weights.ff_b2
 
-    return tokens.reshape(g, t, d).transpose(0, 2, 1).astype(np.float32)
+    out[...] = tokens.reshape(g, t, d).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,24 @@ class TestInitWeights:
             codec.init_weights(tiny_config, seed=1)
         assert threading.active_count() == before
 
+    def test_unknown_init_rule_fails_before_any_pool(self, monkeypatch,
+                                                     tiny_config):
+        # The whole manifest is checked before a single value is drawn.
+        pools = []
+        real = codec.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "ThreadPoolExecutor", spy)
+        specs = [*codec.manifest(tiny_config),
+                 codec.TensorSpec("extra", (2,), "gaussian", 1)]
+        monkeypatch.setattr(codec, "manifest", lambda config: specs)
+        with pytest.raises(ConfigError, match="gaussian"):
+            codec.init_weights(tiny_config, seed=1)
+        assert pools == []
+
     def test_save_and_load_hold_one_tensor_at_a_time(self, tmp_path):
         # A 16 MiB store.  Building the file in memory took two copies of
         # the store to save and the file plus a copy of it to load.
