@@ -20,15 +20,18 @@ the weight loaders cannot drift from the signal path.
 `encode` and `decode` stream a signal through their node chain in column
 pieces.  A conv node emits each tile of its whole-length output (see
 `numerics.conv_tiles`) as soon as the tile's input window has arrived, and
-holds only the input a later tile still reads; pointwise nodes run on each
-piece as it passes, a residual unit holds its skip pieces until its branch
-catches up, and a Transformer layer collects its frame-rate input and runs
-once.  So the conv stacks hold tile-sized pieces at any length.  The bits
-do not depend on how the pieces arrive: each tile is computed from exactly
-the input columns a whole-length call would give it, by the same BLAS
-products in the same order, and the pointwise maps and the residual add act
-on each column alone.  Pieces may also be (S, C, n) source stacks, as
-when `decode` takes an (S, F, T) stack of maps.
+holds only the input a later tile still reads.  A pointwise node just
+before a conv runs on each window the conv reads, so the conv holds its
+input pieces untransformed (in a residual unit, the pieces its skip path
+holds anyway); elsewhere it runs on each piece as it passes.  A residual
+unit holds its skip pieces until its branch catches up, and a Transformer
+layer collects its frame-rate input and runs once.  So the conv stacks
+hold tile-sized pieces at any length.  The bits do not depend on how the
+pieces arrive: each tile is computed from exactly the input columns a
+whole-length call would give it, by the same BLAS products in the same
+order, and the pointwise maps and the residual add act on each column
+alone.  Pieces may also be (S, C, n) source stacks, as when `decode` takes
+an (S, F, T) stack of maps.
 """
 
 from __future__ import annotations
@@ -341,10 +344,11 @@ class ConvNode(_Node):
     def out_len(self, length):
         return numerics.conv_out_len(length, self.kernel, **self._conv())
 
-    def stream(self, pieces, store, length):
+    def stream(self, pieces, store, length, before=()):
         # One conv1d call per tile of the whole-length layer, each on its
         # own input window; a window's pieces stay held only while a later
-        # tile still reads them.
+        # tile still reads them.  The pointwise functions `before` run on
+        # each window as it is read, so the held pieces are the ones given.
         conv = self._conv()
         weight, bias = self.read(store)
         held = _Columns(pieces)
@@ -352,8 +356,9 @@ class ConvNode(_Node):
                                     sources=held.sources(), **conv)
         keeps = [lo for _, _, lo, _ in tiles[1:]] + [length]
         for tile, keep in zip(tiles, keeps):
-            yield numerics.conv1d(held.window(tile[2], tile[3], keep), weight,
-                                  bias, tile=tile, **conv)
+            yield numerics.conv1d(
+                _apply(before, held.window(tile[2], tile[3], keep)), weight,
+                bias, tile=tile, **conv)
 
 
 class SnakeNode(_Node):
@@ -517,9 +522,8 @@ class _Columns:
     """Columns of a stream of ([S,] C, n) pieces, held while read.
 
     Pieces are pulled from the source only when a window reaches past the
-    held columns, and dropped once no later window reads them.  A pointwise
-    node before the reader has already run on each piece, so windows are
-    plain slices of the held pieces.
+    held columns, and dropped once no later window reads them.  A window is
+    a slice of one held piece, or a copy joined from several.
     """
 
     def __init__(self, pieces):
@@ -559,12 +563,15 @@ class _Columns:
 
     def _drop(self, keep: int, width: int) -> None:
         # Drop the pieces that end by column `keep`.  Of a piece that
-        # straddles it, keep a copy of the tail from `keep` on when that
-        # tail is no wider than the window just read, so a halo does not
-        # hold a whole piece and the copies stay linear in the length.
+        # straddles it (starts before `keep`, ends after it), keep a copy
+        # of the tail from `keep` on when that tail is no wider than the
+        # window just read, so a halo does not hold a whole piece and the
+        # copies stay linear in the length.  A piece that starts at `keep`
+        # is held as it is: all of it is still to be read.
         while self._held and self._start + self._held[0].shape[-1] <= keep:
             self._start += self._held.popleft().shape[-1]
-        if self._held and 0 < self._start + self._held[0].shape[-1] - keep <= width:
+        if (self._held and self._start < keep
+                and self._start + self._held[0].shape[-1] - keep <= width):
             self._held[0] = self._held[0][..., keep - self._start :].copy()
             self._start = keep
 
@@ -579,17 +586,36 @@ def _stream(nodes, pieces, store, length):
 
     A node with a `stream` method takes the stream and yields its output
     pieces as soon as their inputs have arrived; any other node is
-    pointwise, and its `apply` runs on each piece as it passes.  Nothing
-    runs until the result is iterated, and no step holds a piece it has
-    passed on.
+    pointwise.  A pointwise node's `apply` runs on each window that a
+    following conv reads, so the conv holds the pieces it was given rather
+    than a transformed copy of them (in a residual unit the skip path holds
+    the same pieces); it runs again on the few halo columns that two
+    windows share.  Before any other node it runs on each piece as it
+    passes.  Nothing runs until the result is iterated, and no step holds a
+    piece it has passed on.
     """
+    pointwise = []
     for node in nodes:
-        if hasattr(node, "stream"):
-            pieces = node.stream(pieces, store, length)
-            length = node.out_len(length)
+        if not hasattr(node, "stream"):
+            pointwise.append(functools.partial(node.apply, store=store))
+            continue
+        if isinstance(node, ConvNode):
+            pieces = node.stream(pieces, store, length, pointwise)
         else:
-            pieces = map(functools.partial(node.apply, store=store), pieces)
-    return pieces
+            pieces = node.stream(_map(pointwise, pieces), store, length)
+        pointwise = []
+        length = node.out_len(length)
+    return _map(pointwise, pieces)
+
+
+def _apply(fns, x):
+    for fn in fns:
+        x = fn(x)
+    return x
+
+
+def _map(fns, pieces):
+    return map(functools.partial(_apply, fns), pieces) if fns else pieces
 
 
 def _write(pieces, out: np.ndarray, stage: str) -> None:
@@ -933,6 +959,7 @@ def _require_runnable(config: ModelConfig, op: str) -> None:
         )
 
 
+@numerics.forward_stage
 def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.ndarray:
     """Encode a waveform into a latent feature map of shape (F, T).
 
@@ -962,6 +989,7 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
     return features
 
 
+@numerics.forward_stage
 def decode(features: np.ndarray, config: ModelConfig,
            store: WeightStore) -> AudioBuffer | list[AudioBuffer]:
     """Decode an (F, T) latent map to an AudioBuffer, or an (S, F, T) stack
@@ -974,7 +1002,12 @@ def decode(features: np.ndarray, config: ModelConfig,
     original length themselves when they know it.
     """
     _require_runnable(config, "decode")
-    features = np.asarray(features, dtype=np.float32)
+    features = np.asarray(features)
+    if features.dtype.kind not in "biuf":
+        raise InvalidArgumentError(
+            f"features must be real numbers, got dtype {features.dtype}"
+        )
+    features = features.astype(np.float32, copy=False)
     stack = features if features.ndim == 3 else features[None]
     if features.ndim not in (2, 3) or stack.shape[1] != config.latent_dim:
         raise ContractViolationError(

@@ -20,7 +20,12 @@ import numpy as np
 
 from .codec import ModelConfig, WeightStore, extractor_nodes
 from .errors import ContractViolationError, InvalidArgumentError
-from .numerics import TransformerLayerWeights, check_finite, transformer_block
+from .numerics import (
+    TransformerLayerWeights,
+    check_finite,
+    forward_stage,
+    transformer_block,
+)
 
 __all__ = [
     "PromptType",
@@ -144,6 +149,7 @@ class ExtractorWeights:
                    refine=tuple(node.weights(store) for node in refine))
 
 
+@forward_stage
 def cross_prompt(
     features: np.ndarray,
     prompts: tuple[PromptType, ...],
@@ -175,6 +181,7 @@ def cross_prompt(
     return out[:, n:], out[:, :n]
 
 
+@forward_stage
 def film(
     x: np.ndarray,
     prompt_column: np.ndarray,

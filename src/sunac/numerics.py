@@ -32,6 +32,7 @@ functions are pure: no hidden state, safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,18 @@ def check_finite(array: np.ndarray, where: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise NumericError(f"non-finite output in {where}")
     return array
+
+
+def forward_stage(fn):
+    """Run `fn`, a stage that checks its outputs with `check_finite`, with
+    float overflow and invalid results quiet, so that they surface as the
+    stage's NumericError and not as a numpy warning (an exception under
+    `python -W error`) from whichever step first made them."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +665,8 @@ def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
         np.matmul(scores, v_h, out=ctx[:, :, rows])
+    # Free Q, K, V and the scores before the output projection allocates.
+    del q, k, v, q_h, k_ht, v_h, score_buf, scores
     ctx = ctx.transpose(0, 2, 1, 3).reshape(m, d)
     return _project(ctx, w.wo, w.bo)
 
@@ -663,6 +678,7 @@ def _project(rows, weight, bias):
     return out
 
 
+@forward_stage
 def transformer_block(
     x: np.ndarray,
     weights: TransformerLayerWeights,

@@ -10,6 +10,7 @@ storage loss.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,25 @@ def _require_prompted(config: codec.ModelConfig) -> None:
 
 
 def _check_n_active(config: codec.ModelConfig, n_active: int) -> None:
-    if not 1 <= n_active <= config.n_codebooks:
+    if (not isinstance(n_active, numbers.Integral)
+            or not 1 <= n_active <= config.n_codebooks):
         raise InvalidArgumentError(
-            f"active codebooks must be in 1..{config.n_codebooks}, got {n_active}"
+            f"active codebooks must be an integer in 1..{config.n_codebooks}, "
+            f"got {n_active!r}"
         )
+
+
+def _parse_prompts(prompts) -> tuple[PromptType, ...]:
+    try:
+        items = iter(prompts)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"prompts must be a sequence of prompt types, got {prompts!r}"
+        ) from None
+    parsed = tuple(PromptType.parse(p) for p in items)
+    if not parsed:
+        raise InvalidArgumentError("need at least one prompt")
+    return parsed
 
 
 def extract_features(
@@ -65,9 +81,7 @@ def extract_features(
     """Encode a mixture once and return one refined (F, T) feature map per
     prompt, in prompt order, before quantization."""
     _require_prompted(config)
-    prompts = tuple(PromptType.parse(p) for p in prompts)
-    if not prompts:
-        raise InvalidArgumentError("need at least one prompt")
+    prompts = _parse_prompts(prompts)
     features = codec.encode(audio, config, store)
     return extract(features, prompts, PromptBank.from_store(store),
                    ExtractorWeights.from_store(store, config))
@@ -85,7 +99,7 @@ def encode_mixture(
     n_active selects how many quantizer layers are spent per source, which
     is the bitrate knob; by default all configured codebooks are used.
     """
-    prompts = tuple(PromptType.parse(p) for p in prompts)
+    prompts = _parse_prompts(prompts)
     if n_active is None:
         n_active = config.n_codebooks
     _check_n_active(config, n_active)

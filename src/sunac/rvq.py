@@ -16,7 +16,7 @@ import numpy as np
 
 from .codec import ModelConfig, RvqNode, WeightStore
 from .errors import ContractViolationError, InvalidArgumentError
-from .numerics import check_finite
+from .numerics import check_finite, forward_stage
 
 __all__ = [
     "RvqWeights",
@@ -114,6 +114,7 @@ def _check_active(n_active: int, weights: RvqWeights) -> None:
         )
 
 
+@forward_stage
 def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
     """Greedy layer-by-layer nearest-entry walk in code space, after the
     input checks.
@@ -167,6 +168,7 @@ def quantize_codes(features: np.ndarray, weights: RvqWeights,
     return _scan(features, weights, n_active)[0]
 
 
+@forward_stage
 def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
     """Rebuild an (F, T) feature map from code indices.
 

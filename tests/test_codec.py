@@ -17,6 +17,7 @@ from sunac.errors import (
     ContractViolationError,
     CorruptStreamError,
     InvalidArgumentError,
+    NumericError,
 )
 
 
@@ -489,6 +490,25 @@ class TestEncodeDecode:
         with pytest.raises(ContractViolationError):
             codec.decode(stack[:, 1:], tiny_config, tiny_store)
 
+    def test_decode_rejects_complex_features(self, tiny_config, tiny_store,
+                                             rng):
+        features = rng.standard_normal((tiny_config.latent_dim, 5))
+        with pytest.raises(InvalidArgumentError, match="complex64"):
+            codec.decode(features.astype(np.complex64), tiny_config,
+                         tiny_store)
+
+    def test_overflowing_weights_raise_numeric_error(self, tiny_config,
+                                                     tiny_store):
+        # Finite weights of 1e36 overflow float32 in the first conv.  The
+        # suite turns RuntimeWarning into an error, as `python -W error`
+        # does, so a numpy overflow warning would fail this test first.
+        store = codec.WeightStore(tiny_store.seed, {
+            name: np.full_like(t, 1e36) if name.startswith("encoder.")
+            and name.endswith(".weight") else t
+            for name, t in tiny_store.tensors.items()})
+        with pytest.raises(NumericError, match="codec.encode"):
+            codec.encode(buffer_of(3200), tiny_config, store)
+
     def test_roundtrip_preserves_frame_grid(self, tiny_config, tiny_store):
         buf = buffer_of(1000)  # not a hop multiple; padded to 1280
         features = codec.encode(buf, tiny_config, tiny_store)
@@ -538,6 +558,34 @@ def _split(x, widths):
     """Column pieces of x with the given widths, the last taking the rest."""
     edges = np.cumsum([0, *widths, x.shape[1]]).clip(max=x.shape[1])
     return [x[:, a:b].copy() for a, b in zip(edges, edges[1:]) if b > a]
+
+
+class TestColumns:
+    """A held piece is copied only to keep a halo tail of it."""
+
+    @staticmethod
+    def _fed(*widths):
+        pieces = [np.arange(2 * w, dtype=np.float32).reshape(2, w) + 100 * i
+                  for i, w in enumerate(widths)]
+        columns = codec._Columns(pieces)
+        assert list(columns.feed()) == pieces  # all held, as a skip path is
+        return columns, pieces
+
+    def test_take_to_a_piece_boundary_keeps_the_next_piece(self):
+        columns, (a, b) = self._fed(4, 4)
+        np.testing.assert_array_equal(columns.take(4), a)
+        assert list(columns._held) == [b] and columns._held[0] is b
+        assert np.shares_memory(columns.take(4), b)
+
+    def test_take_inside_a_piece_copies_only_its_tail(self):
+        columns, (a, b) = self._fed(8, 4)
+        np.testing.assert_array_equal(columns.take(5), a[:, :5])
+        tail, rest = columns._held
+        assert rest is b
+        np.testing.assert_array_equal(tail, a[:, 5:])
+        assert not np.shares_memory(tail, a)
+        np.testing.assert_array_equal(columns.take(3), a[:, 5:])
+        assert columns._held[0] is b
 
 
 class TestStreaming:
@@ -709,3 +757,13 @@ class TestStreamingMemory:
         _, decode_peak = _traced_peaks(buffer_of(4 * 16000), full_config,
                                        full_store)
         assert decode_peak < 36 * 2**20
+
+    def test_full_model_4s_convs_hold_no_snake_copies(self, full_config,
+                                                      full_store):
+        # Traced 20.0 / 24.1 MiB.  With each snake output held as its own
+        # piece by the conv after it, and whole held pieces copied at tile
+        # boundaries, the same encode and decode traced 24.9 / 32.8 MiB.
+        encode_peak, decode_peak = _traced_peaks(
+            buffer_of(4 * 16000), full_config, full_store)
+        assert encode_peak < 22 * 2**20
+        assert decode_peak < 28 * 2**20

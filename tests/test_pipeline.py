@@ -45,6 +45,29 @@ class TestEncodeMixture:
                 mixture.mixture, (S,), tiny_config, tiny_store,
                 n_active=tiny_config.n_codebooks + 1)
 
+    @pytest.mark.parametrize("entry", [pipeline.encode_mixture,
+                                       pipeline.separate])
+    def test_n_active_must_be_an_integer(self, tiny_config, tiny_store,
+                                         mixture, entry):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            entry(mixture.mixture, (S,), tiny_config, tiny_store,
+                  n_active=1.5)
+        stream = pipeline.encode_mixture(mixture.mixture, (S,), tiny_config,
+                                         tiny_store, n_active=np.int64(2))
+        assert stream.n_codebooks == 2
+
+    @pytest.mark.parametrize("entry", [pipeline.encode_mixture,
+                                       pipeline.extract_features,
+                                       pipeline.separate])
+    def test_prompts_must_be_a_sequence(self, tiny_config, tiny_store,
+                                        mixture, monkeypatch, entry):
+        def encode(*args, **kwargs):
+            raise AssertionError("the shared encoder ran")
+
+        monkeypatch.setattr(codec, "encode", encode)
+        with pytest.raises(InvalidArgumentError, match="prompts"):
+            entry(mixture.mixture, None, tiny_config, tiny_store)
+
     def test_deterministic(self, tiny_config, tiny_store, mixture):
         a = pipeline.encode_mixture(mixture.mixture, (S, M), tiny_config,
                                     tiny_store)
