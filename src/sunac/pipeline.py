@@ -52,6 +52,7 @@ def _require_prompted(config: codec.ModelConfig) -> None:
 
 def _check_n_active(config: codec.ModelConfig, n_active: int) -> None:
     if (not isinstance(n_active, numbers.Integral)
+            or isinstance(n_active, bool)
             or not 1 <= n_active <= config.n_codebooks):
         raise InvalidArgumentError(
             f"active codebooks must be an integer in 1..{config.n_codebooks}, "
@@ -60,6 +61,12 @@ def _check_n_active(config: codec.ModelConfig, n_active: int) -> None:
 
 
 def _parse_prompts(prompts) -> tuple[PromptType, ...]:
+    if isinstance(prompts, (str, bytes)):
+        raise InvalidArgumentError(
+            f"prompts must be a sequence of prompt types, got the text "
+            f"{prompts!r}; parse comma-separated text with "
+            "extractor.parse_prompts"
+        )
     try:
         items = iter(prompts)
     except TypeError:
@@ -105,7 +112,7 @@ def encode_mixture(
     _check_n_active(config, n_active)
     per_source = extract_features(audio, prompts, config, store)
     quantizer = rvq.RvqWeights.from_store(store, config)
-    codes = np.stack([rvq.quantize_codes(fmap, quantizer, n_active)
+    codes = np.stack([rvq.quantize(fmap, quantizer, n_active).codes
                       for fmap in per_source])
     return EncodedStream(
         sample_rate=config.sample_rate,

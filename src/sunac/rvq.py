@@ -10,7 +10,8 @@ choose "add nothing" and residual norms never increase with depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +23,6 @@ __all__ = [
     "RvqWeights",
     "QuantizeResult",
     "quantize",
-    "quantize_codes",
     "codes_to_features",
 ]
 
@@ -86,47 +86,51 @@ class RvqWeights:
 class QuantizeResult:
     """Outcome of quantizing one feature map.
 
-    codes is (n_active, T) int32; quantized is the (F, T) reconstruction
-    through the up projection; residual_norms[i] is the Frobenius norm of
-    the code-space residual after layer i.
+    codes is (n_active, T) int32; residual_norms[i] is the Frobenius norm of
+    the code-space residual after layer i.  quantized, the (F, T)
+    reconstruction through the up projection, is built by codes_to_features
+    each time it is read, so the two paths agree bitwise by construction.
     """
 
-    quantized: np.ndarray
     codes: np.ndarray
     residual_norms: np.ndarray
+    weights: RvqWeights = field(repr=False, compare=False)
+
+    @property
+    def quantized(self) -> np.ndarray:
+        return codes_to_features(self.codes, self.weights)
 
 
-def _check_features(features: np.ndarray, weights: RvqWeights) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float32)
+def _check_active(n_active: int, weights: RvqWeights) -> None:
+    if (not isinstance(n_active, numbers.Integral)
+            or isinstance(n_active, bool)
+            or not 1 <= n_active <= weights.n_layers):
+        raise InvalidArgumentError(
+            f"n_active must be an integer in [1, {weights.n_layers}], "
+            f"got {n_active!r}"
+        )
+
+
+@forward_stage
+def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> QuantizeResult:
+    """Quantize an (F, T) feature map with the first n_active layers: a
+    greedy layer-by-layer nearest-entry walk in code space, with per-layer
+    residual norms in float64."""
+    features = np.asarray(features)
+    if features.dtype.kind not in "biuf":
+        raise InvalidArgumentError(
+            f"features must be real numbers, got dtype {features.dtype}"
+        )
     if features.ndim != 2 or features.shape[0] != weights.feature_dim:
         raise ContractViolationError(
             f"expected ({weights.feature_dim}, T) features, got {features.shape}"
         )
     if features.shape[1] < 1:
         raise InvalidArgumentError("feature map has no frames")
-    return features
-
-
-def _check_active(n_active: int, weights: RvqWeights) -> None:
-    if not 1 <= n_active <= weights.n_layers:
-        raise InvalidArgumentError(
-            f"n_active must be in [1, {weights.n_layers}], got {n_active}"
-        )
-
-
-@forward_stage
-def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
-    """Greedy layer-by-layer nearest-entry walk in code space, after the
-    input checks.
-
-    Returns codes and per-layer residual norms (float64).
-    """
-    features = _check_features(features, weights)
     _check_active(n_active, weights)
-    down_w = weights.down_w.astype(np.float64)
-    residual = down_w @ features.astype(np.float64) + weights.down_b.astype(
-        np.float64
-    )[:, None]
+    features = features.astype(np.float32, copy=False).astype(np.float64)
+    residual = (weights.down_w.astype(np.float64) @ features
+                + weights.down_b.astype(np.float64)[:, None])
     check_finite(residual, "rvq.down projection")
     t = residual.shape[1]
     codes = np.zeros((n_active, t), dtype=np.int32)
@@ -144,28 +148,7 @@ def _scan(features: np.ndarray, weights: RvqWeights, n_active: int):
         residual -= entries[picked].T
         check_finite(residual, f"rvq.codebook{layer}")
         norms[layer] = np.sqrt(np.sum(residual * residual))
-    return codes, norms
-
-
-def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> QuantizeResult:
-    """Quantize an (F, T) feature map with the first n_active layers.
-
-    The reconstruction is produced by codes_to_features on the emitted
-    codes, so the two paths agree bitwise by construction.
-    """
-    codes, norms = _scan(features, weights, n_active)
-    return QuantizeResult(
-        quantized=codes_to_features(codes, weights),
-        codes=codes,
-        residual_norms=norms,
-    )
-
-
-def quantize_codes(features: np.ndarray, weights: RvqWeights,
-                   n_active: int) -> np.ndarray:
-    """The (n_active, T) int32 codes of `quantize`, from the same checks and
-    scan, without building the reconstruction."""
-    return _scan(features, weights, n_active)[0]
+    return QuantizeResult(codes=codes, residual_norms=norms, weights=weights)
 
 
 @forward_stage
@@ -176,6 +159,10 @@ def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
     float64 and sends the total through the up projection.
     """
     codes = np.asarray(codes)
+    if codes.dtype.kind not in "iu":
+        raise InvalidArgumentError(
+            f"codes must be integers, got dtype {codes.dtype}"
+        )
     if codes.ndim != 2:
         raise ContractViolationError(f"codes must be (layers, T), got {codes.shape}")
     if codes.shape[1] == 0:

@@ -57,6 +57,34 @@ class TestEncodeMixture:
         assert stream.n_codebooks == 2
 
     @pytest.mark.parametrize("entry", [pipeline.encode_mixture,
+                                       pipeline.separate])
+    def test_n_active_must_not_be_a_bool(self, tiny_config, tiny_store,
+                                         mixture, monkeypatch, entry):
+        def encode(*args, **kwargs):
+            raise AssertionError("the shared encoder ran")
+
+        monkeypatch.setattr(codec, "encode", encode)
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            entry(mixture.mixture, (S,), tiny_config, tiny_store,
+                  n_active=True)
+
+    @pytest.mark.parametrize("prompts", ["speech,music", "speech",
+                                         b"speech"],
+                             ids=["csv", "str", "bytes"])
+    @pytest.mark.parametrize("entry", [pipeline.encode_mixture,
+                                       pipeline.extract_features,
+                                       pipeline.separate])
+    def test_prompts_must_not_be_text(self, tiny_config, tiny_store,
+                                      mixture, monkeypatch, entry, prompts):
+        def encode(*args, **kwargs):
+            raise AssertionError("the shared encoder ran")
+
+        monkeypatch.setattr(codec, "encode", encode)
+        with pytest.raises(InvalidArgumentError,
+                           match="sequence.*extractor.parse_prompts"):
+            entry(mixture.mixture, prompts, tiny_config, tiny_store)
+
+    @pytest.mark.parametrize("entry", [pipeline.encode_mixture,
                                        pipeline.extract_features,
                                        pipeline.separate])
     def test_prompts_must_be_a_sequence(self, tiny_config, tiny_store,
@@ -92,6 +120,21 @@ class TestEncodeMixture:
         assert stream.codes.dtype == np.int32
         for got, codes in zip(stream.codes, want, strict=True):
             np.testing.assert_array_equal(got, codes)
+
+    def test_each_source_is_quantized_once(self, tiny_config, tiny_store,
+                                           mixture, monkeypatch):
+        calls = []
+        quantize = rvq.quantize
+
+        def spy(features, weights, n_active):
+            calls.append(n_active)
+            return quantize(features, weights, n_active)
+
+        monkeypatch.setattr(rvq, "quantize", spy)
+        stream = pipeline.encode_mixture(mixture.mixture, (S, M, S),
+                                         tiny_config, tiny_store, n_active=3)
+        assert calls == [3, 3, 3]
+        assert stream.n_sources == 3
 
     def test_prompt_names_match_prompt_types(self, tiny_config, tiny_store,
                                              mixture):

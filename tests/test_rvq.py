@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from sunac import codec, rvq
-from sunac.errors import ContractViolationError, InvalidArgumentError
+from sunac.errors import ContractViolationError, InvalidArgumentError, SunacError
 
 
 def identity_weights(feature_dim=6, code_dim=3, n_entries=8, n_layers=4,
@@ -164,6 +168,120 @@ class TestQuantize:
             rvq.quantize(np.zeros((store_weights.feature_dim, 0),
                                   dtype=np.float32),
                          store_weights, n_active=1)
+
+
+    def test_reconstruction_is_built_only_when_read(self, store_weights, rng,
+                                                     monkeypatch):
+        class Built(Exception):
+            pass
+
+        def codes_to_features(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(rvq, "codes_to_features", codes_to_features)
+        x = rng.standard_normal((store_weights.feature_dim, 5)).astype(np.float32)
+        result = rvq.quantize(x, store_weights, n_active=2)
+        assert result.codes.shape == (2, 5)
+        with pytest.raises(Built):
+            result.quantized
+
+    def test_result_holds_its_weights_out_of_repr(self, store_weights, rng):
+        x = rng.standard_normal((store_weights.feature_dim, 6)).astype(np.float32)
+        result = rvq.quantize(x, store_weights, n_active=3)
+        assert result.weights is store_weights
+        assert "weights" not in repr(result)
+        np.testing.assert_array_equal(
+            result.quantized, rvq.codes_to_features(result.codes, store_weights))
+
+
+def _frames(w, dtype=np.float32):
+    return np.zeros((w.feature_dim, 3), dtype=dtype)
+
+
+# Wrongly typed arguments at the quantizer's edges, each of which numpy
+# would otherwise reject with its own exception or warning.
+BAD_TYPES = {
+    "n_active-float": lambda w: rvq.quantize(_frames(w), w, 1.5),
+    "n_active-str": lambda w: rvq.quantize(_frames(w), w, "2"),
+    "n_active-bool": lambda w: rvq.quantize(_frames(w), w, True),
+    "features-complex": lambda w: rvq.quantize(_frames(w, np.complex64), w, 1),
+    "features-str": lambda w: rvq.quantize(_frames(w, str), w, 1),
+    "codes-float": lambda w: rvq.codes_to_features(np.zeros((1, 3)), w),
+    "codes-bool": lambda w: rvq.codes_to_features(np.zeros((1, 3), bool), w),
+    "codes-complex": lambda w: rvq.codes_to_features(
+        np.zeros((1, 3), complex), w),
+    "codes-str": lambda w: rvq.codes_to_features(np.full((1, 3), "0"), w),
+    "codes-object": lambda w: rvq.codes_to_features(
+        np.zeros((1, 3), object), w),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TYPES))
+def test_wrong_types_raise_invalid_argument(store_weights, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError):
+            BAD_TYPES[case](store_weights)
+
+
+SWEEP_WEIGHTS = identity_weights()
+_F32_MAX = float(np.float32(1e38))
+_EXTREMES = st.sampled_from([_F32_MAX, -_F32_MAX, float("nan")])
+
+
+def _elements(dtype: np.dtype):
+    if dtype.kind == "O":
+        return st.one_of(st.none(), st.integers(-3, 9), st.floats(),
+                         st.text(max_size=2))
+    if dtype.kind in "iu":
+        return st.one_of(st.integers(0, 7), hnp.from_dtype(dtype))
+    if dtype.kind in "fc" and float(np.finfo(dtype).max) >= _F32_MAX:
+        return st.one_of(_EXTREMES, hnp.from_dtype(dtype))
+    return hnp.from_dtype(dtype)
+
+
+@st.composite
+def any_arrays(draw, first_dim):
+    """Arrays of every dtype kind the quantizer may be handed, of rank 0-4;
+    half of them (first_dim, T) so that valid calls come up too."""
+    dtype = draw(st.one_of(
+        hnp.boolean_dtypes(), hnp.integer_dtypes(),
+        hnp.unsigned_integer_dtypes(), hnp.floating_dtypes(),
+        hnp.complex_number_dtypes(), hnp.unicode_string_dtypes(max_len=3),
+        st.just(np.dtype(object))))
+    shape = draw(st.one_of(
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5),
+        st.tuples(first_dim, st.integers(0, 5))))
+    return draw(hnp.arrays(dtype, shape, elements=_elements(dtype)))
+
+
+N_ACTIVE = st.one_of(st.integers(1, SWEEP_WEIGHTS.n_layers), st.integers(-2, 6),
+                     st.floats(), st.booleans(), st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(features=any_arrays(st.just(SWEEP_WEIGHTS.feature_dim)),
+       n_active=N_ACTIVE)
+def test_quantize_returns_or_raises_typed_errors(features, n_active):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = rvq.quantize(features, SWEEP_WEIGHTS, n_active)
+        except SunacError:
+            return
+        assert result.quantized.shape == features.shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes=any_arrays(st.integers(0, SWEEP_WEIGHTS.n_layers + 1)))
+def test_codes_to_features_returns_or_raises_typed_errors(codes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = rvq.codes_to_features(codes, SWEEP_WEIGHTS)
+        except SunacError:
+            return
+        assert out.shape == (SWEEP_WEIGHTS.feature_dim, codes.shape[1])
 
 
 class TestCodesToFeatures:
