@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import codec as _codec
 from . import numerics
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError, integer
 
 __all__ = [
     "TAG_CONST",
@@ -124,7 +124,7 @@ class MacReport:
     layers: tuple[LayerCost, ...] = field(repr=False)
 
     def total_macs(self, n_sources: int) -> int:
-        _check_sources(n_sources)
+        n_sources = integer("n_sources", n_sources, 1, _MAX_COUNT)
         return self.const_macs + n_sources * self.per_source_macs
 
     def to_dict(self, n_sources: int) -> dict:
@@ -204,8 +204,7 @@ def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> M
     updated by every conv layer, so attention stages automatically see the
     frame count in effect where they sit.
     """
-    if sample_rate < 1:
-        raise InvalidArgumentError(f"sample rate must be positive, got {sample_rate}")
+    sample_rate = integer("sample rate", sample_rate, 1)
     if not 0 < duration_s < math.inf:
         raise InvalidArgumentError(
             f"duration must be positive and finite, got {duration_s}")
@@ -301,19 +300,14 @@ class CompareReport:
 def compare_report(duration_s: float = 1.0, n_sources: int = 1,
                    sample_rate: int = 16000) -> CompareReport:
     """Cost table over every built-in spec at one duration and source count."""
-    _check_sources(n_sources)
+    n_sources = integer("n_sources", n_sources, 1, _MAX_COUNT)
+    sample_rate = integer("sample rate", sample_rate, 1)
     rows = tuple(
         count_macs(spec, duration_s, sample_rate)
         for spec in builtin_specs().values()
     )
     return CompareReport(duration_s=duration_s, n_sources=n_sources,
                          sample_rate=sample_rate, rows=rows)
-
-
-def _check_sources(n_sources: int) -> None:
-    if not 1 <= n_sources <= _MAX_COUNT:
-        raise InvalidArgumentError(
-            f"source count must be in [1, {_MAX_COUNT}], got {n_sources}")
 
 
 def _gmacs(value: int) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError
+from .errors import ContractViolationError, InvalidArgumentError, integer
 
 __all__ = ["AudioBuffer", "read_wav", "write_wav", "pcm16_roundtrip"]
 
@@ -20,7 +20,8 @@ class AudioBuffer:
     """A finite mono signal with its sample rate.
 
     Samples are stored as contiguous float32 regardless of what was passed
-    in; construction fails on non-finite values or a non-positive rate.
+    in; construction fails on non-finite values or a rate that is not a
+    positive integer.
     """
 
     samples: np.ndarray
@@ -34,12 +35,9 @@ class AudioBuffer:
             )
         if not np.all(np.isfinite(arr)):
             raise InvalidArgumentError("audio contains non-finite samples")
-        if int(self.sample_rate) <= 0:
-            raise InvalidArgumentError(
-                f"sample rate must be positive, got {self.sample_rate}"
-            )
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate",
+                           integer("sample_rate", self.sample_rate, 1))
 
     @property
     def n_samples(self) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import _atomic_write_bytes
-from .errors import CorruptStreamError, InvalidArgumentError
+from .errors import CorruptStreamError, InvalidArgumentError, integer
 from .extractor import PromptType
 
 __all__ = [
@@ -46,20 +46,6 @@ STREAM_MAGIC = b"SNAC"
 STREAM_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIHHHIQ")
-
-
-def _header_int(name: str, value, top: int) -> int:
-    # An integral value in [1, top], as a Python int.
-    try:
-        as_int = int(value)
-        integral = as_int == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or not 1 <= as_int <= top:
-        raise InvalidArgumentError(
-            f"{name} must be an integer in [1, {top}], got {value!r}"
-        )
-    return as_int
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,7 @@ class EncodedStream:
         # that any stream that constructs also packs, and unpacks to itself.
         for name, size, top in zip(("sources", "codebooks", "frames"),
                                    codes.shape, (0xFFFF, 0xFFFF, 0xFFFFFFFF)):
-            _header_int(name, size, top)
+            integer(name, size, 1, top)
         object.__setattr__(self, "codes", codes.astype(np.int32))
         object.__setattr__(self, "prompt_types", tuple(
             PromptType.parse(p) for p in self.prompt_types))
@@ -98,7 +84,7 @@ class EncodedStream:
                           ("original_len", 0xFFFFFFFFFFFFFFFF),
                           ("bits_per_code", 16)):
             object.__setattr__(self, name,
-                               _header_int(name, getattr(self, name), top))
+                               integer(name, getattr(self, name), 1, top))
         limit = 1 << self.bits_per_code
         if codes.min() < 0 or codes.max() >= limit:
             raise InvalidArgumentError(

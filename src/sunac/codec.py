@@ -53,6 +53,7 @@ from .errors import (
     ContractViolationError,
     CorruptStreamError,
     InvalidArgumentError,
+    integer,
 )
 from . import numerics
 
@@ -87,11 +88,13 @@ WEIGHTS_VERSION = 1
 # configuration
 
 
-def _integral(value) -> int:
-    as_int = int(value)
-    if as_int != value:
-        raise ValueError(f"{value!r} is not integral")
-    return as_int
+def _seed(value, error=InvalidArgumentError) -> int:
+    # The weight file stores the seed in an unsigned 64-bit field.
+    try:
+        return integer("seed", value, 0, 2**64 - 1)
+    except InvalidArgumentError:
+        raise error(
+            f"seed must be an integer in [0, 2**64), got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -120,16 +123,16 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Integral values (2.0) are stored as int; 2.5, "2", inf or NaN in
-        # an integer field is a ConfigError.
+        # Integral values (2.0) are stored as int; 2.5, "2", True, inf or
+        # NaN in an integer field is a ConfigError.
         for field in fields(self):
             value = getattr(self, field.name)
             try:
                 if field.type == "int":
-                    value = _integral(value)
+                    value = integer(field.name, value)
                 elif field.name == "strides":
-                    value = tuple(_integral(s) for s in value)
-            except (TypeError, ValueError, OverflowError) as exc:
+                    value = tuple(integer("strides", s) for s in value)
+            except (TypeError, InvalidArgumentError) as exc:
                 kind = "integers" if field.name == "strides" else "an integer"
                 raise ConfigError(
                     f"{field.name} must be {kind}, got {value!r}"
@@ -184,6 +187,7 @@ class ModelConfig:
                 )
             if (self.transformer_hidden // self.n_heads) % 2 != 0:
                 raise ConfigError("per-head dim must be even for rotary coding")
+        _seed(self.seed, ConfigError)
 
     # -- derived quantities
 
@@ -852,10 +856,7 @@ def init_weights(config: ModelConfig, seed: int) -> WeightStore:
     single sequential generator would give it, whatever the worker count
     and timing.  The pool is shut down before this returns.
     """
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise InvalidArgumentError(
-            f"seed must be an integer in [0, 2**64), got {seed!r}"
-        )
+    seed = _seed(seed)
     tensors: dict[str, np.ndarray] = {}
     parts = []  # (stream position, bound, output slice)
     position = 0
@@ -877,7 +878,7 @@ def init_weights(config: ModelConfig, seed: int) -> WeightStore:
             raise ConfigError(f"unknown init rule {spec.init!r}")
         tensors[spec.name] = value
     with ThreadPoolExecutor(max_workers=_init_workers()) as pool:
-        futures = [pool.submit(_draw_part, int(seed), *part) for part in parts]
+        futures = [pool.submit(_draw_part, seed, *part) for part in parts]
         for future in futures:
             future.result()
     return WeightStore(seed=seed, tensors=tensors)
@@ -946,9 +947,7 @@ def count_params(config: ModelConfig) -> ParamCount:
 
 def frames_for_length(config: ModelConfig, n_samples: int) -> int:
     """Token count produced for an input of n_samples (before padding)."""
-    if n_samples < 1:
-        raise InvalidArgumentError("need at least one sample")
-    return -(-n_samples // config.hop)  # ceil
+    return -(-integer("n_samples", n_samples, 1) // config.hop)  # ceil
 
 
 def _require_runnable(config: ModelConfig, op: str) -> None:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import math
+import numbers
+
+import numpy as np
 
 __all__ = [
     "SunacError",
@@ -32,3 +37,20 @@ class ConfigError(SunacError, ValueError):
 
 class CorruptStreamError(SunacError, ValueError):
     """A serialized stream or weight file failed validation on read."""
+
+
+def integer(name: str, value, lo=-math.inf, hi=math.inf) -> int:
+    """`value` as a Python int when it is an integral real number in
+    [lo, hi]: an int, a numpy integer, or an integral float such as 2.0.
+    Anything else (a bool, text, None, a fraction, NaN, an infinity, or a
+    value out of range) raises InvalidArgumentError."""
+    if (isinstance(value, numbers.Real)
+            and not isinstance(value, (bool, np.bool_))):
+        try:
+            as_int = int(value)
+        except (ValueError, OverflowError):  # NaN, inf
+            as_int = None
+        if as_int == value and lo <= as_int <= hi:
+            return as_int
+    raise InvalidArgumentError(
+        f"{name} must be an integer in [{lo}, {hi}], got {value!r}")

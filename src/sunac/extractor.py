@@ -81,6 +81,8 @@ _WIRE_ORDER = tuple(PromptType)
 
 def parse_prompts(text: str) -> tuple[PromptType, ...]:
     """Parse a comma-separated prompt list like "speech,speech,music"."""
+    if not isinstance(text, str):
+        raise InvalidArgumentError(f"prompt list must be text, got {text!r}")
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise InvalidArgumentError("prompt list is empty")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assignment import SourceSet
 from .audio import AudioBuffer, _atomic_write_bytes
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError, integer
 from .extractor import PromptType
 
 __all__ = [
@@ -81,10 +81,7 @@ class FixtureSpec:
                 f"unknown generator {self.generator!r}, "
                 f"expected one of {GENERATORS}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidArgumentError(
-                f"fixture seed must be a non-negative integer, got {self.seed!r}"
-            )
+        object.__setattr__(self, "seed", integer("fixture seed", self.seed, 0))
         if self.band is not None:
             try:
                 low, high = (float(b) for b in self.band)
@@ -164,6 +161,7 @@ _MAX_SAMPLES = 9_600_000
 def generate(spec: FixtureSpec, duration_s: float = 1.0,
              sample_rate: int = 16000) -> AudioBuffer:
     """Render one source; identical inputs give identical samples."""
+    sample_rate = integer("sample_rate", sample_rate, 1)
     if not 0 < duration_s < np.inf:
         raise InvalidArgumentError(
             f"duration must be positive and finite, got {duration_s}")
@@ -192,12 +190,8 @@ class MixtureManifest:
         object.__setattr__(self, "sources", tuple(self.sources))
         if not self.sources:
             raise InvalidArgumentError("a mixture needs at least one source")
-        rate = self.sample_rate
-        if (not isinstance(rate, (int, float, np.integer, np.floating))
-                or not 0 < rate < np.inf or rate != int(rate)):
-            raise InvalidArgumentError(
-                f"sample rate must be a positive integer, got {rate!r}")
-        object.__setattr__(self, "sample_rate", int(rate))
+        object.__setattr__(self, "sample_rate",
+                           integer("sample_rate", self.sample_rate, 1))
 
     @property
     def prompt_types(self) -> tuple[PromptType, ...]:

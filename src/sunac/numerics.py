@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError, NumericError
+from .errors import (
+    ContractViolationError, InvalidArgumentError, NumericError, integer)
 
 __all__ = [
     "conv_out_len",
@@ -264,16 +265,12 @@ def conv1d(
             f"conv1d wants ([S,] C_in, L) input and (C_out, C_in, K) "
             f"kernels, got {x.shape} and {w.shape}"
         )
-    if stride < 1:
-        raise InvalidArgumentError(f"stride must be >= 1, got {stride}")
-    if dilation < 1:
-        raise InvalidArgumentError(f"dilation must be >= 1, got {dilation}")
-    if padding < 0:
-        raise InvalidArgumentError(f"padding must be >= 0, got {padding}")
+    stride = integer("stride", stride, 1)
+    dilation = integer("dilation", dilation, 1)
+    padding = integer("padding", padding, 0)
+    output_padding = integer("output_padding", output_padding, 0, stride)
     if output_padding and not transposed:
         raise InvalidArgumentError("output_padding only applies when transposed")
-    if not 0 <= output_padding < max(stride, 1) + 1:
-        raise InvalidArgumentError(f"output_padding out of range: {output_padding}")
     c_out, c_in, k = w.shape
     if x.shape[-2] != c_in:
         raise ContractViolationError(
@@ -744,11 +741,11 @@ def _hann(n_fft: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
 
 
-def _check_stft_params(n_fft: int, hop: int) -> None:
-    if n_fft < 2 or n_fft & (n_fft - 1) != 0:
+def _check_stft_params(n_fft: int, hop: int) -> tuple[int, int]:
+    n_fft = integer("n_fft", n_fft, 2)
+    if n_fft & (n_fft - 1) != 0:
         raise InvalidArgumentError(f"n_fft must be a power of two, got {n_fft}")
-    if not 0 < hop <= n_fft:
-        raise InvalidArgumentError(f"hop must be in (0, n_fft], got {hop}")
+    return n_fft, integer("hop", hop, 1, n_fft)
 
 
 def stft(audio, n_fft: int, hop: int) -> np.ndarray:
@@ -769,7 +766,7 @@ def stft(audio, n_fft: int, hop: int) -> np.ndarray:
     x = as_samples(audio)
     if x.size == 0:
         raise InvalidArgumentError("cannot transform empty audio")
-    _check_stft_params(n_fft, hop)
+    n_fft, hop = _check_stft_params(n_fft, hop)
     win = _hann(n_fft)
     pad = n_fft // 2
     xp = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
@@ -783,7 +780,8 @@ def istft(spec: np.ndarray, n_fft: int, hop: int, length: int) -> np.ndarray:
     weighting, returning `length` samples after stripping the center
     padding."""
     spec = np.asarray(spec)
-    _check_stft_params(n_fft, hop)
+    n_fft, hop = _check_stft_params(n_fft, hop)
+    length = integer("length", length, 0)
     if spec.ndim != 2 or spec.shape[0] != n_fft // 2 + 1:
         raise ContractViolationError(
             f"expected ({n_fft // 2 + 1}, n_frames) spectrogram, got {spec.shape}"

@@ -10,7 +10,6 @@ storage loss.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .assignment import (
 )
 from .audio import AudioBuffer, pcm16_roundtrip
 from .bitstream import EncodedStream
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, integer
 from .extractor import ExtractorWeights, PromptBank, PromptType, extract
 from .fixtures import MixtureManifest, realize
 
@@ -47,16 +46,6 @@ def _require_prompted(config: codec.ModelConfig) -> None:
         raise InvalidArgumentError(
             f"{config.arch_family} has no prompt conditioning; "
             "prompted encoding needs a SUNAC configuration"
-        )
-
-
-def _check_n_active(config: codec.ModelConfig, n_active: int) -> None:
-    if (not isinstance(n_active, numbers.Integral)
-            or isinstance(n_active, bool)
-            or not 1 <= n_active <= config.n_codebooks):
-        raise InvalidArgumentError(
-            f"active codebooks must be an integer in 1..{config.n_codebooks}, "
-            f"got {n_active!r}"
         )
 
 
@@ -109,7 +98,7 @@ def encode_mixture(
     prompts = _parse_prompts(prompts)
     if n_active is None:
         n_active = config.n_codebooks
-    _check_n_active(config, n_active)
+    n_active = integer("n_active", n_active, 1, config.n_codebooks)
     per_source = extract_features(audio, prompts, config, store)
     quantizer = rvq.RvqWeights.from_store(store, config)
     codes = np.stack([rvq.quantize(fmap, quantizer, n_active).codes

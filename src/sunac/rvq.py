@@ -10,13 +10,12 @@ choose "add nothing" and residual norms never increase with depth.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codec import ModelConfig, RvqNode, WeightStore
-from .errors import ContractViolationError, InvalidArgumentError
+from .errors import ContractViolationError, InvalidArgumentError, integer
 from .numerics import check_finite, forward_stage
 
 __all__ = [
@@ -101,16 +100,6 @@ class QuantizeResult:
         return codes_to_features(self.codes, self.weights)
 
 
-def _check_active(n_active: int, weights: RvqWeights) -> None:
-    if (not isinstance(n_active, numbers.Integral)
-            or isinstance(n_active, bool)
-            or not 1 <= n_active <= weights.n_layers):
-        raise InvalidArgumentError(
-            f"n_active must be an integer in [1, {weights.n_layers}], "
-            f"got {n_active!r}"
-        )
-
-
 @forward_stage
 def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> QuantizeResult:
     """Quantize an (F, T) feature map with the first n_active layers: a
@@ -127,7 +116,7 @@ def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> Quanti
         )
     if features.shape[1] < 1:
         raise InvalidArgumentError("feature map has no frames")
-    _check_active(n_active, weights)
+    n_active = integer("n_active", n_active, 1, weights.n_layers)
     features = features.astype(np.float32, copy=False).astype(np.float64)
     residual = (weights.down_w.astype(np.float64) @ features
                 + weights.down_b.astype(np.float64)[:, None])
@@ -167,8 +156,7 @@ def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
         raise ContractViolationError(f"codes must be (layers, T), got {codes.shape}")
     if codes.shape[1] == 0:
         raise InvalidArgumentError("codes have no frames")
-    n_layers = codes.shape[0]
-    _check_active(n_layers, weights)
+    n_layers = integer("n_active", codes.shape[0], 1, weights.n_layers)
     if codes.min() < 0 or codes.max() >= weights.n_entries:
         raise InvalidArgumentError(
             f"code indices must be in [0, {weights.n_entries}), "
