@@ -19,12 +19,11 @@ when its name starts with a prefix the family runs once per mixture.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from . import codec as _codec
 from . import numerics
-from .errors import ConfigError, InvalidArgumentError, integer
+from .errors import ConfigError, integer, samples
 
 __all__ = [
     "TAG_CONST",
@@ -205,15 +204,7 @@ def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> M
     frame count in effect where they sit.
     """
     sample_rate = integer("sample rate", sample_rate, 1)
-    if not 0 < duration_s < math.inf:
-        raise InvalidArgumentError(
-            f"duration must be positive and finite, got {duration_s}")
-    if duration_s * sample_rate > _MAX_COUNT:
-        raise InvalidArgumentError(
-            f"{duration_s} s at {sample_rate} Hz exceeds {_MAX_COUNT} samples")
-    length = int(round(duration_s * sample_rate))
-    if length < 1:
-        raise InvalidArgumentError("duration too short for one sample")
+    length = samples(duration_s, sample_rate, 1, _MAX_COUNT)
     channels = 1
     costs = []
     const_total = 0

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError, integer
+from .errors import InvalidArgumentError, integer
+from .numerics import as_samples
 
 __all__ = ["AudioBuffer", "read_wav", "write_wav", "pcm16_roundtrip"]
 
@@ -19,23 +20,17 @@ __all__ = ["AudioBuffer", "read_wav", "write_wav", "pcm16_roundtrip"]
 class AudioBuffer:
     """A finite mono signal with its sample rate.
 
-    Samples are stored as contiguous float32 regardless of what was passed
-    in; construction fails on non-finite values or a rate that is not a
-    positive integer.
+    Samples are stored as contiguous float32 whatever real dtype was passed
+    in; construction fails on samples that are not real or not finite, or a
+    rate that is not a positive integer.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float32))
-        if arr.ndim != 1:
-            raise ContractViolationError(
-                f"expected a 1-D signal, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("audio contains non-finite samples")
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", np.ascontiguousarray(
+            as_samples(self.samples, np.float32)))
         object.__setattr__(self, "sample_rate",
                            integer("sample_rate", self.sample_rate, 1))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import _atomic_write_bytes
-from .errors import CorruptStreamError, InvalidArgumentError, integer
+from .errors import CorruptStreamError, InvalidArgumentError, integer, real_array
 from .extractor import PromptType
 
 __all__ = [
@@ -60,13 +60,11 @@ class EncodedStream:
     bits_per_code: int
 
     def __post_init__(self):
-        codes = np.asarray(self.codes)
+        codes = real_array("codes", self.codes, np.int64)
         if codes.ndim != 3:
             raise InvalidArgumentError(
                 f"codes must be (sources, codebooks, frames), got {codes.shape}"
             )
-        if not np.issubdtype(codes.dtype, np.integer):
-            raise InvalidArgumentError(f"codes must be integers, got {codes.dtype}")
         # Every count and header value must fit its field of _HEADER, so
         # that any stream that constructs also packs, and unpacks to itself.
         for name, size, top in zip(("sources", "codebooks", "frames"),

@@ -54,6 +54,7 @@ from .errors import (
     CorruptStreamError,
     InvalidArgumentError,
     integer,
+    real_array,
 )
 from . import numerics
 
@@ -966,6 +967,9 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
     product, so T = ceil(len / hop) exactly.  The sample rate must match
     the configuration.
     """
+    if not isinstance(audio, AudioBuffer):
+        raise InvalidArgumentError(
+            f"audio must be an AudioBuffer, got {type(audio).__name__}")
     _require_runnable(config, "encode")
     if audio.sample_rate != config.sample_rate:
         raise InvalidArgumentError(
@@ -1001,12 +1005,7 @@ def decode(features: np.ndarray, config: ModelConfig,
     original length themselves when they know it.
     """
     _require_runnable(config, "decode")
-    features = np.asarray(features)
-    if features.dtype.kind not in "biuf":
-        raise InvalidArgumentError(
-            f"features must be real numbers, got dtype {features.dtype}"
-        )
-    features = features.astype(np.float32, copy=False)
+    features = real_array("features", features, np.float32)
     stack = features if features.ndim == 3 else features[None]
     if features.ndim not in (2, 3) or stack.shape[1] != config.latent_dim:
         raise ContractViolationError(

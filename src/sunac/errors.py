@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one integer rule."""
+"""Exception types shared across the package, and its argument rules."""
 
+import contextlib
 import math
 import numbers
 
@@ -54,3 +55,37 @@ def integer(name: str, value, lo=-math.inf, hi=math.inf) -> int:
             return as_int
     raise InvalidArgumentError(
         f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def samples(duration_s, rate: int, lo: int, hi: int) -> int:
+    """round(duration_s * rate), the sample count of a real, positive and
+    finite duration, when it lies in [lo, hi].  Anything else (a bool, text,
+    NaN, an infinity, too short or too long a duration) raises
+    InvalidArgumentError."""
+    if (isinstance(duration_s, numbers.Real)
+            and not isinstance(duration_s, (bool, np.bool_))):
+        with contextlib.suppress(OverflowError):  # beyond the float range
+            total = float(duration_s) * rate
+            if 0 < total <= hi and round(total) >= lo:
+                return round(total)
+    raise InvalidArgumentError(f"duration_s must give {lo} to {hi} samples "
+                               f"at {rate} Hz, got {duration_s!r}")
+
+
+def real_array(name: str, value, dtype) -> np.ndarray:
+    """`value` as an array of `dtype` if it holds integers, or floats where
+    `dtype` is a float type.  Anything else (bools, complex numbers, text,
+    bytes, objects, dates, records, or what np.asarray cannot make one array
+    of) raises InvalidArgumentError.  Overflow in the cast is quiet: a value
+    too large for `dtype` becomes +-inf for the caller's finiteness check."""
+    floats = np.dtype(dtype).kind == "f"
+    try:
+        array = np.asarray(value)
+    except (ValueError, TypeError, OverflowError):  # ragged, or not an array
+        array = np.empty(0, dtype=object)
+    if array.dtype.kind not in ("iuf" if floats else "iu"):
+        raise InvalidArgumentError(
+            f"{name} must be {'real numbers' if floats else 'integers'}, "
+            f"got dtype {array.dtype}")
+    with np.errstate(over="ignore"):
+        return array.astype(dtype, copy=False)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assignment import SourceSet
 from .audio import AudioBuffer, _atomic_write_bytes
-from .errors import ConfigError, InvalidArgumentError, integer
+from .errors import ConfigError, InvalidArgumentError, integer, samples
 from .extractor import PromptType
 
 __all__ = [
@@ -154,24 +154,15 @@ _GEN_FUNCS = {
 }
 
 
-# Longest render: 10 minutes at 16 kHz, the longest input the codec targets.
-_MAX_SAMPLES = 9_600_000
+# Render lengths; 10 minutes at 16 kHz is the longest input the codec targets.
+_MIN_SAMPLES, _MAX_SAMPLES = 8, 9_600_000
 
 
 def generate(spec: FixtureSpec, duration_s: float = 1.0,
              sample_rate: int = 16000) -> AudioBuffer:
     """Render one source; identical inputs give identical samples."""
     sample_rate = integer("sample_rate", sample_rate, 1)
-    if not 0 < duration_s < np.inf:
-        raise InvalidArgumentError(
-            f"duration must be positive and finite, got {duration_s}")
-    if duration_s * sample_rate > _MAX_SAMPLES:
-        raise InvalidArgumentError(
-            f"{duration_s} s at {sample_rate} Hz exceeds the "
-            f"{_MAX_SAMPLES}-sample render limit")
-    n = int(round(duration_s * sample_rate))
-    if n < 8:
-        raise InvalidArgumentError("duration too short to synthesize")
+    n = samples(duration_s, sample_rate, _MIN_SAMPLES, _MAX_SAMPLES)
     low, high = spec.effective_band(sample_rate)
     rng = np.random.default_rng(spec.seed)
     x = _GEN_FUNCS[spec.generator](rng, n, low, high, sample_rate)
@@ -192,6 +183,9 @@ class MixtureManifest:
             raise InvalidArgumentError("a mixture needs at least one source")
         object.__setattr__(self, "sample_rate",
                            integer("sample_rate", self.sample_rate, 1))
+        # The bounds of generate, so that a manifest that constructs renders.
+        samples(self.duration_s, self.sample_rate, _MIN_SAMPLES, _MAX_SAMPLES)
+        object.__setattr__(self, "duration_s", float(self.duration_s))
 
     @property
     def prompt_types(self) -> tuple[PromptType, ...]:
@@ -231,7 +225,7 @@ class MixtureManifest:
             )
             return cls(
                 sources=sources,
-                duration_s=float(payload["duration_s"]),
+                duration_s=payload["duration_s"],
                 sample_rate=payload["sample_rate"],
             )
         except (KeyError, TypeError) as exc:

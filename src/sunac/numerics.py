@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContractViolationError, InvalidArgumentError, NumericError, integer)
+    ContractViolationError, InvalidArgumentError, NumericError, integer, real_array)
 
 __all__ = [
     "conv_out_len",
@@ -71,16 +71,14 @@ _TILE_CHANNELS = 192
 _GEMM_ALIGN = 16
 
 
-def as_samples(audio) -> np.ndarray:
-    """Pull a 1-D float64 sample vector out of an AudioBuffer or array."""
-    arr = np.asarray(getattr(audio, "samples", audio), dtype=np.float64)
+def as_samples(audio, dtype=np.float64) -> np.ndarray:
+    """The finite 1-D `dtype` sample vector of an AudioBuffer or array."""
+    arr = real_array("samples", getattr(audio, "samples", audio), dtype)
     if arr.ndim != 1:
         raise ContractViolationError(f"expected 1-D audio, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError("audio contains non-finite samples")
     return arr
-
-
-def _f64(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64)
 
 
 def check_finite(array: np.ndarray, where: str) -> np.ndarray:
@@ -722,9 +720,9 @@ def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool, out):
 
     # tokens is this call's own copy, so both residual adds run in place,
     # in the order (tokens + attn) then (tokens + hidden @ W2) + b2.
-    normed = _ln_rows(tokens, _f64(weights.ln1_gain), _f64(weights.ln1_bias))
+    normed = _ln_rows(tokens, weights.ln1_gain, weights.ln1_bias)
     tokens += _attention(normed, weights, use_rope, t)
-    normed = _ln_rows(tokens, _f64(weights.ln2_gain), _f64(weights.ln2_bias))
+    normed = _ln_rows(tokens, weights.ln2_gain, weights.ln2_bias)
     hidden = gelu(_project(normed, weights.ff_w1, weights.ff_b1))
     tokens += hidden @ weights.ff_w2.T.astype(np.float64)
     tokens += weights.ff_b2

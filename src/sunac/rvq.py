@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import ModelConfig, RvqNode, WeightStore
-from .errors import ContractViolationError, InvalidArgumentError, integer
+from .errors import ContractViolationError, InvalidArgumentError, integer, real_array
 from .numerics import check_finite, forward_stage
 
 __all__ = [
@@ -105,11 +105,7 @@ def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> Quanti
     """Quantize an (F, T) feature map with the first n_active layers: a
     greedy layer-by-layer nearest-entry walk in code space, with per-layer
     residual norms in float64."""
-    features = np.asarray(features)
-    if features.dtype.kind not in "biuf":
-        raise InvalidArgumentError(
-            f"features must be real numbers, got dtype {features.dtype}"
-        )
+    features = real_array("features", features, np.float32)
     if features.ndim != 2 or features.shape[0] != weights.feature_dim:
         raise ContractViolationError(
             f"expected ({weights.feature_dim}, T) features, got {features.shape}"
@@ -117,8 +113,7 @@ def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> Quanti
     if features.shape[1] < 1:
         raise InvalidArgumentError("feature map has no frames")
     n_active = integer("n_active", n_active, 1, weights.n_layers)
-    features = features.astype(np.float32, copy=False).astype(np.float64)
-    residual = (weights.down_w.astype(np.float64) @ features
+    residual = (weights.down_w.astype(np.float64) @ features.astype(np.float64)
                 + weights.down_b.astype(np.float64)[:, None])
     check_finite(residual, "rvq.down projection")
     t = residual.shape[1]
@@ -147,11 +142,7 @@ def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
     Sums the selected entries of the first `codes.shape[0]` codebooks in
     float64 and sends the total through the up projection.
     """
-    codes = np.asarray(codes)
-    if codes.dtype.kind not in "iu":
-        raise InvalidArgumentError(
-            f"codes must be integers, got dtype {codes.dtype}"
-        )
+    codes = real_array("codes", codes, np.int64)
     if codes.ndim != 2:
         raise ContractViolationError(f"codes must be (layers, T), got {codes.shape}")
     if codes.shape[1] == 0:

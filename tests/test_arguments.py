@@ -8,6 +8,7 @@ are accepted and come back as Python ints.  Warnings are errors here.
 
 import ast
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -203,3 +204,64 @@ def test_errors_integer_is_the_only_integer_rule():
              for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
              for line in _second_integer_rules(ast.parse(path.read_text()))]
     assert not found, f"integer checks outside errors.integer: {found}"
+
+
+# One duration rule, errors.samples: (id, call(duration) -> a result that
+# depends on the sample count).
+DURATION_SITES = [
+    ("count_macs", lambda d: analysis.count_macs(
+        analysis.builtin_specs()["DAC"], d).total_macs(1)),
+    ("generate", lambda d: fixtures.generate(_spec(), d).n_samples),
+    ("MixtureManifest", lambda d: fixtures.realize(
+        fixtures.MixtureManifest((_spec(),), d)).mixture.n_samples),
+]
+
+
+@pytest.mark.parametrize("site", DURATION_SITES,
+                         ids=[site[0] for site in DURATION_SITES])
+def test_duration_rule(site, monkeypatch):
+    name, call = site
+    bad = [True, np.True_, "1", None, float("nan"), float("inf"), 0.0, -0.5,
+           1e-6, 1e300, 10**400, np.float64(1e308)]
+    with monkeypatch.context() as patch:
+        patch.setattr(fixtures, "_GEN_FUNCS",
+                      dict.fromkeys(fixtures.GENERATORS, _must_not_run))
+        for value in bad:
+            with pytest.raises(InvalidArgumentError, match="duration_s must"):
+                call(value)
+    expected = call(0.1)
+    for value in (np.float32(0.1), np.float64(0.1), Fraction(1, 10)):
+        assert call(value) == expected, value
+
+
+@pytest.mark.parametrize("duration", ["1", float("nan"), 1e-6, True, 601.0],
+                         ids=["text", "nan", "one-sample", "bool", "too-long"])
+def test_manifest_that_constructs_renders(duration):
+    with pytest.raises(InvalidArgumentError, match="duration_s must"):
+        fixtures.MixtureManifest((_spec(),), duration)
+    payload = json.loads(fixtures.MixtureManifest((_spec(),)).to_json())
+    payload["duration_s"] = duration
+    with pytest.raises(ConfigError, match="duration_s must"):
+        fixtures.MixtureManifest.from_json(json.dumps(payload))
+
+
+def test_manifest_duration_is_stored_as_a_float():
+    manifest = fixtures.MixtureManifest((_spec(),), np.float32(0.5))
+    assert type(manifest.duration_s) is float
+    assert fixtures.MixtureManifest.from_json(manifest.to_json()) == manifest
+
+
+def _second_array_rules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "issubdtype"
+                or (node.attr == "kind"
+                    and getattr(node.value, "attr", None) == "dtype")):
+            yield node.lineno
+
+
+def test_errors_real_array_is_the_only_array_rule():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+             for line in _second_array_rules(ast.parse(path.read_text()))]
+    assert not found, f"dtype checks outside errors.real_array: {found}"
