@@ -124,6 +124,7 @@ def pcm16_roundtrip(samples: np.ndarray) -> np.ndarray:
 
     Evaluation regenerates reference signals in float; estimates arrive
     through 16-bit files.  Pushing references through the same quantizer
-    keeps the comparison like-with-like.
+    keeps the comparison like-with-like.  `samples` is read as `as_samples`
+    reads audio: a finite 1-D array of real numbers.
     """
-    return _float_to_pcm16(samples).astype(np.float32) / 32768.0
+    return _float_to_pcm16(as_samples(samples)).astype(np.float32) / 32768.0

@@ -80,9 +80,8 @@ def _cmd_encode(args) -> int:
     stream = pipeline.encode_mixture(audio, prompts, config, store,
                                      n_active=args.codebooks)
     write_stream(stream, args.output)
-    bits = stream.n_codebooks * stream.bits_per_code * stream.n_frames
     print(f"wrote {args.output}: {stream.n_sources} source(s), "
-          f"{stream.n_frames} frames, {bits * stream.n_sources} payload bits")
+          f"{stream.n_frames} frames, {os.path.getsize(args.output)} bytes")
     return 0
 
 

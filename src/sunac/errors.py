@@ -72,13 +72,15 @@ def samples(duration_s, rate: int, lo: int, hi: int) -> int:
                                f"at {rate} Hz, got {duration_s!r}")
 
 
-def real_array(name: str, value, dtype) -> np.ndarray:
+def real_array(name: str, value, dtype=None) -> np.ndarray:
     """`value` as an array of `dtype` if it holds integers, or floats where
-    `dtype` is a float type.  Anything else (bools, complex numbers, text,
-    bytes, objects, dates, records, or what np.asarray cannot make one array
-    of) raises InvalidArgumentError.  Overflow in the cast is quiet: a value
-    too large for `dtype` becomes +-inf for the caller's finiteness check."""
-    floats = np.dtype(dtype).kind == "f"
+    `dtype` is a float type; with no `dtype`, integers in their own dtype,
+    so a range check sees the values as given.  Anything else (bools,
+    complex numbers, text, bytes, objects, dates, records, or what
+    np.asarray cannot make one array of) raises InvalidArgumentError.
+    Overflow in the cast is quiet: a value too large for `dtype` becomes
+    +-inf for the caller's finiteness check."""
+    floats = dtype is not None and np.dtype(dtype).kind == "f"
     try:
         array = np.asarray(value)
     except (ValueError, TypeError, OverflowError):  # ragged, or not an array
@@ -87,5 +89,7 @@ def real_array(name: str, value, dtype) -> np.ndarray:
         raise InvalidArgumentError(
             f"{name} must be {'real numbers' if floats else 'integers'}, "
             f"got dtype {array.dtype}")
+    if dtype is None:
+        return array
     with np.errstate(over="ignore"):
         return array.astype(dtype, copy=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import ModelConfig, WeightStore, extractor_nodes
-from .errors import ContractViolationError, InvalidArgumentError
+from .errors import ContractViolationError, InvalidArgumentError, real_array
 from .numerics import (
     TransformerLayerWeights,
     check_finite,
@@ -96,7 +96,7 @@ class PromptBank:
     vectors: np.ndarray  # (4, F) float32
 
     def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=np.float32)
+        arr = real_array("prompt vectors", self.vectors, np.float32)
         if arr.ndim != 2 or arr.shape[0] != len(_WIRE_ORDER):
             raise ContractViolationError(
                 f"prompt bank must be ({len(_WIRE_ORDER)}, F), got {arr.shape}"
@@ -169,7 +169,7 @@ def cross_prompt(
     Returns:
         (transformed_features (F, T), transformed_prompts (F, N)).
     """
-    features = np.asarray(features, dtype=np.float32)
+    features = real_array("features", features, np.float32)
     if len(prompts) < 1:
         raise InvalidArgumentError("need at least one prompt")
     if features.ndim != 2 or features.shape[0] != bank.dim:

@@ -16,6 +16,15 @@ order, whatever the tile width, so the bits depend neither on the tile size
 nor on how the input arrives.  A tile makes no float64 pass it does not
 need (`conv1d`), and Transformer layers add their biases and residuals in
 place, in the order the formulas state, so neither moves a bit.
+Transformer projections (`_project`) widen each float32 weight to float64
+_WIDEN_ROWS (512) output rows at a time, just before that chunk's GEMM,
+which writes its columns of the one float64 output; a remainder under 512
+rows joins the last chunk.  So no layer holds a whole float64 weight, and
+every chunk starts on a multiple of 512 columns, where BLAS forms each
+column's sum as the whole product does: the bits do not move.  Narrower
+chunks would move them: on OpenBLAS's SkylakeX kernel, 384-row chunks
+changed float64 sums at two and three token rows (its small-matrix path),
+and 16-row chunks changed many.
 Attention runs both of its products on BLAS, one fixed-size block of
 queries at a time, so its memory grows linearly with the token count; a
 softmax row needs only its own query, so the blocking leaves the bits
@@ -61,6 +70,9 @@ _LN_EPS = 1e-5
 _ROPE_BASE = 10000.0
 # Queries per attention block; bounds the score buffer at (H, 256, T).
 _QUERY_BLOCK = 256
+# Output rows of a Transformer weight widened to float64 at a time (the
+# last chunk takes the remainder): 4 MiB of a (1024, 1024) weight.
+_WIDEN_ROWS = 512
 # Convolution tiles (see conv_tiles): _TILE_COLUMNS output columns, times
 # as many as fit when the layer is narrower than _TILE_CHANNELS.  A float64
 # tile buffer of a narrow layer then holds about 3 MB, while wide layers
@@ -666,10 +678,20 @@ def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
     return _project(ctx, w.wo, w.bo)
 
 
-def _project(rows, weight, bias):
-    # rows @ weight.T + bias, the bias added in place onto the product.
-    out = rows @ weight.T.astype(np.float64)
-    out += bias
+def _project(rows, weight, bias=None):
+    # rows @ weight.T (+ bias, added in place onto the product), the weight
+    # widened in chunks of _WIDEN_ROWS output rows or more (see the module
+    # docstring) into one reused float64 buffer.
+    n = weight.shape[0]
+    edges = [*range(0, max(n - _WIDEN_ROWS, 0) + 1, _WIDEN_ROWS), n]
+    out = np.empty((rows.shape[0], n))
+    w64 = np.empty((n - edges[-2], weight.shape[1]))
+    for a, b in zip(edges, edges[1:]):
+        chunk = w64[: b - a]
+        np.copyto(chunk, weight[a:b])
+        np.matmul(rows, chunk.T, out=out[:, a:b])
+    if bias is not None:
+        out += bias
     return out
 
 
@@ -724,7 +746,7 @@ def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool, out):
     tokens += _attention(normed, weights, use_rope, t)
     normed = _ln_rows(tokens, weights.ln2_gain, weights.ln2_bias)
     hidden = gelu(_project(normed, weights.ff_w1, weights.ff_b1))
-    tokens += hidden @ weights.ff_w2.T.astype(np.float64)
+    tokens += _project(hidden, weights.ff_w2)
     tokens += weights.ff_b2
 
     out[...] = tokens.reshape(g, t, d).transpose(0, 2, 1)

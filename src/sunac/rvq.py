@@ -142,7 +142,7 @@ def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
     Sums the selected entries of the first `codes.shape[0]` codebooks in
     float64 and sends the total through the up projection.
     """
-    codes = real_array("codes", codes, np.int64)
+    codes = real_array("codes", codes)
     if codes.ndim != 2:
         raise ContractViolationError(f"codes must be (layers, T), got {codes.shape}")
     if codes.shape[1] == 0:

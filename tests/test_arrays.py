@@ -1,9 +1,11 @@
 """One array rule for every array a caller passes.
 
-`errors.real_array` decides it at the six places that take an array: the
-samples of `AudioBuffer` and `numerics.as_samples` (behind `si_sdr` and
-`stft`), the latent maps of `codec.decode` and `rvq.quantize`, and the codes
-of `rvq.codes_to_features` and `EncodedStream`.  Integer arrays pass, and
+`errors.real_array` decides it at every place that takes an array: the
+samples of `AudioBuffer` and `numerics.as_samples` (behind `si_sdr`, `stft`
+and `audio.pcm16_roundtrip`), the latent maps of `codec.decode`,
+`rvq.quantize` and `extractor.cross_prompt`, the vectors of
+`extractor.PromptBank`, and the codes of `rvq.codes_to_features` and
+`EncodedStream`.  Integer arrays pass, and
 float arrays where the site takes floats; bools, complex numbers, text,
 bytes, objects, dates and ragged lists raise `InvalidArgumentError`.  The
 sweep below hands arrays of every dtype kind to the public entry points with
@@ -20,9 +22,12 @@ from hypothesis.extra import numpy as hnp
 
 from sunac import codec, numerics, pipeline, rvq
 from sunac.assignment import SourceSet, si_sdr
-from sunac.audio import AudioBuffer
+from sunac.audio import AudioBuffer, pcm16_roundtrip
 from sunac.bitstream import EncodedStream
-from sunac.errors import InvalidArgumentError, SunacError
+from sunac.errors import (ContractViolationError, InvalidArgumentError,
+                          SunacError)
+from sunac.extractor import (ExtractorWeights, PromptBank, PromptType,
+                             cross_prompt)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -76,6 +81,7 @@ AUDIO = st.tuples(st.sampled_from([1, 5, N_REF]))
 MAPS = st.one_of(st.tuples(st.just(16), FRAMES),
                  st.tuples(st.integers(1, 2), st.just(16), FRAMES))
 CODES = st.tuples(st.integers(1, 4), FRAMES)
+BANKS = st.tuples(st.just(4), st.just(16))
 STREAMS = st.tuples(st.integers(1, 2), st.integers(1, 4), FRAMES)
 
 
@@ -99,6 +105,12 @@ def _decode_stream(codes, config, store):
 
 def _buffer(x, config):
     return AudioBuffer(x, config.sample_rate)
+
+
+def _cross_prompt(features, config, store):
+    return cross_prompt(features, (PromptType.SPEECH,),
+                        PromptBank.from_store(store),
+                        ExtractorWeights.from_store(store, config).cross)
 
 
 # name -> (valid shapes, call(array, config, store))
@@ -125,6 +137,9 @@ ENTRY_POINTS = {
                                       _references(), [x], "masked")),
     "si_sdr": (AUDIO, lambda x, c, s: si_sdr(_tone(x.size or 1), x)),
     "stft": (AUDIO, lambda x, c, s: numerics.stft(x, 16, 4)),
+    "pcm16_roundtrip": (AUDIO, lambda x, c, s: pcm16_roundtrip(x)),
+    "PromptBank": (BANKS, lambda x, c, s: PromptBank(x)),
+    "cross_prompt": (MAPS, _cross_prompt),
 }
 
 
@@ -207,11 +222,13 @@ def test_list_of_floats_is_valid_audio():
     [[0.5, 0.5], [0.5]], {"samples": [0.5]}, [0.5, 10**400]],
     ids=["bool", "complex", "text", "bytes", "object", "datetime", "ragged",
          "dict", "huge-int"])
-@pytest.mark.parametrize("site", ["AudioBuffer", "si_sdr", "stft"])
+@pytest.mark.parametrize("site", ["AudioBuffer", "si_sdr", "stft",
+                                  "pcm16_roundtrip"])
 def test_non_real_audio_is_refused(samples, site):
     call = {"AudioBuffer": lambda: AudioBuffer(samples, 16000),
             "si_sdr": lambda: si_sdr(samples, samples),
-            "stft": lambda: numerics.stft(samples, 4, 2)}[site]
+            "stft": lambda: numerics.stft(samples, 4, 2),
+            "pcm16_roundtrip": lambda: pcm16_roundtrip(samples)}[site]
     with pytest.raises(InvalidArgumentError,
                        match="samples must be real numbers, got dtype"):
         call()
@@ -231,6 +248,44 @@ def test_audio_past_the_float_range_is_non_finite(call):
     with pytest.raises(InvalidArgumentError,
                        match="audio contains non-finite samples"):
         call()
+
+
+@pytest.mark.parametrize("samples, error, message", [
+    (np.zeros((2, 3)), ContractViolationError, "expected 1-D audio"),
+    ([0.5, math.nan], InvalidArgumentError, "non-finite samples")],
+    ids=["2-D", "NaN"])
+def test_pcm16_roundtrip_takes_one_finite_signal(samples, error, message):
+    with pytest.raises(error, match=message):
+        pcm16_roundtrip(samples)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, bool, "U4"])
+def test_prompt_bank_takes_real_vectors(dtype):
+    with pytest.raises(InvalidArgumentError,
+                       match="prompt vectors must be real numbers, got dtype"):
+        PromptBank(np.zeros((4, 16), dtype))
+
+
+def test_integer_prompt_vectors_are_read_as_floats():
+    bank = PromptBank(np.arange(64, dtype=np.int16).reshape(4, 16))
+    assert bank.vectors.dtype == np.float32
+    np.testing.assert_array_equal(bank.vectors,
+                                  np.arange(64, dtype=np.float32).reshape(4, 16))
+
+
+def test_cross_prompt_takes_real_features(tiny_config, tiny_store):
+    with pytest.raises(InvalidArgumentError,
+                       match="features must be real numbers, got dtype"):
+        _cross_prompt(_map(tiny_config, np.complex64), tiny_config, tiny_store)
+
+
+def test_codes_range_message_shows_the_values_as_given(tiny_config,
+                                                       tiny_store):
+    codes = np.array([[2**64 - 1, 3]], np.uint64)
+    with pytest.raises(InvalidArgumentError,
+                       match=r"got range \[3, 18446744073709551615\]"):
+        rvq.codes_to_features(codes, rvq.RvqWeights.from_store(
+            tiny_store, tiny_config))
 
 
 @pytest.mark.parametrize("codes", [np.zeros((1, 2, 3)),

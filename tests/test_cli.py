@@ -155,6 +155,18 @@ def test_encode_stream_size_matches_header_arithmetic(work, tiny_config):
     assert os.path.getsize(work["stream"]) == expected
 
 
+def test_encode_prints_the_bytes_it_wrote(work, tmp_path, capsys):
+    out = tmp_path / "sized.snac"
+    rc = cli.main([
+        "encode", str(work["fix"] / "mixture.wav"),
+        "--prompts", "speech,music",
+        "--config", work["cfg"], "-o", str(out),
+    ])
+    assert rc == 0
+    line = capsys.readouterr().out.strip()
+    assert line.endswith(f", {os.path.getsize(out)} bytes")
+
+
 def test_encode_matches_library_call(work, tiny_config, tiny_store):
     stream = read_stream(work["stream"])
     audio = read_wav(str(work["fix"] / "mixture.wav"))

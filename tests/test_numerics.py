@@ -621,6 +621,35 @@ class TestTransformer:
             tracemalloc.stop()
         assert peak < 8 * layer.n_heads * n_tokens * n_tokens / 4
 
+    @pytest.mark.parametrize("shape", [(1024, 1024), (1536, 1024),
+                                       (1024, 1536), (1280, 1024)],
+                             ids=["1024x1024", "1536x1024", "1024x1536",
+                                  "1280x1024"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 16, 50, 203])
+    def test_chunked_projection_is_the_whole_weight_product(self, shape,
+                                                            n_rows):
+        # Full SUNAC's Q/K/V/O, FF up and FF down weights, and one that
+        # splits into chunks of 512 and 768 rows.
+        rng = np.random.default_rng(n_rows * 10_000 + shape[0])
+        weight = rng.uniform(-0.03, 0.03, shape).astype(np.float32)
+        rows = rng.standard_normal((n_rows, shape[1]))
+        np.testing.assert_array_equal(numerics._project(rows, weight),
+                                      rows @ weight.T.astype(np.float64))
+
+    def test_full_width_layer_widens_no_whole_weight(self):
+        # A whole float64 FF weight is 12 MiB; this layer traced 13.96 MiB
+        # widening whole weights and 7.96 MiB in chunks of 512 rows.
+        layer = init_scale_layer(np.random.default_rng(1603))
+        x = np.random.default_rng(1604).standard_normal(
+            (1024, 50)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            numerics.transformer_block(x, layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_rope_rejects_odd_head_dim(self, rng):
         x = rng.standard_normal((4, 2, 3))
         with pytest.raises(ContractViolationError):
