@@ -96,11 +96,23 @@ class SourceSet:
     mixture: AudioBuffer | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(
-            (buf, PromptType.parse(ptype)) for buf, ptype in self.sources
-        ))
-        if not self.sources:
-            raise InvalidArgumentError("source set is empty")
+        try:
+            pairs = tuple(tuple(pair) for pair in self.sources)
+            paired = all(len(pair) == 2 and isinstance(pair[0], AudioBuffer)
+                         for pair in pairs)
+        except TypeError:  # not iterable
+            paired = False
+        if not paired:
+            raise InvalidArgumentError(
+                "sources must be a sequence of (AudioBuffer, prompt type) pairs")
+        if self.mixture is not None and not isinstance(self.mixture,
+                                                       AudioBuffer):
+            raise InvalidArgumentError(
+                f"mixture must be an AudioBuffer, got "
+                f"{type(self.mixture).__name__}")
+        types = PromptType.parse_all("source types", [t for _, t in pairs])
+        object.__setattr__(self, "sources",
+                           tuple(zip([buf for buf, _ in pairs], types)))
         first = self.sources[0][0]
         for buf, _ in self.sources[1:]:
             if buf.n_samples != first.n_samples:
@@ -147,9 +159,7 @@ def restricted_permutations(types) -> list[tuple[int, ...]]:
     The count is the product of the factorials of the type multiplicities;
     results are in lexicographic order.
     """
-    types = tuple(types)
-    if not types:
-        raise InvalidArgumentError("no source types given")
+    types = PromptType.parse_all("types", types)
     groups: dict[PromptType, list[int]] = {}
     for index, t in enumerate(types):
         groups.setdefault(t, []).append(index)

@@ -71,8 +71,8 @@ class EncodedStream:
                                    codes.shape, (0xFFFF, 0xFFFF, 0xFFFFFFFF)):
             integer(name, size, 1, top)
         object.__setattr__(self, "codes", codes.astype(np.int32))
-        object.__setattr__(self, "prompt_types", tuple(
-            PromptType.parse(p) for p in self.prompt_types))
+        object.__setattr__(self, "prompt_types", PromptType.parse_all(
+            "prompt_types", self.prompt_types))
         if len(self.prompt_types) != codes.shape[0]:
             raise InvalidArgumentError(
                 f"{len(self.prompt_types)} prompt types for "
@@ -103,6 +103,9 @@ class EncodedStream:
 
 
 def pack_stream(stream: EncodedStream) -> bytes:
+    if not isinstance(stream, EncodedStream):
+        raise InvalidArgumentError(
+            f"stream must be an EncodedStream, got {type(stream).__name__}")
     header = _HEADER.pack(
         STREAM_MAGIC,
         STREAM_VERSION,
@@ -119,6 +122,10 @@ def pack_stream(stream: EncodedStream) -> bytes:
 
 
 def unpack_stream(blob: bytes) -> EncodedStream:
+    if not isinstance(blob, (bytes, bytearray, memoryview)):
+        raise InvalidArgumentError(
+            f"stream must be bytes, got {type(blob).__name__}")
+    blob = bytes(blob)  # a memoryview's len counts items, not bytes
     if len(blob) < _HEADER.size:
         raise CorruptStreamError(
             f"stream is {len(blob)} bytes, shorter than the {_HEADER.size}-byte header"

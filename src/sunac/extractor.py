@@ -9,6 +9,7 @@ mixture through a FiLM map with a residual connection, and two further
 Transformer layers refine the modulated map.  The FiLM maps and refinement
 layers are shared across prompts, so each runs once over the stack of all
 prompts' maps, with the bits one call per prompt gives.
+Every prompt list a caller hands the package is read by PromptType.parse_all.
 """
 
 from __future__ import annotations
@@ -75,18 +76,39 @@ class PromptType(enum.Enum):
                 f"unknown prompt type {value!r}, expected one of: {valid}"
             ) from None
 
+    @classmethod
+    def parse_all(cls, name: str, value) -> tuple["PromptType", ...]:
+        """Parse each item of a prompt list; see prompt_items."""
+        return tuple(map(cls.parse, prompt_items(name, value)))
+
 
 _WIRE_ORDER = tuple(PromptType)
+
+
+def prompt_items(name: str, value) -> tuple:
+    """The items of a non-empty sequence.  Text, bytes, a non-iterable and
+    an empty sequence raise InvalidArgumentError naming `name`."""
+    if isinstance(value, (str, bytes)):
+        raise InvalidArgumentError(
+            f"{name} must be a sequence of prompt types, got the text "
+            f"{value!r}; parse comma-separated text with "
+            "extractor.parse_prompts")
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = ()
+    if not items:
+        raise InvalidArgumentError(f"{name} must be a non-empty sequence "
+                                   f"of prompt types, got {value!r}")
+    return items
 
 
 def parse_prompts(text: str) -> tuple[PromptType, ...]:
     """Parse a comma-separated prompt list like "speech,speech,music"."""
     if not isinstance(text, str):
         raise InvalidArgumentError(f"prompt list must be text, got {text!r}")
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise InvalidArgumentError("prompt list is empty")
-    return tuple(PromptType.parse(p) for p in parts)
+    return PromptType.parse_all(
+        "prompt list", [p for p in text.split(",") if p.strip()])
 
 
 @dataclass(frozen=True)
@@ -170,8 +192,7 @@ def cross_prompt(
         (transformed_features (F, T), transformed_prompts (F, N)).
     """
     features = real_array("features", features, np.float32)
-    if len(prompts) < 1:
-        raise InvalidArgumentError("need at least one prompt")
+    prompts = PromptType.parse_all("prompts", prompts)
     if features.ndim != 2 or features.shape[0] != bank.dim:
         raise ContractViolationError(
             f"features {features.shape} do not match prompt dim {bank.dim}"
@@ -196,8 +217,8 @@ def film(
     identically zero this is exactly the identity.  (F, N) prompt columns
     give an (N, F, T) stack, each weight widened once for all of them.
     """
-    x = np.asarray(x, dtype=np.float32)
-    p = np.asarray(prompt_column, dtype=np.float64)
+    x = real_array("x", x, np.float32)
+    p = real_array("prompt columns", prompt_column, np.float64)
     if x.ndim != 2 or p.ndim not in (1, 2) or p.shape[0] != x.shape[0]:
         raise ContractViolationError(
             f"prompt columns {p.shape} do not match feature map {x.shape}"

@@ -20,7 +20,7 @@ import numpy as np
 from .assignment import SourceSet
 from .audio import AudioBuffer, _atomic_write_bytes
 from .errors import ConfigError, InvalidArgumentError, integer, samples
-from .extractor import PromptType
+from .extractor import PromptType, prompt_items
 
 __all__ = [
     "GENERATORS",
@@ -236,13 +236,13 @@ class MixtureManifest:
 
 def check_source_constraints(types, allow_four_sources: bool = False) -> None:
     """Enforce the mixture sampling rules on a list of source types."""
-    types = tuple(types)
-    if any(t is PromptType.MIX for t in types):
+    types = PromptType.parse_all("types", types)
+    if PromptType.MIX in types:
         raise InvalidArgumentError(
             "'mix' labels a reconstruction target, not a source type"
         )
     max_sources = 4 if allow_four_sources else 3
-    if not 1 <= len(types) <= max_sources:
+    if len(types) > max_sources:
         raise InvalidArgumentError(
             f"got {len(types)} sources, expected 1..{max_sources}"
         )
@@ -267,9 +267,10 @@ def make_mixture(sources, seed: int = 0, duration_s: float = 1.0,
     two derived speech sources appear they get disjoint sub-bands so the
     pair stays separable.
     """
-    items = list(sources)
-    types = tuple(item.prompt_type if isinstance(item, FixtureSpec)
-                  else PromptType.parse(item) for item in items)
+    items = prompt_items("sources", sources)
+    types = PromptType.parse_all("sources", [
+        item.prompt_type if isinstance(item, FixtureSpec) else item
+        for item in items])
     check_source_constraints(types, allow_four_sources)
     two_speech = Counter(types)[PromptType.SPEECH] == 2
     speech_index = 0

@@ -268,8 +268,8 @@ def conv1d(
     zeros, which adds it in as +0.0 (`tests/test_numerics.py` checks the
     bits, signed zeros included).
     """
-    x = np.asarray(x, dtype=np.float32)
-    w = np.asarray(weight, dtype=np.float32)
+    x = real_array("x", x, np.float32)
+    w = real_array("weight", weight, np.float32)
     if x.ndim not in (2, 3) or w.ndim != 3:
         raise ContractViolationError(
             f"conv1d wants ([S,] C_in, L) input and (C_out, C_in, K) "
@@ -286,7 +286,7 @@ def conv1d(
         raise ContractViolationError(
             f"input has {x.shape[-2]} channels, kernels expect {c_in}"
         )
-    b64 = None if bias is None else np.asarray(bias, dtype=np.float64)[:, None]
+    b64 = None if bias is None else real_array("bias", bias, np.float64)[:, None]
     kernel = _conv_transposed_tile if transposed else _conv_forward_tile
     if tile is not None:
         t0, t1, lo, hi = tile
@@ -403,8 +403,8 @@ def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
 
 def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Periodic activation x + sin^2(alpha * x) / alpha with per-channel alpha."""
-    x = np.asarray(x, dtype=np.float32)
-    a = np.asarray(alpha, dtype=np.float32)[:, None]
+    x = real_array("x", x, np.float32)
+    a = real_array("alpha", alpha, np.float32)[:, None]
     # One output buffer, every step in place: same float32 operations in the
     # same order as x + sin(a * x) ** 2 / a, without four temporaries.
     y = a * x
@@ -710,7 +710,7 @@ def transformer_block(
     each map) is applied to queries and keys only, and a stack runs in
     `stack_groups`.  Raises NumericError naming the layer if not finite.
     """
-    x = np.asarray(x, dtype=np.float32)
+    x = real_array("x", x, np.float32)
     stack = x if x.ndim == 3 else x[None]
     if x.ndim not in (2, 3) or stack.shape[1] != weights.hidden_dim:
         raise ContractViolationError(

@@ -49,25 +49,6 @@ def _require_prompted(config: codec.ModelConfig) -> None:
         )
 
 
-def _parse_prompts(prompts) -> tuple[PromptType, ...]:
-    if isinstance(prompts, (str, bytes)):
-        raise InvalidArgumentError(
-            f"prompts must be a sequence of prompt types, got the text "
-            f"{prompts!r}; parse comma-separated text with "
-            "extractor.parse_prompts"
-        )
-    try:
-        items = iter(prompts)
-    except TypeError:
-        raise InvalidArgumentError(
-            f"prompts must be a sequence of prompt types, got {prompts!r}"
-        ) from None
-    parsed = tuple(PromptType.parse(p) for p in items)
-    if not parsed:
-        raise InvalidArgumentError("need at least one prompt")
-    return parsed
-
-
 def extract_features(
     audio: AudioBuffer,
     prompts,
@@ -77,7 +58,7 @@ def extract_features(
     """Encode a mixture once and return one refined (F, T) feature map per
     prompt, in prompt order, before quantization."""
     _require_prompted(config)
-    prompts = _parse_prompts(prompts)
+    prompts = PromptType.parse_all("prompts", prompts)
     features = codec.encode(audio, config, store)
     return extract(features, prompts, PromptBank.from_store(store),
                    ExtractorWeights.from_store(store, config))
@@ -95,7 +76,7 @@ def encode_mixture(
     n_active selects how many quantizer layers are spent per source, which
     is the bitrate knob; by default all configured codebooks are used.
     """
-    prompts = _parse_prompts(prompts)
+    prompts = PromptType.parse_all("prompts", prompts)
     if n_active is None:
         n_active = config.n_codebooks
     n_active = integer("n_active", n_active, 1, config.n_codebooks)
@@ -118,6 +99,9 @@ def decode_stream(
     store: codec.WeightStore,
 ) -> list[tuple[AudioBuffer, PromptType]]:
     """Decode every source in a stream in one pass, trimmed to length."""
+    if not isinstance(stream, EncodedStream):
+        raise InvalidArgumentError(
+            f"stream must be an EncodedStream, got {type(stream).__name__}")
     codec._require_runnable(config, "decode")
     if stream.sample_rate != config.sample_rate:
         raise InvalidArgumentError(
@@ -210,6 +194,12 @@ def evaluate_estimates(
     magnitude mask on the mixture, which bounds the score by what a
     mask-based system could achieve from the same mixture.
     """
+    if not isinstance(references, SourceSet):
+        raise InvalidArgumentError(
+            f"references must be a SourceSet, got {type(references).__name__}")
+    if mixture is not None and not isinstance(mixture, AudioBuffer):
+        raise InvalidArgumentError(
+            f"mixture must be an AudioBuffer, got {type(mixture).__name__}")
     if mode not in EVAL_MODES:
         raise InvalidArgumentError(
             f"unknown eval mode {mode!r}, expected one of {EVAL_MODES}"
@@ -248,6 +238,9 @@ def evaluate_manifest(
     files; comparing quantized to unquantized would smear every score by
     the storage noise floor.
     """
+    if not isinstance(manifest, MixtureManifest):
+        raise InvalidArgumentError(
+            f"manifest must be a MixtureManifest, got {type(manifest).__name__}")
     rendered = realize(manifest)
     quantized_refs = tuple(
         (AudioBuffer(pcm16_roundtrip(buf.samples), buf.sample_rate), ptype)

@@ -1,9 +1,12 @@
-"""One integer rule for every count, rate and seed argument.
+"""One integer rule for every count, rate and seed argument, and one
+prompt rule for every prompt list.
 
 Each row of SITES is one place that takes an integer from a caller.  A bool,
 text, None, a fraction, NaN, an infinity or a value outside the site's range
 raises the site's documented error type; numpy integers and integral floats
-are accepted and come back as Python ints.  Warnings are errors here.
+are accepted and come back as Python ints.  Each row of PROMPT_SITES is one
+place that takes a prompt list, read by `PromptType.parse_all`.  Warnings
+are errors here.
 """
 
 import ast
@@ -14,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sunac import analysis, audio, bitstream, codec, fixtures, numerics, pipeline, rvq
+from sunac import (analysis, assignment, audio, bitstream, codec, extractor,
+                   fixtures, numerics, pipeline, rvq)
 from sunac.errors import ConfigError, InvalidArgumentError
-from sunac.extractor import parse_prompts
+from sunac.extractor import PromptType, parse_prompts
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -265,3 +269,125 @@ def test_errors_real_array_is_the_only_array_rule():
              for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
              for line in _second_array_rules(ast.parse(path.read_text()))]
     assert not found, f"dtype checks outside errors.real_array: {found}"
+
+
+def _mixture(config):
+    return audio.AudioBuffer(np.sin(np.arange(640) / 7.0), config.sample_rate)
+
+
+def _latents(config):
+    return np.cos(np.arange(config.latent_dim * 3, dtype=np.float32)
+                  ).reshape(config.latent_dim, 3)
+
+
+def _maps(prompts, c, s, stage):
+    bank = extractor.PromptBank.from_store(s)
+    weights = extractor.ExtractorWeights.from_store(s, c)
+    if stage == "cross_prompt":
+        return extractor.cross_prompt(_latents(c), prompts, bank,
+                                      weights.cross)
+    return extractor.extract(_latents(c), prompts, bank, weights)
+
+
+def _packed_stream(prompts):
+    n = len(prompts) if isinstance(prompts, (tuple, list)) else 1
+    return bitstream.pack_stream(_stream(prompt_types=prompts, codes=np.zeros(
+        (max(n, 1), 2, 3), dtype=np.int32)))
+
+
+def _source_types(prompts):
+    if isinstance(prompts, (tuple, list)):  # else the value is the sources
+        prompts = [(audio.AudioBuffer(np.full(8, k + 1.0), 16000), ptype)
+                   for k, ptype in enumerate(prompts)]
+    return assignment.SourceSet(prompts).types
+
+
+def _decoded(pairs):
+    return [(buf.samples, ptype) for buf, ptype in pairs]
+
+
+# (id, call(prompts, config, store) -> a result that depends on the prompts)
+PROMPT_SITES = [
+    ("encode_mixture", lambda v, c, s: bitstream.pack_stream(
+        pipeline.encode_mixture(_mixture(c), v, c, s))),
+    ("extract_features", lambda v, c, s: pipeline.extract_features(
+        _mixture(c), v, c, s)),
+    ("separate", lambda v, c, s: _decoded(pipeline.separate(
+        _mixture(c), v, c, s))),
+    ("cross_prompt", lambda v, c, s: _maps(v, c, s, "cross_prompt")),
+    ("extract", lambda v, c, s: _maps(v, c, s, "extract")),
+    ("EncodedStream", lambda v, c, s: _packed_stream(v)),
+    ("SourceSet", lambda v, c, s: _source_types(v)),
+    ("restricted_permutations",
+     lambda v, c, s: assignment.restricted_permutations(v)),
+    ("check_source_constraints",
+     lambda v, c, s: fixtures.check_source_constraints(v)),
+    ("make_mixture", lambda v, c, s: fixtures.make_mixture(v)),
+]
+
+BAD_PROMPTS = [None, 3, "speech", b"speech", (), ("drums",), (None,)]
+
+
+@pytest.mark.parametrize("site", PROMPT_SITES,
+                         ids=[site[0] for site in PROMPT_SITES])
+def test_prompt_rule(site, tiny_config, tiny_store, monkeypatch):
+    name, call = site
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "encode", _must_not_run)
+        patch.setattr(extractor, "transformer_block", _must_not_run)
+        for value in BAD_PROMPTS:
+            with pytest.raises(InvalidArgumentError, match="prompt type"):
+                call(value, tiny_config, tiny_store)
+    S, M = PromptType.SPEECH, PromptType.MUSIC
+    for members, names in (((S, M), ("Speech", " music ")),
+                           ((S, S, M), ["speech", S, "MUSIC"])):
+        np.testing.assert_equal(call(names, tiny_config, tiny_store),
+                                call(members, tiny_config, tiny_store))
+
+
+def test_prompt_text_is_read_as_its_names():
+    assert parse_prompts("Speech, music ") == (PromptType.SPEECH,
+                                                PromptType.MUSIC)
+
+
+def test_a_name_and_its_member_are_one_type():
+    S = PromptType.SPEECH
+    assert assignment.restricted_permutations(["speech", S]) == [(0, 1),
+                                                                 (1, 0)]
+    for types in (["mix"], ["speech"] * 3, ["music", "Music"]):
+        with pytest.raises(InvalidArgumentError):
+            fixtures.check_source_constraints(types)
+        with pytest.raises(InvalidArgumentError):
+            fixtures.make_mixture(types)
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def _is_prompt_parse(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "parse"
+            and getattr(node.value, "id", None) == "PromptType")
+
+
+def _second_prompt_rules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, _LOOPS):
+            yield from (inner.lineno for inner in ast.walk(node)
+                        if _is_prompt_parse(inner))
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                in ("map", "isinstance")):
+            if any(_is_prompt_parse(arg) for arg in node.args):
+                yield node.lineno
+            names = {getattr(n, "id", None) for n in ast.walk(node.args[-1])}
+            if node.func.id == "isinstance" and {"str", "bytes"} <= names:
+                yield node.lineno
+
+
+def test_prompt_type_parse_all_is_the_only_prompt_list_rule():
+    found = sorted({f"{path.name}:{line}"
+                    for path in sorted(SRC.glob("*.py"))
+                    if path.name != "extractor.py"
+                    for line in _second_prompt_rules(
+                        ast.parse(path.read_text()))})
+    assert not found, f"prompt-list checks outside extractor.py: {found}"

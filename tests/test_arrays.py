@@ -4,12 +4,16 @@
 samples of `AudioBuffer` and `numerics.as_samples` (behind `si_sdr`, `stft`
 and `audio.pcm16_roundtrip`), the latent maps of `codec.decode`,
 `rvq.quantize` and `extractor.cross_prompt`, the vectors of
-`extractor.PromptBank`, and the codes of `rvq.codes_to_features` and
-`EncodedStream`.  Integer arrays pass, and
-float arrays where the site takes floats; bools, complex numbers, text,
-bytes, objects, dates and ragged lists raise `InvalidArgumentError`.  The
+`extractor.PromptBank`, the codes of `rvq.codes_to_features` and
+`EncodedStream`, and the arrays of the public kernels `numerics.conv1d`,
+`numerics.snake`, `numerics.transformer_block` and `extractor.film`.
+Integer arrays pass, and float arrays where the site takes floats; bools,
+complex numbers, text, bytes, objects, dates and ragged lists raise
+`InvalidArgumentError`.  The
 sweep below hands arrays of every dtype kind to the public entry points with
-warnings as errors: each call returns or raises a `SunacError`.
+warnings as errors: each call returns or raises a `SunacError`.  The
+entry points that take an object whole (an `AudioBuffer`, `EncodedStream`,
+stream bytes, `SourceSet` or `MixtureManifest`) refuse anything else.
 """
 
 import math
@@ -20,14 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sunac import codec, numerics, pipeline, rvq
+from sunac import bitstream, codec, numerics, pipeline, rvq
 from sunac.assignment import SourceSet, si_sdr
 from sunac.audio import AudioBuffer, pcm16_roundtrip
 from sunac.bitstream import EncodedStream
 from sunac.errors import (ContractViolationError, InvalidArgumentError,
                           SunacError)
-from sunac.extractor import (ExtractorWeights, PromptBank, PromptType,
-                             cross_prompt)
+from sunac.extractor import (ExtractorWeights, FilmWeights, PromptBank,
+                             PromptType, cross_prompt, film)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -140,6 +144,10 @@ ENTRY_POINTS = {
     "pcm16_roundtrip": (AUDIO, lambda x, c, s: pcm16_roundtrip(x)),
     "PromptBank": (BANKS, lambda x, c, s: PromptBank(x)),
     "cross_prompt": (MAPS, _cross_prompt),
+    "transformer_block": (MAPS, lambda x, c, s: numerics.transformer_block(
+        x, ExtractorWeights.from_store(s, c).cross)),
+    "film": (MAPS, lambda x, c, s: film(x, np.ones((16, 2)),
+                                        FilmWeights.from_store(s))),
 }
 
 
@@ -279,6 +287,44 @@ def test_cross_prompt_takes_real_features(tiny_config, tiny_store):
         _cross_prompt(_map(tiny_config, np.complex64), tiny_config, tiny_store)
 
 
+def _kernels(config, store):
+    """Each public kernel as call(**arrays), with valid arrays for it."""
+    layer = ExtractorWeights.from_store(store, config).cross
+    weights = FilmWeights.from_store(store)
+    maps = np.ones((config.latent_dim, 3))
+    return {
+        "conv1d": (numerics.conv1d, dict(x=np.ones((2, 5)),
+                                         weight=np.ones((3, 2, 2)),
+                                         bias=np.ones(3))),
+        "snake": (numerics.snake, dict(x=np.ones((2, 5)), alpha=np.ones(2))),
+        "transformer_block": (
+            lambda x: numerics.transformer_block(x, layer), dict(x=maps)),
+        "film": (lambda x, prompt_column: film(x, prompt_column, weights),
+                 dict(x=maps, prompt_column=maps[:, :2])),
+    }
+
+
+# (kernel, argument, the name its message gives)
+KERNEL_ARRAYS = [
+    ("conv1d", "x", "x"), ("conv1d", "weight", "weight"),
+    ("conv1d", "bias", "bias"), ("snake", "x", "x"),
+    ("snake", "alpha", "alpha"), ("transformer_block", "x", "x"),
+    ("film", "x", "x"), ("film", "prompt_column", "prompt columns")]
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, bool, "U4"])
+@pytest.mark.parametrize("kernel, argument, name", KERNEL_ARRAYS,
+                         ids=[f"{k}-{a}" for k, a, _ in KERNEL_ARRAYS])
+def test_kernels_take_real_arrays(kernel, argument, name, dtype, tiny_config,
+                                  tiny_store):
+    call, arrays = _kernels(tiny_config, tiny_store)[kernel]
+    call(**arrays)
+    bad = np.zeros(arrays[argument].shape, dtype)
+    with pytest.raises(InvalidArgumentError,
+                       match=f"{name} must be real numbers, got dtype"):
+        call(**{**arrays, argument: bad})
+
+
 def test_codes_range_message_shows_the_values_as_given(tiny_config,
                                                        tiny_store):
     codes = np.array([[2**64 - 1, 3]], np.uint64)
@@ -321,3 +367,56 @@ def test_encode_takes_only_an_audio_buffer(entry, tiny_config, tiny_store,
             getattr(pipeline, entry)(samples, ("speech",), tiny_config,
                                      tiny_store)
     assert not calls
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a rejected argument reached the work")
+
+
+def _one_source():
+    return SourceSet(sources=((AudioBuffer(_tone(), 16000), "speech"),))
+
+
+# (id, call(config, store, path), the start of its message)
+WRONG_TYPES = [
+    ("decode_stream", lambda c, s, p: pipeline.decode_stream(None, c, s),
+     "stream must be an EncodedStream, got NoneType"),
+    ("pack_stream", lambda c, s, p: bitstream.pack_stream(None),
+     "stream must be an EncodedStream, got NoneType"),
+    ("write_stream", lambda c, s, p: bitstream.write_stream(b"SNAC", p),
+     "stream must be an EncodedStream, got bytes"),
+    ("unpack_stream", lambda c, s, p: bitstream.unpack_stream(None),
+     "stream must be bytes, got NoneType"),
+    ("unpack_stream-text", lambda c, s, p: bitstream.unpack_stream("SNAC"),
+     "stream must be bytes, got str"),
+    ("SourceSet-None", lambda c, s, p: SourceSet(None), "sources must be"),
+    ("SourceSet-one-item", lambda c, s, p: SourceSet(
+        ((AudioBuffer(_tone(), 16000),),)), "sources must be"),
+    ("SourceSet-bare-array", lambda c, s, p: SourceSet(((_tone(), "music"),)),
+     "sources must be"),
+    ("SourceSet-second-array", lambda c, s, p: SourceSet(
+        ((AudioBuffer(_tone(), 16000), "speech"), (_tone(), "music"))),
+     "sources must be"),
+    ("SourceSet-mixture", lambda c, s, p: SourceSet(
+        _one_source().sources, mixture=_tone()),
+     "mixture must be an AudioBuffer, got ndarray"),
+    ("evaluate_estimates", lambda c, s, p: pipeline.evaluate_estimates(
+        None, [_tone()]), "references must be a SourceSet, got NoneType"),
+    ("evaluate_estimates-mixture", lambda c, s, p: pipeline.evaluate_estimates(
+        _one_source(), [_tone()], "masked", mixture=_tone()),
+     "mixture must be an AudioBuffer, got ndarray"),
+    ("evaluate_manifest", lambda c, s, p: pipeline.evaluate_manifest(
+        None, [_tone()]), "manifest must be a MixtureManifest, got NoneType"),
+]
+
+
+@pytest.mark.parametrize("site", WRONG_TYPES,
+                         ids=[site[0] for site in WRONG_TYPES])
+def test_entry_points_take_only_their_types(site, tiny_config, tiny_store,
+                                            tmp_path, monkeypatch):
+    name, call, message = site
+    monkeypatch.setattr(codec, "_require_runnable", _must_not_run)
+    with pytest.raises(InvalidArgumentError, match=message):
+        call(tiny_config, tiny_store, tmp_path / "out.snac")
+    assert not list(tmp_path.iterdir())
+
