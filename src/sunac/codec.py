@@ -20,17 +20,16 @@ the weight loaders cannot drift from the signal path.
 `encode` and `decode` stream a signal through their node chain in column
 pieces.  A conv node emits each tile of its whole-length output (see
 `numerics.conv_tiles`) as soon as the tile's input window has arrived, and
-holds only the input a later tile still reads.  A pointwise node just
-before a conv runs on each window the conv reads, so the conv holds its
-input pieces untransformed (in a residual unit, the pieces its skip path
-holds anyway); elsewhere it runs on each piece as it passes.  A residual
+holds only the input a later tile still reads.  Each conv runs its own
+snake on each window it reads, so it holds its input pieces untransformed
+(in a residual unit, the pieces its skip path holds anyway).  A residual
 unit holds its skip pieces until its branch catches up, and a Transformer
 layer collects its frame-rate input and runs once.  So the conv stacks
 hold tile-sized pieces at any length.  The bits do not depend on how the
 pieces arrive: each tile is computed from exactly the input columns a
 whole-length call would give it, by the same BLAS products in the same
-order, and the pointwise maps and the residual add act on each column
-alone.  Pieces may also be (S, C, n) source stacks, as when `decode` takes
+order, and the snake, the final tanh and the residual add act on each
+column alone.  Pieces may also be (S, C, n) source stacks, as when `decode` takes
 an (S, F, T) stack of maps.
 """
 
@@ -314,9 +313,12 @@ class _Node:
 
 
 class ConvNode(_Node):
-    def __init__(self, name, c_in, c_out, kernel, *, stride=1, dilation=1,
-                 padding=0, transposed=False, output_padding=0):
+    """A conv layer, and the snake named `snake` in front of it, if any."""
+
+    def __init__(self, name, c_in, c_out, kernel, *, snake=None, stride=1,
+                 dilation=1, padding=0, transposed=False, output_padding=0):
         self.name = name
+        self.snake = snake
         self.c_in = c_in
         self.c_out = c_out
         self.kernel = kernel
@@ -328,7 +330,9 @@ class ConvNode(_Node):
 
     def manifest(self):
         fan_in = self.c_in * self.kernel
-        return [
+        alpha = [] if self.snake is None else [
+            TensorSpec(f"{self.snake}.alpha", (self.c_in,), INIT_ONES)]
+        return alpha + [
             TensorSpec(f"{self.name}.weight", (self.c_out, self.c_in, self.kernel),
                        INIT_UNIFORM, fan_in),
             TensorSpec(f"{self.name}.bias", (self.c_out,), INIT_UNIFORM, fan_in),
@@ -349,33 +353,25 @@ class ConvNode(_Node):
     def out_len(self, length):
         return numerics.conv_out_len(length, self.kernel, **self._conv())
 
-    def stream(self, pieces, store, length, before=()):
+    def stream(self, pieces, store, length):
         # One conv1d call per tile of the whole-length layer, each on its
-        # own input window; a window's pieces stay held only while a later
-        # tile still reads them.  The pointwise functions `before` run on
-        # each window as it is read, so the held pieces are the ones given.
+        # own input window after the snake ran on it; a window's pieces stay
+        # held, untransformed, only while a later tile still reads them.
+        # The window is passed on unnamed, so no window outlives its tile.
         conv = self._conv()
-        weight, bias = self.read(store)
+        *alpha, weight, bias = self.read(store)
         held = _Columns(pieces)
         tiles = numerics.conv_tiles(length, self.c_out, self.c_in, self.kernel,
                                     sources=held.sources(), **conv)
         keeps = [lo for _, _, lo, _ in tiles[1:]] + [length]
         for tile, keep in zip(tiles, keeps):
             yield numerics.conv1d(
-                _apply(before, held.window(tile[2], tile[3], keep)), weight,
+                _snake(held.window(tile[2], tile[3], keep), *alpha), weight,
                 bias, tile=tile, **conv)
 
 
-class SnakeNode(_Node):
-    def __init__(self, name, channels):
-        self.name = name
-        self.channels = channels
-
-    def manifest(self):
-        return [TensorSpec(f"{self.name}.alpha", (self.channels,), INIT_ONES)]
-
-    def apply(self, x, store):
-        return numerics.snake(x, *self.read(store))
+def _snake(x, alpha=None):
+    return x if alpha is None else numerics.snake(x, alpha)
 
 
 class ResidualNode(_Node):
@@ -590,37 +586,17 @@ def _stream(nodes, pieces, store, length):
     """Chain nodes over a stream of pieces of a `length`-column signal.
 
     A node with a `stream` method takes the stream and yields its output
-    pieces as soon as their inputs have arrived; any other node is
-    pointwise.  A pointwise node's `apply` runs on each window that a
-    following conv reads, so the conv holds the pieces it was given rather
-    than a transformed copy of them (in a residual unit the skip path holds
-    the same pieces); it runs again on the few halo columns that two
-    windows share.  Before any other node it runs on each piece as it
-    passes.  Nothing runs until the result is iterated, and no step holds a
-    piece it has passed on.
+    pieces as soon as their inputs have arrived; any other node runs its
+    `apply` on each piece as it passes.  Nothing runs until the result is
+    iterated, and no step holds a piece it has passed on.
     """
-    pointwise = []
     for node in nodes:
-        if not hasattr(node, "stream"):
-            pointwise.append(functools.partial(node.apply, store=store))
-            continue
-        if isinstance(node, ConvNode):
-            pieces = node.stream(pieces, store, length, pointwise)
+        if hasattr(node, "stream"):
+            pieces = node.stream(pieces, store, length)
+            length = node.out_len(length)
         else:
-            pieces = node.stream(_map(pointwise, pieces), store, length)
-        pointwise = []
-        length = node.out_len(length)
-    return _map(pointwise, pieces)
-
-
-def _apply(fns, x):
-    for fn in fns:
-        x = fn(x)
-    return x
-
-
-def _map(fns, pieces):
-    return map(functools.partial(_apply, fns), pieces) if fns else pieces
+            pieces = map(functools.partial(node.apply, store=store), pieces)
+    return pieces
 
 
 def _write(pieces, out: np.ndarray, stage: str) -> None:
@@ -648,11 +624,11 @@ def _write(pieces, out: np.ndarray, stage: str) -> None:
 
 def _residual_unit(prefix: str, channels: int, dilation: int) -> ResidualNode:
     return ResidualNode([
-        SnakeNode(f"{prefix}.snake1", channels),
         ConvNode(f"{prefix}.conv1", channels, channels, 7,
-                 dilation=dilation, padding=3 * dilation),
-        SnakeNode(f"{prefix}.snake2", channels),
-        ConvNode(f"{prefix}.conv2", channels, channels, 1),
+                 snake=f"{prefix}.snake1", dilation=dilation,
+                 padding=3 * dilation),
+        ConvNode(f"{prefix}.conv2", channels, channels, 1,
+                 snake=f"{prefix}.snake2"),
     ])
 
 
@@ -664,14 +640,14 @@ def encoder_nodes(config: ModelConfig) -> list:
         prefix = f"encoder.block{bi}"
         for ri, d in enumerate(RES_DILATIONS):
             nodes.append(_residual_unit(f"{prefix}.res{ri}", c, d))
-        nodes.append(SnakeNode(f"{prefix}.snake", c))
         # Downsampling conv: kernel 2s with ceil(s/2) padding keeps the
         # length exactly divisible through the whole cascade.
         nodes.append(ConvNode(f"{prefix}.down", c, 2 * c, 2 * s,
-                              stride=s, padding=math.ceil(s / 2)))
+                              snake=f"{prefix}.snake", stride=s,
+                              padding=math.ceil(s / 2)))
         c *= 2
-    nodes.append(SnakeNode("encoder.snake_out", c))
-    nodes.append(ConvNode("encoder.conv_out", c, config.latent_dim, 3, padding=1))
+    nodes.append(ConvNode("encoder.conv_out", c, config.latent_dim, 3,
+                          snake="encoder.snake_out", padding=1))
     for ti in range(config.n_enc_transformer):
         nodes.append(TransformerNode(f"encoder.transformer{ti}",
                                      config.transformer_hidden,
@@ -690,17 +666,17 @@ def decoder_nodes(config: ModelConfig) -> list:
     nodes.append(ConvNode("decoder.conv_in", config.latent_dim, c, 7, padding=3))
     for bi, s in enumerate(reversed(config.strides)):
         prefix = f"decoder.block{bi}"
-        nodes.append(SnakeNode(f"{prefix}.snake", c))
         # output_padding 1 for odd strides makes each stage produce exactly
         # stride * L columns, so decode length is T * prod(strides).
-        nodes.append(ConvNode(f"{prefix}.up", c, c // 2, 2 * s, stride=s,
+        nodes.append(ConvNode(f"{prefix}.up", c, c // 2, 2 * s,
+                              snake=f"{prefix}.snake", stride=s,
                               padding=math.ceil(s / 2), transposed=True,
                               output_padding=s % 2))
         c //= 2
         for ri, d in enumerate(RES_DILATIONS):
             nodes.append(_residual_unit(f"{prefix}.res{ri}", c, d))
-    nodes.append(SnakeNode("decoder.snake_out", c))
-    nodes.append(ConvNode("decoder.conv_out", c, 1, 7, padding=3))
+    nodes.append(ConvNode("decoder.conv_out", c, 1, 7,
+                          snake="decoder.snake_out", padding=3))
     nodes.append(TanhNode())
     return nodes
 
