@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer
-from .errors import ContractViolationError, InvalidArgumentError
+from .errors import ContractViolationError, InvalidArgumentError, sequence
 from .extractor import PromptType
 from .numerics import as_samples, istft, stft
 
@@ -193,7 +193,7 @@ def best_assignment(references: SourceSet, estimates) -> Assignment:
     Ties resolve to the lexicographically smallest permutation, and any
     uniquely-typed reference keeps its own index by construction.
     """
-    estimates = list(estimates)
+    estimates = sequence("estimates", estimates)
     if len(estimates) != references.n_sources:
         raise ContractViolationError(
             f"{references.n_sources} references but {len(estimates)} estimates"

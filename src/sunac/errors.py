@@ -57,6 +57,17 @@ def integer(name: str, value, lo=-math.inf, hi=math.inf) -> int:
         f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
+def sequence(name: str, value) -> list:
+    """The items of `value` as a list.  Anything that cannot be iterated
+    (None, a number) raises InvalidArgumentError."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"{name} must be a sequence, got {value!r}") from None
+    return list(items)
+
+
 def samples(duration_s, rate: int, lo: int, hi: int) -> int:
     """round(duration_s * rate), the sample count of a real, positive and
     finite duration, when it lies in [lo, hi].  Anything else (a bool, text,

@@ -101,10 +101,11 @@ def check_finite(array: np.ndarray, where: str) -> np.ndarray:
 
 
 def forward_stage(fn):
-    """Run `fn`, a stage that checks its outputs with `check_finite`, with
-    float overflow and invalid results quiet, so that they surface as the
-    stage's NumericError and not as a numpy warning (an exception under
-    `python -W error`) from whichever step first made them."""
+    """Run `fn`, a stage whose outputs `check_finite` checks (in `fn`, or in
+    the stage that calls it), with float overflow and invalid results
+    quiet, so that they surface as that stage's NumericError and not as a
+    numpy warning (an exception under `python -W error`) from whichever
+    step first made them."""
     @functools.wraps(fn)
     def run(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -193,6 +194,7 @@ def conv_tiles(
     return tiles
 
 
+@forward_stage
 def conv1d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -223,7 +225,9 @@ def conv1d(
 
     Returns:
         (C_out, L_out) float32, with L_out given by `conv_out_len`, or
-        (C_out, t1 - t0) with `tile`; with a stack, S such maps.
+        (C_out, t1 - t0) with `tile`; with a stack, S such maps.  A
+        whole-length output that is not finite raises NumericError; a tile
+        is left to the caller, which checks the pieces it assembles.
 
     Each kernel call computes one tile from its window: without `tile`
     the call loops over `conv_tiles`, with `tile` it is one kernel call.
@@ -305,7 +309,7 @@ def conv1d(
     for t0, t1, lo, hi in tiles:
         kernel(x[..., lo:hi], w, b64, y[..., t0:t1], t0, lo, stride, padding,
                dilation)
-    return y
+    return check_finite(y, "numerics.conv1d")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -401,10 +405,18 @@ def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
     _write_tile(acc, b64, y)
 
 
+@forward_stage
 def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Periodic activation x + sin^2(alpha * x) / alpha with per-channel alpha."""
+    """Periodic activation x + sin^2(alpha * x) / alpha of a ([S,] C, L)
+    signal, with one alpha per channel.  The output is not checked for
+    finite values; the codec's stages check the pieces they assemble."""
     x = real_array("x", x, np.float32)
-    a = real_array("alpha", alpha, np.float32)[:, None]
+    alpha = real_array("alpha", alpha, np.float32)
+    if x.ndim not in (2, 3) or alpha.shape != x.shape[-2:-1]:
+        raise ContractViolationError(
+            f"snake wants ([S,] C, L) input and (C,) slopes, got {x.shape} "
+            f"and {alpha.shape}")
+    a = alpha[:, None]
     # One output buffer, every step in place: same float32 operations in the
     # same order as x + sin(a * x) ** 2 / a, without four temporaries.
     y = a * x

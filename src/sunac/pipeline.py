@@ -24,7 +24,7 @@ from .assignment import (
 )
 from .audio import AudioBuffer, pcm16_roundtrip
 from .bitstream import EncodedStream
-from .errors import InvalidArgumentError, integer
+from .errors import InvalidArgumentError, integer, sequence
 from .extractor import ExtractorWeights, PromptBank, PromptType, extract
 from .fixtures import MixtureManifest, realize
 
@@ -204,7 +204,7 @@ def evaluate_estimates(
         raise InvalidArgumentError(
             f"unknown eval mode {mode!r}, expected one of {EVAL_MODES}"
         )
-    estimates = list(estimates)
+    estimates = sequence("estimates", estimates)
     if mode == "masked":
         mixture = mixture if mixture is not None else references.mixture
         if mixture is None:

@@ -1,12 +1,13 @@
-"""One integer rule for every count, rate and seed argument, and one
-prompt rule for every prompt list.
+"""One integer rule for every count, rate and seed argument, one prompt
+rule for every prompt list, and one sequence rule for the estimates.
 
 Each row of SITES is one place that takes an integer from a caller.  A bool,
 text, None, a fraction, NaN, an infinity or a value outside the site's range
 raises the site's documented error type; numpy integers and integral floats
 are accepted and come back as Python ints.  Each row of PROMPT_SITES is one
-place that takes a prompt list, read by `PromptType.parse_all`.  Warnings
-are errors here.
+place that takes a prompt list, read by `PromptType.parse_all`.  Each row
+of ESTIMATE_SITES takes a list of estimates, read by `errors.sequence`.
+Warnings are errors here.
 """
 
 import ast
@@ -391,3 +392,32 @@ def test_prompt_type_parse_all_is_the_only_prompt_list_rule():
                     for line in _second_prompt_rules(
                         ast.parse(path.read_text()))})
     assert not found, f"prompt-list checks outside extractor.py: {found}"
+
+
+def _one_source():
+    tone = audio.AudioBuffer(np.sin(np.arange(1, 9, dtype=np.float32)), 16000)
+    return assignment.SourceSet(sources=((tone, "speech"),), mixture=tone)
+
+
+# (id, call(estimates))
+ESTIMATE_SITES = [
+    ("best_assignment",
+     lambda v: assignment.best_assignment(_one_source(), v)),
+    ("evaluate_estimates-direct",
+     lambda v: pipeline.evaluate_estimates(_one_source(), v)),
+    ("evaluate_estimates-masked",
+     lambda v: pipeline.evaluate_estimates(_one_source(), v, "masked")),
+    ("evaluate_manifest",
+     lambda v: pipeline.evaluate_manifest(
+         fixtures.MixtureManifest((_spec(),), duration_s=0.01), v)),
+]
+
+
+@pytest.mark.parametrize("site", ESTIMATE_SITES,
+                         ids=[site[0] for site in ESTIMATE_SITES])
+@pytest.mark.parametrize("value", [None, 3, 2.5, object()],
+                         ids=["None", "int", "float", "object"])
+def test_estimates_must_be_a_sequence(site, value):
+    with pytest.raises(InvalidArgumentError,
+                       match="estimates must be a sequence, got"):
+        site[1](value)

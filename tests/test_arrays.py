@@ -87,6 +87,10 @@ MAPS = st.one_of(st.tuples(st.just(16), FRAMES),
 CODES = st.tuples(st.integers(1, 4), FRAMES)
 BANKS = st.tuples(st.just(4), st.just(16))
 STREAMS = st.tuples(st.integers(1, 2), st.integers(1, 4), FRAMES)
+# Two-channel signals, alone or stacked, for the conv and snake kernels.
+SIGNALS = st.one_of(st.tuples(st.just(2), st.integers(1, 5)),
+                    st.tuples(st.integers(1, 2), st.just(2),
+                              st.integers(1, 5)))
 
 
 def _tone(n=N_REF):
@@ -148,6 +152,9 @@ ENTRY_POINTS = {
         x, ExtractorWeights.from_store(s, c).cross)),
     "film": (MAPS, lambda x, c, s: film(x, np.ones((16, 2)),
                                         FilmWeights.from_store(s))),
+    "conv1d": (SIGNALS, lambda x, c, s: numerics.conv1d(
+        x, np.ones((3, 2, 2)), np.ones(3))),
+    "snake": (SIGNALS, lambda x, c, s: numerics.snake(x, np.ones(2))),
 }
 
 

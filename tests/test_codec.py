@@ -668,6 +668,29 @@ class TestStreaming:
                              axis=1)
         np.testing.assert_array_equal(got, whole)
 
+    @pytest.mark.parametrize("columns", [1, 3, 16])
+    @pytest.mark.parametrize("shape, kernel, conv", [
+        ((5, 41), 7, dict(dilation=3, padding=9)),
+        ((6, 41), 10, dict(stride=5, padding=3, transposed=True,
+                           output_padding=1)),
+        ((2, 4, 40), 4, dict(stride=2, padding=1)),
+    ], ids=["forward", "transposed", "stack"])
+    def test_conv_runs_its_snake_on_each_window(self, monkeypatch, rng,
+                                                 shape, kernel, conv, columns):
+        node = codec.ConvNode("conv", shape[-2], 3, kernel, snake="act", **conv)
+        assert [spec.name for spec in node.manifest()] == [
+            "act.alpha", "conv.weight", "conv.bias"]
+        store = _random_store([node], rng)
+        x = rng.standard_normal(shape).astype(np.float32)
+        want = numerics.conv1d(numerics.snake(x, store["act.alpha"]),
+                               store["conv.weight"], store["conv.bias"], **conv)
+        self._tiles(monkeypatch, columns)
+        edges = [0, 1, 8, 9, 30, shape[-1]]
+        pieces = [x[..., a:b].copy() for a, b in zip(edges, edges[1:])]
+        got = np.concatenate(list(node.stream(pieces, store, shape[-1])),
+                             axis=-1)
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("widths", [(1,), (2, 3, 5, 8, 13, 21, 34),
                                         (320, 1), (959,)])
     def test_encoder_output_does_not_depend_on_input_pieces(

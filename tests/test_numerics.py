@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 import oracles
 from sunac import numerics
 from sunac.audio import AudioBuffer
-from sunac.errors import ContractViolationError, InvalidArgumentError
+from sunac.errors import (ContractViolationError, InvalidArgumentError,
+                          NumericError)
 
 
 def random_layer(rng, hidden=16, n_heads=2, ff_dim=24, scale=0.2):
@@ -409,8 +411,22 @@ class TestConv1d:
         with pytest.raises(InvalidArgumentError):
             numerics.conv1d(x, w)
 
+    def test_non_finite_output_is_a_numeric_error(self):
+        # inf - inf in the product: a NumericError, not a RuntimeWarning.
+        x = np.array([[np.inf], [-np.inf]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="in numerics.conv1d"):
+                numerics.conv1d(x, np.ones((1, 2, 1)))
+
 
 class TestActivations:
+    @pytest.mark.parametrize("shape, channels", [
+        ((0, 0), 2), ((3, 5), 2), ((5,), 2), ((2, 5), 1), ((1, 1, 2, 5), 2)])
+    def test_snake_takes_one_alpha_per_channel(self, shape, channels):
+        with pytest.raises(ContractViolationError, match="snake wants"):
+            numerics.snake(np.ones(shape), np.ones(channels))
+
     def test_snake_at_zero(self):
         x = np.zeros((3, 5), dtype=np.float32)
         alpha = np.array([0.5, 1.0, 2.0], dtype=np.float32)
