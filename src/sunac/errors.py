@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its argument rules."""
 
 import contextlib
+import dataclasses
 import math
 import numbers
 
@@ -104,3 +105,29 @@ def real_array(name: str, value, dtype=None) -> np.ndarray:
         return array
     with np.errstate(over="ignore"):
         return array.astype(dtype, copy=False)
+
+
+def weight_fields(holder, shapes: str) -> dict:
+    """Read the array fields of the frozen dataclass `holder` (all but an int
+    field) in order as float32 through real_array, and store them back.
+    `shapes` has one word per field and one letter per axis, a letter standing
+    for the first size it meets; a word led by "+" is a non-empty sequence of
+    such arrays.  Any other rank or size raises ContractViolationError naming
+    the class and the field.  Returns the letter sizes."""
+    sizes = {}
+    names = [f.name for f in dataclasses.fields(holder) if f.type != "int"]
+    for name, word in zip(names, shapes.split(), strict=True):
+        label, axes = f"{type(holder).__name__}.{name}", word.lstrip("+")
+        value = getattr(holder, name)
+        arrays = [real_array(label, item, np.float32) for item in
+                  (sequence(label, value) if axes != word else [value])]
+        if not arrays:
+            raise ContractViolationError(f"{label} holds no arrays")
+        for array in arrays:
+            if array.ndim != len(axes) or any(sizes.setdefault(a, n) != n
+                                              for a, n in zip(axes, array.shape)):
+                raise ContractViolationError(
+                    f"{label} has shape {array.shape}, expected "
+                    f"({', '.join(axes)}{',' * (len(axes) == 1)}) with {sizes}")
+        object.__setattr__(holder, name, arrays[0] if axes == word else tuple(arrays))
+    return sizes

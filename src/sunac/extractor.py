@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import ModelConfig, WeightStore, extractor_nodes
-from .errors import ContractViolationError, InvalidArgumentError, real_array
+from .errors import (ContractViolationError, InvalidArgumentError, real_array,
+                     weight_fields)
 from .numerics import (
     TransformerLayerWeights,
     check_finite,
@@ -118,12 +119,12 @@ class PromptBank:
     vectors: np.ndarray  # (4, F) float32
 
     def __post_init__(self):
-        arr = real_array("prompt vectors", self.vectors, np.float32)
-        if arr.ndim != 2 or arr.shape[0] != len(_WIRE_ORDER):
+        object.__setattr__(self, "vectors", real_array(
+            "prompt vectors", self.vectors, np.float32))
+        if weight_fields(self, "nf")["n"] != len(_WIRE_ORDER):
             raise ContractViolationError(
-                f"prompt bank must be ({len(_WIRE_ORDER)}, F), got {arr.shape}"
-            )
-        object.__setattr__(self, "vectors", arr)
+                f"prompt bank must be ({len(_WIRE_ORDER)}, F), got "
+                f"{self.vectors.shape}")
 
     @property
     def dim(self) -> int:
@@ -143,6 +144,9 @@ class FilmWeights:
     scale_b: np.ndarray
     shift_w: np.ndarray
     shift_b: np.ndarray
+
+    def __post_init__(self):
+        weight_fields(self, "dd d dd d")
 
     @classmethod
     def from_store(cls, store: WeightStore) -> "FilmWeights":

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError, InvalidArgumentError, NumericError, integer, real_array)
+from .errors import (ContractViolationError, InvalidArgumentError, NumericError,
+                     integer, real_array, weight_fields)
 
 __all__ = [
     "conv_out_len",
@@ -630,7 +630,7 @@ class TransformerLayerWeights:
         return self.ff_w1.shape[0]
 
     def __post_init__(self):
-        d = self.hidden_dim
+        d = weight_fields(self, "d d d d dd d dd d dd d dd d fd f df d")["d"]
         if self.n_heads < 1 or d % self.n_heads != 0:
             raise ContractViolationError(
                 f"{self.n_heads} heads do not divide hidden dim {d}"
@@ -639,18 +639,6 @@ class TransformerLayerWeights:
             raise ContractViolationError(
                 f"head dim {d // self.n_heads} must be even for rotary coding"
             )
-        for name in ("wq", "wk", "wv", "wo"):
-            if getattr(self, name).shape != (d, d):
-                raise ContractViolationError(f"{name} must be ({d}, {d})")
-        for name in ("bq", "bk", "bv", "bo", "ln1_gain", "ln1_bias",
-                     "ln2_gain", "ln2_bias", "ff_b2"):
-            if getattr(self, name).shape != (d,):
-                raise ContractViolationError(f"{name} must be ({d},)")
-        f = self.ff_dim
-        if self.ff_w1.shape != (f, d) or self.ff_w2.shape != (d, f):
-            raise ContractViolationError("feed-forward shapes are inconsistent")
-        if self.ff_b1.shape != (f,):
-            raise ContractViolationError(f"ff_b1 must be ({f},)")
 
 
 def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import ModelConfig, RvqNode, WeightStore
-from .errors import ContractViolationError, InvalidArgumentError, integer, real_array
+from .errors import (ContractViolationError, InvalidArgumentError, integer,
+                     real_array, weight_fields)
 from .numerics import check_finite, forward_stage
 
 __all__ = [
@@ -42,22 +43,7 @@ class RvqWeights:
     codebooks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "codebooks", tuple(
-            np.asarray(cb, dtype=np.float32) for cb in self.codebooks
-        ))
-        if not self.codebooks:
-            raise ContractViolationError("need at least one codebook")
-        d = self.code_dim
-        for i, cb in enumerate(self.codebooks):
-            if cb.ndim != 2 or cb.shape != (self.n_entries, d):
-                raise ContractViolationError(
-                    f"codebook {i} has shape {cb.shape}, expected "
-                    f"({self.n_entries}, {d})"
-                )
-        if self.down_w.shape != (d, self.feature_dim):
-            raise ContractViolationError("down projection shape mismatch")
-        if self.up_w.shape != (self.feature_dim, d):
-            raise ContractViolationError("up projection shape mismatch")
+        weight_fields(self, "df d fd f +ed")
 
     @property
     def n_layers(self) -> int:
