@@ -123,7 +123,7 @@ class PromptBank:
             "prompt vectors", self.vectors, np.float32))
         if weight_fields(self, "nf")["n"] != len(_WIRE_ORDER):
             raise ContractViolationError(
-                f"prompt bank must be ({len(_WIRE_ORDER)}, F), got "
+                f"PromptBank.vectors must be ({len(_WIRE_ORDER)}, F), got "
                 f"{self.vectors.shape}")
 
     @property

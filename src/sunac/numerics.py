@@ -290,7 +290,10 @@ def conv1d(
         raise ContractViolationError(
             f"input has {x.shape[-2]} channels, kernels expect {c_in}"
         )
-    b64 = None if bias is None else real_array("bias", bias, np.float64)[:, None]
+    b64 = None if bias is None else real_array("bias", bias, np.float64)[..., None]
+    if b64 is not None and b64.shape != (c_out, 1):
+        raise ContractViolationError(
+            f"conv1d wants a ({c_out},) bias, got {b64.shape[:-1]}")
     kernel = _conv_transposed_tile if transposed else _conv_forward_tile
     if tile is not None:
         t0, t1, lo, hi = tile
@@ -592,11 +595,13 @@ class TransformerLayerWeights:
     """Parameters of one pre-norm Transformer layer.
 
     Projection matrices are (D, D) with rows indexing outputs; the feed
-    forward expands to ff_dim and contracts back.  Construction checks that
-    the shapes agree and that the per-head dimension is even, which the
-    rotary coding requires, so a block never runs on weights that fail.
-    Fields after n_heads follow the tensor order of a Transformer node's
-    manifest, which `TransformerNode.weights` reads positionally.
+    forward expands to ff_dim and contracts back.  Construction reads the
+    arrays through `errors.weight_fields` (float32, real numbers, shapes
+    that agree), n_heads through `errors.integer`, and checks that the
+    heads divide D into an even per-head dimension, which the rotary coding
+    requires, so a block never runs on weights that fail.  Fields after
+    n_heads follow the tensor order of a Transformer node's manifest, which
+    `TransformerNode.weights` reads positionally.
     """
 
     n_heads: int
@@ -631,6 +636,7 @@ class TransformerLayerWeights:
 
     def __post_init__(self):
         d = weight_fields(self, "d d d d dd d dd d dd d dd d fd f df d")["d"]
+        object.__setattr__(self, "n_heads", integer("n_heads", self.n_heads))
         if self.n_heads < 1 or d % self.n_heads != 0:
             raise ContractViolationError(
                 f"{self.n_heads} heads do not divide hidden dim {d}"

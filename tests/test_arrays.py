@@ -9,13 +9,17 @@ and `audio.pcm16_roundtrip`), the latent maps of `codec.decode`,
 `numerics.snake`, `numerics.transformer_block` and `extractor.film`.
 Integer arrays pass, and float arrays where the site takes floats; bools,
 complex numbers, text, bytes, objects, dates and ragged lists raise
-`InvalidArgumentError`.  The
+`InvalidArgumentError`.  The weight holders (`TransformerLayerWeights`,
+`RvqWeights`, `FilmWeights`, `PromptBank`) read every array field through
+it as well, by way of `errors.weight_fields`, which also checks that the
+shapes agree; a conv bias must hold one entry per output channel.  The
 sweep below hands arrays of every dtype kind to the public entry points with
 warnings as errors: each call returns or raises a `SunacError`.  The
 entry points that take an object whole (an `AudioBuffer`, `EncodedStream`,
 stream bytes, `SourceSet` or `MixtureManifest`) refuse anything else.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -115,6 +119,19 @@ def _buffer(x, config):
     return AudioBuffer(x, config.sample_rate)
 
 
+def _layer(config, store):
+    return ExtractorWeights.from_store(store, config).cross
+
+
+def _rvq(config, store, **fields):
+    return dataclasses.replace(rvq.RvqWeights.from_store(store, config),
+                               **fields)
+
+
+def _film(store, **fields):
+    return dataclasses.replace(FilmWeights.from_store(store), **fields)
+
+
 def _cross_prompt(features, config, store):
     return cross_prompt(features, (PromptType.SPEECH,),
                         PromptBank.from_store(store),
@@ -155,6 +172,16 @@ ENTRY_POINTS = {
     "conv1d": (SIGNALS, lambda x, c, s: numerics.conv1d(
         x, np.ones((3, 2, 2)), np.ones(3))),
     "snake": (SIGNALS, lambda x, c, s: numerics.snake(x, np.ones(2))),
+    "conv1d-bias": (st.tuples(st.just(3)), lambda x, c, s: numerics.conv1d(
+        np.ones((2, 5)), np.ones((3, 2, 2)), x)),
+    "TransformerLayerWeights": (st.just((16, 16)), lambda x, c, s:
+                                numerics.transformer_block(
+                                    np.ones((16, 2)), dataclasses.replace(
+                                        _layer(c, s), wq=x))),
+    "RvqWeights": (st.just((32, 4)), lambda x, c, s: rvq.quantize(
+        np.ones((16, 2)), _rvq(c, s, codebooks=(x,)), 1)),
+    "FilmWeights": (st.just((16, 16)), lambda x, c, s: film(
+        np.ones((16, 2)), np.ones(16), _film(s, scale_w=x))),
 }
 
 
@@ -330,6 +357,133 @@ def test_kernels_take_real_arrays(kernel, argument, name, dtype, tiny_config,
     with pytest.raises(InvalidArgumentError,
                        match=f"{name} must be real numbers, got dtype"):
         call(**{**arrays, argument: bad})
+
+
+@pytest.mark.parametrize("bias", [np.ones(7), np.ones((3, 1)), np.ones(1),
+                                  np.float64(1.0)],
+                         ids=["(7,)", "(3, 1)", "(1,)", "scalar"])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_conv_bias_has_one_entry_per_output_channel(bias, transposed):
+    with pytest.raises(ContractViolationError, match=r"wants a \(3,\) bias"):
+        numerics.conv1d(np.ones((2, 5)), np.ones((3, 2, 2)), bias,
+                        transposed=transposed)
+
+
+# Every weight holder reads its arrays through errors.weight_fields.
+HOLDERS = (numerics.TransformerLayerWeights, rvq.RvqWeights, FilmWeights,
+           PromptBank)
+HOLDER_FIELDS = [(cls.__name__, f.name) for cls in HOLDERS
+                 for f in dataclasses.fields(cls) if f.name != "n_heads"]
+
+
+def _holder(name, config, store):
+    return {"TransformerLayerWeights": lambda: _layer(config, store),
+            "RvqWeights": lambda: rvq.RvqWeights.from_store(store, config),
+            "FilmWeights": lambda: FilmWeights.from_store(store),
+            "PromptBank": lambda: PromptBank.from_store(store)}[name]()
+
+
+def _each(value, change):
+    """`change` applied to an array, or to each array of a tuple."""
+    return (tuple(map(change, value)) if isinstance(value, tuple)
+            else change(value))
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, bool, "U4"])
+@pytest.mark.parametrize("holder, field", HOLDER_FIELDS,
+                         ids=[f"{h}.{f}" for h, f in HOLDER_FIELDS])
+def test_weight_holders_take_real_arrays(holder, field, dtype, tiny_config,
+                                         tiny_store):
+    weights = _holder(holder, tiny_config, tiny_store)
+    bad = _each(getattr(weights, field), lambda a: np.zeros(a.shape, dtype))
+    name = "prompt vectors" if holder == "PromptBank" else f"{holder}.{field}"
+    with pytest.raises(InvalidArgumentError,
+                       match=f"{name} must be real numbers, got dtype"):
+        dataclasses.replace(weights, **{field: bad})
+
+
+# "longer" adds one to every size.
+@pytest.mark.parametrize("change", ["extra-axis", "missing-axis", "longer"])
+@pytest.mark.parametrize("holder, field", HOLDER_FIELDS,
+                         ids=[f"{h}.{f}" for h, f in HOLDER_FIELDS])
+def test_weight_holders_check_every_shape(holder, field, change, tiny_config,
+                                          tiny_store):
+    weights = _holder(holder, tiny_config, tiny_store)
+    bad = _each(getattr(weights, field), {
+        "extra-axis": lambda a: a[..., None],
+        "missing-axis": lambda a: a[..., 0],
+        "longer": lambda a: np.pad(a, (0, 1))}[change])
+    # A longer first use of a size sets it, and a later field disagrees.
+    where = f"{holder}.{field}" if change != "longer" else holder
+    with pytest.raises(ContractViolationError, match=where):
+        dataclasses.replace(weights, **{field: bad})
+
+
+@pytest.mark.parametrize("holder, fields, where", [
+    ("RvqWeights", dict(down_b=np.zeros(7)), "RvqWeights.down_b"),
+    ("RvqWeights", dict(up_b=np.zeros(7)), "RvqWeights.up_b"),
+    ("RvqWeights", dict(codebooks=()), "RvqWeights.codebooks holds no"),
+    ("RvqWeights", dict(codebooks=(np.zeros((32, 4)), np.zeros((31, 4)))),
+     "RvqWeights.codebooks"),
+    ("FilmWeights", dict(shift_b=np.zeros(7)), "FilmWeights.shift_b"),
+    ("FilmWeights", dict(scale_w=np.zeros((3, 16))), "FilmWeights.scale_w"),
+    ("TransformerLayerWeights", dict(ff_w2=np.zeros((24, 16))),
+     "TransformerLayerWeights.ff_w2"),
+], ids=["down_b", "up_b", "no-codebooks", "uneven-codebooks", "shift_b",
+        "scale_w", "ff_w2"])
+def test_weight_shapes_that_once_reached_the_kernels(holder, fields, where,
+                                                     tiny_config, tiny_store):
+    weights = _holder(holder, tiny_config, tiny_store)
+    with pytest.raises(ContractViolationError, match=where):
+        dataclasses.replace(weights, **fields)
+
+
+@pytest.mark.parametrize("holder", [cls.__name__ for cls in HOLDERS])
+def test_float32_weights_are_held_uncopied(holder, tiny_config, tiny_store):
+    weights = _holder(holder, tiny_config, tiny_store)
+    again = dataclasses.replace(weights)
+    for field in dataclasses.fields(weights):
+        old, new = getattr(weights, field.name), getattr(again, field.name)
+        for a, b in zip(*(v if isinstance(v, tuple) else (v,)
+                          for v in (old, new)), strict=True):
+            assert a is b, field.name
+
+
+def test_integer_weights_are_read_as_floats(tiny_store):
+    weights = FilmWeights.from_store(tiny_store)
+    ints = dataclasses.replace(weights, **{
+        f.name: np.round(getattr(weights, f.name) * 8).astype(np.int16)
+        for f in dataclasses.fields(weights)})
+    for f in dataclasses.fields(ints):
+        value = getattr(ints, f.name)
+        assert value.dtype == np.float32
+        np.testing.assert_array_equal(
+            value, np.round(getattr(weights, f.name) * 8))
+
+
+@pytest.mark.parametrize("n_heads", ["2", None, True, np.True_, 2.5,
+                                     math.nan, math.inf])
+def test_head_count_must_be_an_integer(n_heads, tiny_config, tiny_store):
+    with pytest.raises(InvalidArgumentError, match="n_heads must be"):
+        dataclasses.replace(_layer(tiny_config, tiny_store), n_heads=n_heads)
+
+
+@pytest.mark.parametrize("n_heads", [2.0, np.int64(2), np.uint8(2)])
+def test_integral_head_counts_are_held_as_ints(n_heads, tiny_config,
+                                               tiny_store):
+    layer = dataclasses.replace(_layer(tiny_config, tiny_store),
+                                n_heads=n_heads)
+    assert type(layer.n_heads) is int and layer.n_heads == 2
+    maps = np.ones((16, 3), np.float32)
+    np.testing.assert_array_equal(
+        numerics.transformer_block(maps, layer),
+        numerics.transformer_block(maps, _layer(tiny_config, tiny_store)))
+
+
+@pytest.mark.parametrize("n_heads", [0, -2])
+def test_heads_must_divide_the_hidden_size(n_heads, tiny_config, tiny_store):
+    with pytest.raises(ContractViolationError, match="heads do not divide"):
+        dataclasses.replace(_layer(tiny_config, tiny_store), n_heads=n_heads)
 
 
 def test_codes_range_message_shows_the_values_as_given(tiny_config,
