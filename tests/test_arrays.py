@@ -444,9 +444,9 @@ def test_float32_weights_are_held_uncopied(holder, tiny_config, tiny_store):
     again = dataclasses.replace(weights)
     for field in dataclasses.fields(weights):
         old, new = getattr(weights, field.name), getattr(again, field.name)
-        for a, b in zip(*(v if isinstance(v, tuple) else (v,)
-                          for v in (old, new)), strict=True):
-            assert a is b, field.name
+        pairs = (zip(old, new, strict=True) if isinstance(old, tuple)
+                 else [(old, new)])
+        assert all(a is b for a, b in pairs), field.name
 
 
 def test_integer_weights_are_read_as_floats(tiny_store):
