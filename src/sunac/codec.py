@@ -54,6 +54,7 @@ from .errors import (
     InvalidArgumentError,
     integer,
     real_array,
+    shape,
 )
 from . import numerics
 
@@ -982,12 +983,8 @@ def decode(features: np.ndarray, config: ModelConfig,
     """
     _require_runnable(config, "decode")
     features = real_array("features", features, np.float32)
+    shape("decode", "features", features, ("ft", "sft"), {"f": config.latent_dim})
     stack = features if features.ndim == 3 else features[None]
-    if features.ndim not in (2, 3) or stack.shape[1] != config.latent_dim:
-        raise ContractViolationError(
-            f"expected ({config.latent_dim}, T) features or an "
-            f"(S, {config.latent_dim}, T) stack, got {features.shape}"
-        )
     n_src, _, frames = stack.shape
     if n_src < 1 or frames < 1:
         raise InvalidArgumentError("cannot decode an empty feature map")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and its argument rules."""
+"""Exception types shared across the package, and its argument rules: an
+integer, a sequence, a duration (`samples`), an array's dtype (`real_array`)
+and shape (`shape`), and a weight holder's arrays (`weight_fields`), each
+refused with a typed error naming it."""
 
 import contextlib
 import dataclasses
@@ -107,14 +110,32 @@ def real_array(name: str, value, dtype=None) -> np.ndarray:
         return array.astype(dtype, copy=False)
 
 
-def weight_fields(holder, shapes: str) -> dict:
+def shape(owner: str, field: str, array: np.ndarray, axes, sizes: dict) -> dict:
+    """Check the shape of `array`, the argument `field` of `owner`, against
+    `axes`: a word, or a tuple of words of different lengths for a site
+    that takes more than one rank, with one letter per axis.  A letter in
+    `sizes` must match that size; otherwise the first size it meets sets it
+    in `sizes`, which is returned.  Any other rank or size raises
+    ContractViolationError naming the owner and the field."""
+    words = (axes,) if isinstance(axes, str) else axes
+    word = next((w for w in words if len(w) == array.ndim), None)
+    if word is None or any(sizes.setdefault(a, n) != n
+                           for a, n in zip(word, array.shape)):
+        wanted = " or ".join(
+            f"({', '.join(str(sizes.get(a, a)) for a in w)}{',' * (len(w) == 1)})"
+            for w in words)
+        raise ContractViolationError(
+            f"{owner} wants a {wanted} {field}, got {array.shape}")
+    return sizes
+
+
+def weight_fields(holder, shapes: str, **sizes) -> dict:
     """Read the array fields of the frozen dataclass `holder` (all but an int
     field) in order as float32 through real_array, and store them back.
-    `shapes` has one word per field and one letter per axis, a letter standing
-    for the first size it meets; a word led by "+" is a non-empty sequence of
-    such arrays.  Any other rank or size raises ContractViolationError naming
-    the class and the field.  Returns the letter sizes."""
-    sizes = {}
+    `shapes` has one `shape` word per field, its letters shared by all the
+    fields and preset by `sizes`; a word led by "+" is a non-empty sequence
+    of such arrays.  Any other rank or size raises ContractViolationError
+    naming the class and the field.  Returns the letter sizes."""
     names = [f.name for f in dataclasses.fields(holder) if f.type != "int"]
     for name, word in zip(names, shapes.split(), strict=True):
         label, axes = f"{type(holder).__name__}.{name}", word.lstrip("+")
@@ -124,10 +145,6 @@ def weight_fields(holder, shapes: str) -> dict:
         if not arrays:
             raise ContractViolationError(f"{label} holds no arrays")
         for array in arrays:
-            if array.ndim != len(axes) or any(sizes.setdefault(a, n) != n
-                                              for a, n in zip(axes, array.shape)):
-                raise ContractViolationError(
-                    f"{label} has shape {array.shape}, expected "
-                    f"({', '.join(axes)}{',' * (len(axes) == 1)}) with {sizes}")
+            shape(label, "array", array, axes, sizes)
         object.__setattr__(holder, name, arrays[0] if axes == word else tuple(arrays))
     return sizes

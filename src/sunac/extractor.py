@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import ModelConfig, WeightStore, extractor_nodes
-from .errors import (ContractViolationError, InvalidArgumentError, real_array,
-                     weight_fields)
+from .errors import InvalidArgumentError, real_array, shape, weight_fields
 from .numerics import (
     TransformerLayerWeights,
     check_finite,
@@ -121,10 +120,7 @@ class PromptBank:
     def __post_init__(self):
         object.__setattr__(self, "vectors", real_array(
             "prompt vectors", self.vectors, np.float32))
-        if weight_fields(self, "nf")["n"] != len(_WIRE_ORDER):
-            raise ContractViolationError(
-                f"PromptBank.vectors must be ({len(_WIRE_ORDER)}, F), got "
-                f"{self.vectors.shape}")
+        weight_fields(self, "nf", n=len(_WIRE_ORDER))
 
     @property
     def dim(self) -> int:
@@ -197,10 +193,7 @@ def cross_prompt(
     """
     features = real_array("features", features, np.float32)
     prompts = PromptType.parse_all("prompts", prompts)
-    if features.ndim != 2 or features.shape[0] != bank.dim:
-        raise ContractViolationError(
-            f"features {features.shape} do not match prompt dim {bank.dim}"
-        )
+    shape("cross_prompt", "features", features, "ft", {"f": bank.dim})
     columns = np.stack([bank.vector_for(p) for p in prompts], axis=1)
     seq = np.concatenate([columns, features], axis=1)
     out = transformer_block(seq, layer, name="extractor.cross")
@@ -223,10 +216,8 @@ def film(
     """
     x = real_array("x", x, np.float32)
     p = real_array("prompt columns", prompt_column, np.float64)
-    if x.ndim != 2 or p.ndim not in (1, 2) or p.shape[0] != x.shape[0]:
-        raise ContractViolationError(
-            f"prompt columns {p.shape} do not match feature map {x.shape}"
-        )
+    sizes = shape("film", "x", x, "ft", {"f": weights.scale_b.shape[0]})
+    shape("film", "prompt columns", p, ("f", "fn"), sizes)
     if p.ndim == 2 and p.shape[1] < 1:
         raise InvalidArgumentError("FiLM needs at least one prompt column")
     columns = np.ascontiguousarray(p.reshape(p.shape[0], -1).T)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentError, NumericError,
-                     integer, real_array, weight_fields)
+                     integer, real_array, shape, weight_fields)
 
 __all__ = [
     "conv_out_len",
@@ -274,11 +274,8 @@ def conv1d(
     """
     x = real_array("x", x, np.float32)
     w = real_array("weight", weight, np.float32)
-    if x.ndim not in (2, 3) or w.ndim != 3:
-        raise ContractViolationError(
-            f"conv1d wants ([S,] C_in, L) input and (C_out, C_in, K) "
-            f"kernels, got {x.shape} and {w.shape}"
-        )
+    sizes = shape("conv1d", "x", x, ("il", "sil"),
+                  shape("conv1d", "weight", w, "oik", {}))
     stride = integer("stride", stride, 1)
     dilation = integer("dilation", dilation, 1)
     padding = integer("padding", padding, 0)
@@ -286,14 +283,10 @@ def conv1d(
     if output_padding and not transposed:
         raise InvalidArgumentError("output_padding only applies when transposed")
     c_out, c_in, k = w.shape
-    if x.shape[-2] != c_in:
-        raise ContractViolationError(
-            f"input has {x.shape[-2]} channels, kernels expect {c_in}"
-        )
-    b64 = None if bias is None else real_array("bias", bias, np.float64)[..., None]
-    if b64 is not None and b64.shape != (c_out, 1):
-        raise ContractViolationError(
-            f"conv1d wants a ({c_out},) bias, got {b64.shape[:-1]}")
+    b64 = None if bias is None else real_array("bias", bias, np.float64)
+    if b64 is not None:
+        shape("conv1d", "bias", b64, "o", sizes)
+        b64 = b64[:, None]
     kernel = _conv_transposed_tile if transposed else _conv_forward_tile
     if tile is not None:
         t0, t1, lo, hi = tile
@@ -415,10 +408,7 @@ def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     finite values; the codec's stages check the pieces they assemble."""
     x = real_array("x", x, np.float32)
     alpha = real_array("alpha", alpha, np.float32)
-    if x.ndim not in (2, 3) or alpha.shape != x.shape[-2:-1]:
-        raise ContractViolationError(
-            f"snake wants ([S,] C, L) input and (C,) slopes, got {x.shape} "
-            f"and {alpha.shape}")
+    shape("snake", "x", x, ("cl", "scl"), shape("snake", "alpha", alpha, "c", {}))
     a = alpha[:, None]
     # One output buffer, every step in place: same float32 operations in the
     # same order as x + sin(a * x) ** 2 / a, without four temporaries.
@@ -543,9 +533,15 @@ def _erf_far(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Normalize each column of an (F, T) map across its features."""
+    """Normalize each column of an (F, T) map, or an (F,) vector, across its
+    features."""
     x64 = np.asarray(x, dtype=np.float64)
-    out = _ln_rows(x64.T, np.asarray(gain, np.float64), np.asarray(bias, np.float64))
+    gain = np.asarray(gain, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    sizes = shape("layer_norm", "x", x64, ("f", "ft"), {})
+    shape("layer_norm", "gain", gain, "f", sizes)
+    shape("layer_norm", "bias", bias, "f", sizes)
+    out = _ln_rows(x64.T, gain, bias)
     return out.T.astype(np.float32)
 
 
@@ -564,17 +560,20 @@ def _ln_rows(tokens: np.ndarray, gain, bias) -> np.ndarray:
 def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Apply rotary position coding to per-head vectors.
 
-    x has shape (T, H, Dh) with Dh even.  Consecutive (even, odd) pairs of
+    x has shape (T, H, Dh), or (G, T, H, Dh) for G maps, with Dh even, and
+    positions one entry per token.  Consecutive (even, odd) pairs of
     each head vector are rotated by an angle that grows with the token
     position and shrinks geometrically with the pair index, so two equal
     tokens at different positions stop being equal after rotation.
     """
     x = np.asarray(x, dtype=np.float64)
-    dh = x.shape[-1]
+    positions = np.asarray(positions, dtype=np.float64)
+    sizes = shape("rope_rotate", "x", x, ("thd", "gthd"), {})
+    dh = shape("rope_rotate", "positions", positions, "t", sizes)["d"]
     if dh % 2 != 0:
         raise ContractViolationError(f"rotary coding needs an even head dim, got {dh}")
     freqs = _ROPE_BASE ** (-np.arange(0, dh, 2, dtype=np.float64) / dh)
-    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    angles = positions[:, None] * freqs[None, :]
     cos = np.cos(angles)[:, None, :]
     sin = np.sin(angles)[:, None, :]
     even, odd = x[..., 0::2], x[..., 1::2]
@@ -717,11 +716,8 @@ def transformer_block(
     `stack_groups`.  Raises NumericError naming the layer if not finite.
     """
     x = real_array("x", x, np.float32)
+    shape("transformer_block", "x", x, ("dt", "sdt"), {"d": weights.hidden_dim})
     stack = x if x.ndim == 3 else x[None]
-    if x.ndim not in (2, 3) or stack.shape[1] != weights.hidden_dim:
-        raise ContractViolationError(
-            f"expected ({weights.hidden_dim}, T) input, got {x.shape}"
-        )
     n, _, t = stack.shape
     if n < 1 or t < 1:
         raise InvalidArgumentError("transformer input needs at least one token")
@@ -808,12 +804,8 @@ def istft(spec: np.ndarray, n_fft: int, hop: int, length: int) -> np.ndarray:
     spec = np.asarray(spec)
     n_fft, hop = _check_stft_params(n_fft, hop)
     length = integer("length", length, 0)
-    if spec.ndim != 2 or spec.shape[0] != n_fft // 2 + 1:
-        raise ContractViolationError(
-            f"expected ({n_fft // 2 + 1}, n_frames) spectrogram, got {spec.shape}"
-        )
+    n_frames = shape("istft", "spectrogram", spec, "ft", {"f": n_fft // 2 + 1})["t"]
     win = _hann(n_fft)
-    n_frames = spec.shape[1]
     frames = np.fft.irfft(spec.T, n=n_fft, axis=1)
     total = (n_frames - 1) * hop + n_fft
     acc = np.zeros(total)

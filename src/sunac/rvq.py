@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import ModelConfig, RvqNode, WeightStore
-from .errors import (ContractViolationError, InvalidArgumentError, integer,
-                     real_array, weight_fields)
+from .errors import InvalidArgumentError, integer, real_array, shape, weight_fields
 from .numerics import check_finite, forward_stage
 
 __all__ = [
@@ -92,10 +91,7 @@ def quantize(features: np.ndarray, weights: RvqWeights, n_active: int) -> Quanti
     greedy layer-by-layer nearest-entry walk in code space, with per-layer
     residual norms in float64."""
     features = real_array("features", features, np.float32)
-    if features.ndim != 2 or features.shape[0] != weights.feature_dim:
-        raise ContractViolationError(
-            f"expected ({weights.feature_dim}, T) features, got {features.shape}"
-        )
+    shape("quantize", "features", features, "ft", {"f": weights.feature_dim})
     if features.shape[1] < 1:
         raise InvalidArgumentError("feature map has no frames")
     n_active = integer("n_active", n_active, 1, weights.n_layers)
@@ -129,8 +125,7 @@ def codes_to_features(codes: np.ndarray, weights: RvqWeights) -> np.ndarray:
     float64 and sends the total through the up projection.
     """
     codes = real_array("codes", codes)
-    if codes.ndim != 2:
-        raise ContractViolationError(f"codes must be (layers, T), got {codes.shape}")
+    shape("codes_to_features", "codes", codes, "lt", {})
     if codes.shape[1] == 0:
         raise InvalidArgumentError("codes have no frames")
     n_layers = integer("n_active", codes.shape[0], 1, weights.n_layers)
