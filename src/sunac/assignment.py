@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer
-from .errors import ContractViolationError, InvalidArgumentError, sequence
+from .errors import ContractViolationError, InvalidArgumentError, instance, sequence
 from .extractor import PromptType
 from .numerics import as_samples, istft, stft
 
@@ -105,11 +105,8 @@ class SourceSet:
         if not paired:
             raise InvalidArgumentError(
                 "sources must be a sequence of (AudioBuffer, prompt type) pairs")
-        if self.mixture is not None and not isinstance(self.mixture,
-                                                       AudioBuffer):
-            raise InvalidArgumentError(
-                f"mixture must be an AudioBuffer, got "
-                f"{type(self.mixture).__name__}")
+        if self.mixture is not None:
+            instance("mixture", self.mixture, AudioBuffer)
         types = PromptType.parse_all("source types", [t for _, t in pairs])
         object.__setattr__(self, "sources",
                            tuple(zip([buf for buf, _ in pairs], types)))
@@ -193,6 +190,7 @@ def best_assignment(references: SourceSet, estimates) -> Assignment:
     Ties resolve to the lexicographically smallest permutation, and any
     uniquely-typed reference keeps its own index by construction.
     """
+    instance("references", references, SourceSet)
     estimates = sequence("estimates", estimates)
     if len(estimates) != references.n_sources:
         raise ContractViolationError(
@@ -232,6 +230,8 @@ def magnitude_mask_reconstruct(
     gives an (almost) all-ones mask and passes the mixture through; an
     all-zero estimate gives silence.
     """
+    instance("mixture", mixture, AudioBuffer)
+    instance("estimate", estimate, AudioBuffer)
     if mixture.sample_rate != estimate.sample_rate:
         raise ContractViolationError("mixture and estimate sample rates differ")
     if mixture.n_samples != estimate.n_samples:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import _atomic_write_bytes
-from .errors import CorruptStreamError, InvalidArgumentError, integer, real_array
+from .errors import (CorruptStreamError, InvalidArgumentError, instance, integer,
+                     real_array)
 from .extractor import PromptType
 
 __all__ = [
@@ -103,9 +104,7 @@ class EncodedStream:
 
 
 def pack_stream(stream: EncodedStream) -> bytes:
-    if not isinstance(stream, EncodedStream):
-        raise InvalidArgumentError(
-            f"stream must be an EncodedStream, got {type(stream).__name__}")
+    instance("stream", stream, EncodedStream)
     header = _HEADER.pack(
         STREAM_MAGIC,
         STREAM_VERSION,
@@ -122,9 +121,7 @@ def pack_stream(stream: EncodedStream) -> bytes:
 
 
 def unpack_stream(blob: bytes) -> EncodedStream:
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise InvalidArgumentError(
-            f"stream must be bytes, got {type(blob).__name__}")
+    instance("stream", blob, (bytes, bytearray, memoryview))
     blob = bytes(blob)  # a memoryview's len counts items, not bytes
     if len(blob) < _HEADER.size:
         raise CorruptStreamError(

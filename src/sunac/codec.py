@@ -52,6 +52,7 @@ from .errors import (
     ContractViolationError,
     CorruptStreamError,
     InvalidArgumentError,
+    instance,
     integer,
     real_array,
     shape,
@@ -944,9 +945,7 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
     product, so T = ceil(len / hop) exactly.  The sample rate must match
     the configuration.
     """
-    if not isinstance(audio, AudioBuffer):
-        raise InvalidArgumentError(
-            f"audio must be an AudioBuffer, got {type(audio).__name__}")
+    instance("audio", audio, AudioBuffer)
     _require_runnable(config, "encode")
     if audio.sample_rate != config.sample_rate:
         raise InvalidArgumentError(

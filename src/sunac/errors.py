@@ -1,7 +1,7 @@
 """Exception types shared across the package, and its argument rules: an
-integer, a sequence, a duration (`samples`), an array's dtype (`real_array`)
-and shape (`shape`), and a weight holder's arrays (`weight_fields`), each
-refused with a typed error naming it."""
+integer, a sequence, a duration (`samples`), an object's class (`instance`),
+an array's dtype (`real_array`) and shape (`shape`), and a weight holder's
+arrays (`weight_fields`), each refused with a typed error naming it."""
 
 import contextlib
 import dataclasses
@@ -87,23 +87,34 @@ def samples(duration_s, rate: int, lo: int, hi: int) -> int:
                                f"at {rate} Hz, got {duration_s!r}")
 
 
+def instance(name: str, value, classes):
+    """`value` when it is an instance of `classes`; anything else raises
+    InvalidArgumentError naming the class wanted, or of a tuple of classes
+    the first ("bytes" for bytes, bytearray and memoryview)."""
+    if isinstance(value, classes):
+        return value
+    wanted = classes[0].__name__ if isinstance(classes, tuple) else (
+        f"{'an' if classes.__name__[0] in 'AEIOU' else 'a'} {classes.__name__}")
+    raise InvalidArgumentError(f"{name} must be {wanted}, got {type(value).__name__}")
+
+
 def real_array(name: str, value, dtype=None) -> np.ndarray:
     """`value` as an array of `dtype` if it holds integers, or floats where
-    `dtype` is a float type; with no `dtype`, integers in their own dtype,
-    so a range check sees the values as given.  Anything else (bools,
-    complex numbers, text, bytes, objects, dates, records, or what
-    np.asarray cannot make one array of) raises InvalidArgumentError.
-    Overflow in the cast is quiet: a value too large for `dtype` becomes
-    +-inf for the caller's finiteness check."""
-    floats = dtype is not None and np.dtype(dtype).kind == "f"
+    `dtype` is a float type (and complex numbers where it is complex); with
+    no `dtype`, integers in their own dtype, so a range check sees the values
+    as given.  Anything else (bools, complex numbers, text, bytes, objects,
+    dates, records, or what np.asarray cannot make one array of) raises
+    InvalidArgumentError.  Overflow in the cast is quiet: a value too large
+    for `dtype` becomes +-inf for the caller's finiteness check."""
+    kinds, what = {"f": ("iuf", "real numbers"), "c": ("iufc", "numbers")}.get(
+        None if dtype is None else np.dtype(dtype).kind, ("iu", "integers"))
     try:
         array = np.asarray(value)
     except (ValueError, TypeError, OverflowError):  # ragged, or not an array
         array = np.empty(0, dtype=object)
-    if array.dtype.kind not in ("iuf" if floats else "iu"):
+    if array.dtype.kind not in kinds:
         raise InvalidArgumentError(
-            f"{name} must be {'real numbers' if floats else 'integers'}, "
-            f"got dtype {array.dtype}")
+            f"{name} must be {what}, got dtype {array.dtype}")
     if dtype is None:
         return array
     with np.errstate(over="ignore"):

@@ -424,13 +424,14 @@ def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 # transformer block
 
 
+@forward_stage
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact (erf-based) Gaussian error linear unit, in float64.
 
     The bits are those of 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), but the
     steps run in place, so the call holds two arrays of the input's size.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array("x", x, np.float64)
     half = 0.5 * x
     u = np.divide(x, np.sqrt(2.0), order="C")
     _erf_in_place(u)
@@ -450,7 +451,7 @@ def erf(x: np.ndarray) -> np.ndarray:
     because numpy's `exp` may round differently from the C library's.
     erf(-0) is -0, erf(+-inf) is +-1 and a NaN gives a NaN.
     """
-    u = np.array(x, dtype=np.float64, order="C")
+    u = np.array(real_array("x", x, np.float64), order="C")
     _erf_in_place(u)
     return u
 
@@ -532,17 +533,18 @@ def _erf_far(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.copysign(y, x, out=y)
 
 
+@forward_stage
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Normalize each column of an (F, T) map, or an (F,) vector, across its
-    features."""
-    x64 = np.asarray(x, dtype=np.float64)
-    gain = np.asarray(gain, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
+    features.  An output that is not finite raises NumericError."""
+    x64 = real_array("x", x, np.float64)
+    gain = real_array("gain", gain, np.float64)
+    bias = real_array("bias", bias, np.float64)
     sizes = shape("layer_norm", "x", x64, ("f", "ft"), {})
     shape("layer_norm", "gain", gain, "f", sizes)
     shape("layer_norm", "bias", bias, "f", sizes)
     out = _ln_rows(x64.T, gain, bias)
-    return out.T.astype(np.float32)
+    return check_finite(out.T.astype(np.float32), "numerics.layer_norm")
 
 
 def _ln_rows(tokens: np.ndarray, gain, bias) -> np.ndarray:
@@ -557,6 +559,7 @@ def _ln_rows(tokens: np.ndarray, gain, bias) -> np.ndarray:
     return out
 
 
+@forward_stage
 def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Apply rotary position coding to per-head vectors.
 
@@ -566,8 +569,8 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     position and shrinks geometrically with the pair index, so two equal
     tokens at different positions stop being equal after rotation.
     """
-    x = np.asarray(x, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.float64)
+    x = real_array("x", x, np.float64)
+    positions = real_array("positions", positions, np.float64)
     sizes = shape("rope_rotate", "x", x, ("thd", "gthd"), {})
     dh = shape("rope_rotate", "positions", positions, "t", sizes)["d"]
     if dh % 2 != 0:
@@ -797,11 +800,12 @@ def stft(audio, n_fft: int, hop: int) -> np.ndarray:
     return np.fft.rfft(frames * win, axis=1).T
 
 
+@forward_stage
 def istft(spec: np.ndarray, n_fft: int, hop: int, length: int) -> np.ndarray:
     """Invert `stft` by Hann-windowed overlap-add with squared-window
     weighting, returning `length` samples after stripping the center
-    padding."""
-    spec = np.asarray(spec)
+    padding.  An output that is not finite raises NumericError."""
+    spec = real_array("spectrogram", spec, np.complex128)
     n_fft, hop = _check_stft_params(n_fft, hop)
     length = integer("length", length, 0)
     n_frames = shape("istft", "spectrogram", spec, "ft", {"f": n_fft // 2 + 1})["t"]
@@ -816,4 +820,4 @@ def istft(spec: np.ndarray, n_fft: int, hop: int, length: int) -> np.ndarray:
         weight[start : start + n_fft] += win * win
     out = acc / np.maximum(weight, 1e-12)
     pad = n_fft // 2
-    return out[pad : pad + length]
+    return check_finite(out[pad : pad + length], "numerics.istft")

@@ -24,7 +24,7 @@ from .assignment import (
 )
 from .audio import AudioBuffer, pcm16_roundtrip
 from .bitstream import EncodedStream
-from .errors import InvalidArgumentError, integer, sequence
+from .errors import InvalidArgumentError, instance, integer, sequence
 from .extractor import ExtractorWeights, PromptBank, PromptType, extract
 from .fixtures import MixtureManifest, realize
 
@@ -99,9 +99,7 @@ def decode_stream(
     store: codec.WeightStore,
 ) -> list[tuple[AudioBuffer, PromptType]]:
     """Decode every source in a stream in one pass, trimmed to length."""
-    if not isinstance(stream, EncodedStream):
-        raise InvalidArgumentError(
-            f"stream must be an EncodedStream, got {type(stream).__name__}")
+    instance("stream", stream, EncodedStream)
     codec._require_runnable(config, "decode")
     if stream.sample_rate != config.sample_rate:
         raise InvalidArgumentError(
@@ -194,12 +192,9 @@ def evaluate_estimates(
     magnitude mask on the mixture, which bounds the score by what a
     mask-based system could achieve from the same mixture.
     """
-    if not isinstance(references, SourceSet):
-        raise InvalidArgumentError(
-            f"references must be a SourceSet, got {type(references).__name__}")
-    if mixture is not None and not isinstance(mixture, AudioBuffer):
-        raise InvalidArgumentError(
-            f"mixture must be an AudioBuffer, got {type(mixture).__name__}")
+    instance("references", references, SourceSet)
+    if mixture is not None:
+        instance("mixture", mixture, AudioBuffer)
     if mode not in EVAL_MODES:
         raise InvalidArgumentError(
             f"unknown eval mode {mode!r}, expected one of {EVAL_MODES}"
@@ -238,9 +233,7 @@ def evaluate_manifest(
     files; comparing quantized to unquantized would smear every score by
     the storage noise floor.
     """
-    if not isinstance(manifest, MixtureManifest):
-        raise InvalidArgumentError(
-            f"manifest must be a MixtureManifest, got {type(manifest).__name__}")
+    instance("manifest", manifest, MixtureManifest)
     rendered = realize(manifest)
     quantized_refs = tuple(
         (AudioBuffer(pcm16_roundtrip(buf.samples), buf.sample_rate), ptype)

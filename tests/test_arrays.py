@@ -6,21 +6,25 @@ and `audio.pcm16_roundtrip`), the latent maps of `codec.decode`,
 `rvq.quantize` and `extractor.cross_prompt`, the vectors of
 `extractor.PromptBank`, the codes of `rvq.codes_to_features` and
 `EncodedStream`, and the arrays of the public kernels `numerics.conv1d`,
-`numerics.snake`, `numerics.transformer_block` and `extractor.film`.
-Integer arrays pass, and float arrays where the site takes floats; bools,
-complex numbers, text, bytes, objects, dates and ragged lists raise
-`InvalidArgumentError`.  The weight holders (`TransformerLayerWeights`,
-`RvqWeights`, `FilmWeights`, `PromptBank`) read every array field through
-it as well, by way of `errors.weight_fields`, which also checks that the
-shapes agree; a conv bias must hold one entry per output channel.  The
-sweep below hands arrays of every dtype kind to the public entry points with
-warnings as errors: each call returns or raises a `SunacError`.  The
-entry points that take an object whole (an `AudioBuffer`, `EncodedStream`,
-stream bytes, `SourceSet` or `MixtureManifest`) refuse anything else.
+`snake`, `layer_norm`, `gelu`, `erf`, `rope_rotate`, `transformer_block`
+and `istft`, and `extractor.film`.  Integer arrays pass, and float arrays
+where the site takes floats; bools, complex numbers, text, bytes, objects,
+dates and ragged lists raise `InvalidArgumentError`.  The weight holders
+(`TransformerLayerWeights`, `RvqWeights`, `FilmWeights`, `PromptBank`) read
+every array field through it as well, by way of `errors.weight_fields`.
+`errors.shape` checks ranks and sizes, for the holders and every kernel:
+a conv bias must hold one entry per output channel, a FiLM map be as wide
+as its weights.  The sweep below hands arrays of every dtype kind to the
+public entry points with warnings as errors: each call returns or raises a
+`SunacError`, and every public name of the kernel modules that takes an
+array is in it.  The entry points that take an object whole (an
+`AudioBuffer`, `EncodedStream`, stream bytes, `SourceSet` or
+`MixtureManifest`) refuse anything else, through `errors.instance`.
 """
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,14 +32,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sunac import bitstream, codec, numerics, pipeline, rvq
-from sunac.assignment import SourceSet, si_sdr
+from sunac import assignment, bitstream, codec, extractor, numerics, pipeline, rvq
+from sunac.assignment import (SourceSet, best_assignment,
+                              magnitude_mask_reconstruct, si_sdr)
 from sunac.audio import AudioBuffer, pcm16_roundtrip
 from sunac.bitstream import EncodedStream
 from sunac.errors import (ContractViolationError, InvalidArgumentError,
-                          SunacError)
+                          NumericError, SunacError)
 from sunac.extractor import (ExtractorWeights, FilmWeights, PromptBank,
-                             PromptType, cross_prompt, film)
+                             PromptType, cross_prompt, extract, film)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -95,6 +100,12 @@ STREAMS = st.tuples(st.integers(1, 2), st.integers(1, 4), FRAMES)
 SIGNALS = st.one_of(st.tuples(st.just(2), st.integers(1, 5)),
                     st.tuples(st.integers(1, 2), st.just(2),
                               st.integers(1, 5)))
+# Four-feature vectors and maps for layer_norm; per-head vectors of two
+# tokens, alone or stacked, for rope_rotate; 16-point spectrograms.
+NORMED = st.one_of(st.tuples(st.just(4)), st.tuples(st.just(4), FRAMES))
+HEADS = st.one_of(st.tuples(st.just(2), FRAMES, st.sampled_from([2, 4])),
+                  st.tuples(FRAMES, st.just(2), FRAMES, st.just(2)))
+SPECTRA = st.tuples(st.just(9), FRAMES)
 
 
 def _tone(n=N_REF):
@@ -182,7 +193,50 @@ ENTRY_POINTS = {
         np.ones((16, 2)), _rvq(c, s, codebooks=(x,)), 1)),
     "FilmWeights": (st.just((16, 16)), lambda x, c, s: film(
         np.ones((16, 2)), np.ones(16), _film(s, scale_w=x))),
+    "film-width": (st.tuples(st.just(8), FRAMES), lambda x, c, s: film(
+        x, np.ones(8), FilmWeights.from_store(s))),
+    "extract": (MAPS, lambda x, c, s: extract(
+        x, ("speech",), PromptBank.from_store(s),
+        ExtractorWeights.from_store(s, c))),
+    "layer_norm": (NORMED, lambda x, c, s: numerics.layer_norm(
+        x, np.ones(4), np.zeros(4))),
+    "rope_rotate": (HEADS, lambda x, c, s: numerics.rope_rotate(
+        x, np.arange(2))),
+    "gelu": (AUDIO, lambda x, c, s: numerics.gelu(x)),
+    "erf": (AUDIO, lambda x, c, s: numerics.erf(x)),
+    "istft": (SPECTRA, lambda x, c, s: numerics.istft(x, 16, 4, 8)),
+    "magnitude_mask_reconstruct": (AUDIO, lambda x, c, s:
+                                   magnitude_mask_reconstruct(
+                                       AudioBuffer(_tone(), 16000),
+                                       AudioBuffer(x, 16000))),
+    "best_assignment": (AUDIO, lambda x, c, s: best_assignment(
+        _references(), [x])),
 }
+
+# The public names of the kernel modules that take no array of their own,
+# and why the sweep leaves them out.
+NOT_SWEPT = {
+    "conv_out_len": "takes sizes",
+    "conv_tiles": "takes sizes",
+    "stack_groups": "takes counts",
+    "PromptType": "an enum of source types",
+    "parse_prompts": "takes text",
+    "ExtractorWeights": "holds weight holders, each swept on its own",
+    "QuantizeResult": "the record rvq.quantize returns",
+    "SI_SDR_CLAMP_DB": "a constant",
+    "SourceSet": "takes AudioBuffers (see WRONG_TYPES)",
+    "restricted_permutations": "takes prompt types",
+    "Assignment": "the record best_assignment returns",
+}
+
+
+def test_every_public_kernel_is_swept():
+    swept = {name.split("-")[0].rsplit(".")[-1] for name in ENTRY_POINTS}
+    public = set()
+    for module in (numerics, extractor, rvq, assignment):
+        public.update(module.__all__)
+    assert public - swept - set(NOT_SWEPT) == set()
+    assert set(NOT_SWEPT) <= public - swept
 
 
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
@@ -335,6 +389,12 @@ def _kernels(config, store):
             lambda x: numerics.transformer_block(x, layer), dict(x=maps)),
         "film": (lambda x, prompt_column: film(x, prompt_column, weights),
                  dict(x=maps, prompt_column=maps[:, :2])),
+        "layer_norm": (numerics.layer_norm, dict(
+            x=np.ones((4, 3)), gain=np.ones(4), bias=np.zeros(4))),
+        "rope_rotate": (numerics.rope_rotate, dict(
+            x=np.ones((3, 2, 4)), positions=np.arange(3))),
+        "gelu": (numerics.gelu, dict(x=np.ones(3))),
+        "erf": (numerics.erf, dict(x=np.ones(3))),
     }
 
 
@@ -343,7 +403,11 @@ KERNEL_ARRAYS = [
     ("conv1d", "x", "x"), ("conv1d", "weight", "weight"),
     ("conv1d", "bias", "bias"), ("snake", "x", "x"),
     ("snake", "alpha", "alpha"), ("transformer_block", "x", "x"),
-    ("film", "x", "x"), ("film", "prompt_column", "prompt columns")]
+    ("film", "x", "x"), ("film", "prompt_column", "prompt columns"),
+    ("layer_norm", "x", "x"), ("layer_norm", "gain", "gain"),
+    ("layer_norm", "bias", "bias"), ("rope_rotate", "x", "x"),
+    ("rope_rotate", "positions", "positions"), ("gelu", "x", "x"),
+    ("erf", "x", "x")]
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, bool, "U4"])
@@ -367,6 +431,56 @@ def test_conv_bias_has_one_entry_per_output_channel(bias, transposed):
     with pytest.raises(ContractViolationError, match=r"wants a \(3,\) bias"):
         numerics.conv1d(np.ones((2, 5)), np.ones((3, 2, 2)), bias,
                         transposed=transposed)
+
+
+def _film_of_width(width):
+    return FilmWeights(np.zeros((width, width)), np.zeros(width),
+                       np.zeros((width, width)), np.zeros(width))
+
+
+# Shapes that reached numpy before the kernels checked them with
+# errors.shape: (call, the kernel and argument its message names).
+SHAPE_GAPS = {
+    "film-width": (lambda: film(np.ones((8, 2)), np.ones(8),
+                                _film_of_width(16)), "film wants a"),
+    "layer_norm-gain": (lambda: numerics.layer_norm(
+        np.ones((4, 3)), np.ones(5), np.zeros(4)), "layer_norm wants a"),
+    "rope_rotate-rank": (lambda: numerics.rope_rotate(
+        np.ones((3, 4)), np.arange(3)), "rope_rotate wants a"),
+    "rope_rotate-positions": (lambda: numerics.rope_rotate(
+        np.ones((3, 2, 4)), np.arange(5)), "rope_rotate wants a"),
+}
+
+
+@pytest.mark.parametrize("gap", list(SHAPE_GAPS))
+def test_kernels_check_shapes_before_numpy_does(gap):
+    call, message = SHAPE_GAPS[gap]
+    with pytest.raises(ContractViolationError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_film_runs_at_the_width_of_its_weights(width):
+    out = film(np.ones((width, 2)), np.ones((width, 3)), _film_of_width(width))
+    np.testing.assert_array_equal(out, np.ones((3, width, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: numerics.layer_norm([np.inf, 1.0], np.ones(2), np.zeros(2)),
+    lambda: numerics.istft(np.full((9, 2), np.inf), 16, 4, 8)],
+    ids=["layer_norm", "istft"])
+def test_non_finite_outputs_are_numeric_errors(call):
+    with pytest.raises(NumericError, match="non-finite output in numerics"):
+        call()
+
+
+def test_shape_messages_give_the_sizes_wanted():
+    with pytest.raises(ContractViolationError, match=re.escape(
+            "conv1d wants a (2, l) or (s, 2, l) x, got (3, 5)")):
+        numerics.conv1d(np.ones((3, 5)), np.ones((4, 2, 3)))
+    with pytest.raises(ContractViolationError, match=re.escape(
+            "istft wants a (9, t) spectrogram, got (8, 2)")):
+        numerics.istft(np.ones((8, 2)), 16, 4, 8)
 
 
 # Every weight holder reads its arrays through errors.weight_fields.
@@ -568,6 +682,14 @@ WRONG_TYPES = [
      "mixture must be an AudioBuffer, got ndarray"),
     ("evaluate_manifest", lambda c, s, p: pipeline.evaluate_manifest(
         None, [_tone()]), "manifest must be a MixtureManifest, got NoneType"),
+    ("magnitude_mask_reconstruct-mixture", lambda c, s, p:
+     magnitude_mask_reconstruct(_tone(), AudioBuffer(_tone(), 16000)),
+     "mixture must be an AudioBuffer, got ndarray"),
+    ("magnitude_mask_reconstruct-estimate", lambda c, s, p:
+     magnitude_mask_reconstruct(AudioBuffer(_tone(), 16000), _tone()),
+     "estimate must be an AudioBuffer, got ndarray"),
+    ("best_assignment", lambda c, s, p: best_assignment(None, []),
+     "references must be a SourceSet, got NoneType"),
 ]
 
 
