@@ -138,8 +138,6 @@ def unpack_stream(blob: bytes) -> EncodedStream:
             f"unsupported stream version {version}, this reader handles "
             f"{STREAM_VERSION}"
         )
-    if n_sources < 1 or n_codebooks < 1 or n_frames < 1:
-        raise CorruptStreamError("stream declares an empty code tensor")
     expected = _HEADER.size + n_sources + 2 * n_sources * n_codebooks * n_frames
     if len(blob) < expected:
         raise CorruptStreamError(

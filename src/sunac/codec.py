@@ -28,9 +28,9 @@ layer collects its frame-rate input and runs once.  So the conv stacks
 hold tile-sized pieces at any length.  The bits do not depend on how the
 pieces arrive: each tile is computed from exactly the input columns a
 whole-length call would give it, by the same BLAS products in the same
-order, and the snake, the final tanh and the residual add act on each
-column alone.  Pieces may also be (S, C, n) source stacks, as when `decode` takes
-an (S, F, T) stack of maps.
+order, and the snake and the residual add act on each column alone.  The
+final tanh runs once on the checked output.  Pieces may also be (S, C, n)
+source stacks, as when `decode` takes an (S, F, T) stack of maps.
 """
 
 from __future__ import annotations
@@ -90,6 +90,14 @@ WEIGHTS_VERSION = 1
 # configuration
 
 
+# Lowest value of each integer field of ModelConfig but n_heads and the
+# seed.  A stride of 1 would add a column in its kernel-2 downsampling conv.
+_LOWEST = dict(sample_rate=1, strides=2, enc_base_dim=1, dec_base_dim=1,
+               latent_dim=1, n_enc_transformer=0, n_dec_transformer=0,
+               transformer_hidden=1, ff_dim=1, n_codebooks=1, codebook_size=2,
+               code_dim=1)
+
+
 def _seed(value, error=InvalidArgumentError) -> int:
     # The weight file stores the seed in an unsigned 64-bit field.
     try:
@@ -125,19 +133,21 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Integral values (2.0) are stored as int; 2.5, "2", True, inf or
-        # NaN in an integer field is a ConfigError.
+        # Integral values (2.0) are stored as int; 2.5, "2", True, inf, NaN
+        # or a value under _LOWEST in an integer field is a ConfigError.
         for field in fields(self):
             value = getattr(self, field.name)
+            lo = _LOWEST.get(field.name, -math.inf)
             try:
                 if field.type == "int":
-                    value = integer(field.name, value)
+                    value = integer(field.name, value, lo)
                 elif field.name == "strides":
-                    value = tuple(integer("strides", s) for s in value)
+                    value = tuple(integer("strides", s, lo) for s in value)
             except (TypeError, InvalidArgumentError) as exc:
                 kind = "integers" if field.name == "strides" else "an integer"
+                least = "" if lo == -math.inf else f" of at least {lo}"
                 raise ConfigError(
-                    f"{field.name} must be {kind}, got {value!r}"
+                    f"{field.name} must be {kind}{least}, got {value!r}"
                 ) from exc
             object.__setattr__(self, field.name, value)
         self.validate()
@@ -148,28 +158,18 @@ class ModelConfig:
                 f"unknown arch family {self.arch_family!r}, "
                 f"expected one of {ARCH_FAMILIES}"
             )
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive")
-        if not self.strides or any(s < 1 for s in self.strides):
-            raise ConfigError(f"strides must be positive, got {self.strides}")
+        if not self.strides:
+            raise ConfigError("strides must not be empty")
         if self.sample_rate % self.hop != 0:
             raise ConfigError(
                 f"stride product {self.hop} must divide sample rate "
                 f"{self.sample_rate} for an integer token rate"
             )
-        if self.enc_base_dim < 1 or self.dec_base_dim < 1 or self.latent_dim < 1:
-            raise ConfigError("channel dims must be positive")
         if self.dec_base_dim % (2 ** len(self.strides)) != 0:
             raise ConfigError(
                 f"dec_base_dim {self.dec_base_dim} must be divisible by "
                 f"2^{len(self.strides)} so decoder stages can halve it"
             )
-        if self.n_codebooks < 1:
-            raise ConfigError("need at least one codebook")
-        if self.codebook_size < 2:
-            raise ConfigError("codebook needs at least two entries")
-        if self.code_dim < 1:
-            raise ConfigError("code_dim must be positive")
         uses_transformers = (
             self.n_enc_transformer > 0
             or self.n_dec_transformer > 0
@@ -242,10 +242,6 @@ class ModelConfig:
 
 def default_config(family: str) -> ModelConfig:
     """Full-size configuration for one of the named architectures."""
-    if family not in ARCH_FAMILIES:
-        raise ConfigError(
-            f"unknown arch family {family!r}, expected one of {ARCH_FAMILIES}"
-        )
     wide = dict(enc_base_dim=64, dec_base_dim=1536)
     narrow = dict(enc_base_dim=32, dec_base_dim=768)
     per_family = {
@@ -255,11 +251,14 @@ def default_config(family: str) -> ModelConfig:
         "SDCodecT": dict(narrow, n_enc_transformer=3, n_dec_transformer=3),
         "SUNAC": dict(narrow, n_enc_transformer=0, n_dec_transformer=3),
     }
-    return ModelConfig(arch_family=family, **per_family[family])
+    # ModelConfig refuses any other family, an unhashable one too.
+    overrides = per_family.get(family, {}) if isinstance(family, str) else {}
+    return ModelConfig(arch_family=family, **overrides)
 
 
 def bitrate_bps(config: ModelConfig) -> int:
     """Bits per second on the wire: codebooks x bits per code x token rate."""
+    instance("config", config, ModelConfig)
     return config.n_codebooks * config.bits_per_code * config.token_rate
 
 
@@ -401,14 +400,6 @@ class ResidualNode(_Node):
     def apply(self, x, store):
         """The unit over a whole ([S,] C, L) signal, as one piece."""
         return _join(self.stream([x], store, x.shape[-1]))
-
-
-class TanhNode(_Node):
-    def manifest(self):
-        return []
-
-    def apply(self, x, store):
-        return np.tanh(x)
 
 
 class LinearNode(_Node):
@@ -679,7 +670,6 @@ def decoder_nodes(config: ModelConfig) -> list:
             nodes.append(_residual_unit(f"{prefix}.res{ri}", c, d))
     nodes.append(ConvNode("decoder.conv_out", c, 1, 7,
                           snake="decoder.snake_out", padding=3))
-    nodes.append(TanhNode())
     return nodes
 
 
@@ -713,6 +703,7 @@ def manifest(config: ModelConfig) -> list[TensorSpec]:
     The order is load-bearing: init_weights draws tensors from a single
     seeded stream in exactly this order.
     """
+    instance("config", config, ModelConfig)
     specs = [spec for node in model_nodes(config) for spec in node.manifest()]
     seen = set()
     for spec in specs:
@@ -732,6 +723,13 @@ class WeightStore:
 
     seed: int
     tensors: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        # Non-finite values are kept: only a file read refuses them.  A
+        # float32 tensor is kept as it is, not copied.
+        self.seed = _seed(self.seed)
+        self.tensors = {name: real_array(name, t, np.float32) for name, t in
+                        instance("tensors", self.tensors, dict).items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -926,11 +924,12 @@ def count_params(config: ModelConfig) -> ParamCount:
 
 def frames_for_length(config: ModelConfig, n_samples: int) -> int:
     """Token count produced for an input of n_samples (before padding)."""
-    return -(-integer("n_samples", n_samples, 1) // config.hop)  # ceil
+    n_samples = integer("n_samples", n_samples, 1)
+    return -(-n_samples // instance("config", config, ModelConfig).hop)  # ceil
 
 
 def _require_runnable(config: ModelConfig, op: str) -> None:
-    if not config.is_runnable:
+    if not instance("config", config, ModelConfig).is_runnable:
         raise InvalidArgumentError(
             f"{config.arch_family} exists for cost analysis only and has no "
             f"runnable {op} path; use DAC, DACT, or SUNAC"
@@ -997,5 +996,6 @@ def decode(features: np.ndarray, config: ModelConfig,
         for x, y in zip(head, out[group]):
             _write(_stream(nodes[cut:], [x], store, x.shape[-1]), y,
                    "codec.decode")
+    np.tanh(out, out=out)
     audio = [AudioBuffer(y[0], config.sample_rate) for y in out]
     return audio if features.ndim == 3 else audio[0]

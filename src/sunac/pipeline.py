@@ -42,7 +42,7 @@ __all__ = [
 
 
 def _require_prompted(config: codec.ModelConfig) -> None:
-    if not config.has_extractor:
+    if not instance("config", config, codec.ModelConfig).has_extractor:
         raise InvalidArgumentError(
             f"{config.arch_family} has no prompt conditioning; "
             "prompted encoding needs a SUNAC configuration"
@@ -76,6 +76,7 @@ def encode_mixture(
     n_active selects how many quantizer layers are spent per source, which
     is the bitrate knob; by default all configured codebooks are used.
     """
+    _require_prompted(config)
     prompts = PromptType.parse_all("prompts", prompts)
     if n_active is None:
         n_active = config.n_codebooks

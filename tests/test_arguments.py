@@ -6,11 +6,13 @@ text, None, a fraction, NaN, an infinity or a value outside the site's range
 raises the site's documented error type; numpy integers and integral floats
 are accepted and come back as Python ints.  Each row of PROMPT_SITES is one
 place that takes a prompt list, read by `PromptType.parse_all`.  Each row
-of ESTIMATE_SITES takes a list of estimates, read by `errors.sequence`.
+of ESTIMATE_SITES takes a list of estimates, read by `errors.sequence`, and
+each row of CONFIG_SITES takes a `ModelConfig`, read by `errors.instance`.
 Warnings are errors here.
 """
 
 import ast
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -421,3 +423,36 @@ def test_estimates_must_be_a_sequence(site, value):
     with pytest.raises(InvalidArgumentError,
                        match="estimates must be a sequence, got"):
         site[1](value)
+
+
+# (id, call(value, config, store) -> a result that depends on the config
+#  passed as value; inputs are built for config)
+CONFIG_SITES = [
+    ("manifest", lambda v, c, s: len(codec.manifest(v))),
+    ("count_params", lambda v, c, s: codec.count_params(v).total),
+    ("init_weights", lambda v, c, s: codec.init_weights(v, 1).total_params),
+    ("validate_store", lambda v, c, s: codec.validate_store(v, s)),
+    ("bitrate_bps", lambda v, c, s: codec.bitrate_bps(v)),
+    ("frames_for_length", lambda v, c, s: codec.frames_for_length(v, 700)),
+    ("encode", lambda v, c, s: codec.encode(_mixture(c), v, s).shape),
+    ("decode", lambda v, c, s: codec.decode(_latents(c), v, s).n_samples),
+    ("extract_features", lambda v, c, s: len(pipeline.extract_features(
+        _mixture(c), ("speech",), v, s))),
+    ("encode_mixture", lambda v, c, s: pipeline.encode_mixture(
+        _mixture(c), ("speech",), v, s).n_frames),
+    ("decode_stream", lambda v, c, s: len(pipeline.decode_stream(
+        _stream(bits_per_code=c.bits_per_code, original_len=700), v, s))),
+    ("separate", lambda v, c, s: len(pipeline.separate(
+        _mixture(c), ("speech",), v, s))),
+]
+
+
+@pytest.mark.parametrize("site", CONFIG_SITES,
+                         ids=[site[0] for site in CONFIG_SITES])
+def test_config_rule(site, tiny_config, tiny_store):
+    call = site[1]
+    for value in (None, tiny_config.to_json(), dataclasses.asdict(tiny_config)):
+        with pytest.raises(InvalidArgumentError,
+                           match="config must be a ModelConfig, got"):
+            call(value, tiny_config, tiny_store)
+    call(tiny_config, tiny_config, tiny_store)

@@ -336,6 +336,37 @@ class TestInitWeights:
             tiny_store["decoder.nonexistent"]
 
 
+class TestWeightStore:
+    """A store reads its seed through the seed rule and its tensors through
+    the array rule, so a bad one is refused when it is built."""
+
+    def test_list_tensors_are_read_as_float32_arrays(self, tiny_config,
+                                                     tiny_store, tmp_path):
+        store = codec.WeightStore(tiny_store.seed, {
+            name: t.tolist() for name, t in tiny_store.tensors.items()})
+        assert store.total_params == tiny_store.total_params
+        audio = buffer_of(700)
+        np.testing.assert_array_equal(
+            codec.encode(audio, tiny_config, store),
+            codec.encode(audio, tiny_config, tiny_store))
+        path = str(tmp_path / "weights.suwt")
+        store.save(path)
+        back = codec.WeightStore.load(path)
+        for name, tensor in tiny_store.tensors.items():
+            np.testing.assert_array_equal(back[name], tensor)
+
+    @pytest.mark.parametrize("tensors", [None, [], "weights"])
+    def test_tensors_must_be_a_dict(self, tensors):
+        with pytest.raises(InvalidArgumentError, match="tensors must be a dict"):
+            codec.WeightStore(0, tensors)
+
+    @pytest.mark.parametrize("seed", [-1, "x", 2**64, 1.5, None])
+    def test_seed_must_fit_the_weight_file(self, seed):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            codec.WeightStore(seed, {})
+
+
 class TestFrameArithmetic:
     @given(duration=st.floats(min_value=0.02, max_value=10.0,
                               allow_nan=False))
@@ -508,6 +539,17 @@ class TestEncodeDecode:
             for name, t in tiny_store.tensors.items()})
         with pytest.raises(NumericError, match="codec.encode"):
             codec.encode(buffer_of(3200), tiny_config, store)
+
+    def test_overflowing_decoder_output_raises_numeric_error(
+            self, tiny_config, tiny_store, rng):
+        # Every output sample overflows before the final tanh, which would
+        # squash it to 1.0; the stage check sees the output first.
+        store = codec.WeightStore(tiny_store.seed, {
+            **tiny_store.tensors, "decoder.conv_out.weight": np.full_like(
+                tiny_store["decoder.conv_out.weight"], 3e38)})
+        features = rng.standard_normal((tiny_config.latent_dim, 3))
+        with pytest.raises(NumericError, match="codec.decode"):
+            codec.decode(features.astype(np.float32), tiny_config, store)
 
     def test_roundtrip_preserves_frame_grid(self, tiny_config, tiny_store):
         buf = buffer_of(1000)  # not a hop multiple; padded to 1280
@@ -726,6 +768,69 @@ class TestStreaming:
         self._tiles(monkeypatch, 1)
         np.testing.assert_array_equal(
             codec.encode(audio, tiny_config, tiny_store), want)
+
+
+# Values just below the lowest, of the fields _small_configs may push out
+# of range, one field at most per config.
+_BELOW = {"ff_dim": 0, "codebook_size": 1, "n_enc_transformer": -1,
+          "n_dec_transformer": -1}
+
+
+@st.composite
+def _small_configs(draw):
+    """Fields of a small DAC, DACT or SUNAC config, at most one of them
+    below its lowest value, and an input length from one sample to three
+    hops.  One stride choice in six is 1."""
+    strides = draw(st.lists(st.sampled_from([2, 4, 5, 2, 4, 1]), min_size=1,
+                            max_size=4).filter(
+                                lambda s: 16000 % math.prod(s) == 0))
+    hidden = draw(st.sampled_from([4, 8]))
+    fields = dict(
+        arch_family=draw(st.sampled_from(["DAC", "DACT", "SUNAC"])),
+        strides=tuple(strides),
+        enc_base_dim=draw(st.integers(1, 3)),
+        dec_base_dim=draw(st.integers(1, 2)) * 2 ** len(strides),
+        latent_dim=hidden, transformer_hidden=hidden,
+        n_heads=draw(st.sampled_from([1, 2])),
+        n_enc_transformer=draw(st.integers(0, 1)),
+        n_dec_transformer=draw(st.integers(0, 1)),
+        ff_dim=draw(st.integers(1, 8)),
+        n_codebooks=draw(st.integers(1, 2)),
+        codebook_size=draw(st.integers(2, 8)),
+        code_dim=draw(st.integers(1, 3)),
+    )
+    below = draw(st.sampled_from([None] * len(_BELOW) + list(_BELOW)))
+    if below is not None:
+        fields[below] = _BELOW[below]
+    return fields, draw(st.integers(1, 3 * math.prod(strides)))
+
+
+class TestConfigSpace:
+    @given(case=_small_configs())
+    @settings(max_examples=140, deadline=None, derandomize=True)
+    def test_every_config_that_constructs_runs(self, case):
+        fields, n = case
+        try:
+            config = codec.ModelConfig(**fields)
+        except ConfigError:
+            return
+        store = codec.init_weights(config, seed=1)
+        assert codec.count_params(config).total == store.total_params
+        frames = math.ceil(n / config.hop)
+        runs = []
+        for columns in (10**9, 1, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(numerics, "_TILE_COLUMNS", columns)
+                patch.setattr(numerics, "_TILE_CHANNELS", 1)
+                features = codec.encode(buffer_of(n), config, store)
+                runs.append((features,
+                             codec.decode(features, config, store).samples))
+        (features, samples), *tiled = runs
+        assert features.shape == (config.latent_dim, frames)
+        assert samples.shape == (frames * config.hop,)
+        for got_features, got_samples in tiled:
+            np.testing.assert_array_equal(got_features, features)
+            np.testing.assert_array_equal(got_samples, samples)
 
 
 def _traced_peaks(audio, config, store):
