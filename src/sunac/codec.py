@@ -893,6 +893,7 @@ def load_weights(path: str, config: ModelConfig) -> WeightStore:
 
 
 def validate_store(config: ModelConfig, store: WeightStore) -> None:
+    instance("store", store, WeightStore)
     for spec in manifest(config):
         if spec.name not in store:
             raise ContractViolationError(

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import ModelConfig, WeightStore, extractor_nodes
-from .errors import InvalidArgumentError, real_array, shape, weight_fields
+from .errors import (InvalidArgumentError, instance, real_array, shape,
+                     weight_fields)
 from .numerics import (
     TransformerLayerWeights,
     check_finite,
@@ -131,7 +132,7 @@ class PromptBank:
 
     @classmethod
     def from_store(cls, store: WeightStore) -> "PromptBank":
-        return cls(store["extractor.prompts"])
+        return cls(instance("store", store, WeightStore)["extractor.prompts"])
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,7 @@ class FilmWeights:
 
     @classmethod
     def from_store(cls, store: WeightStore) -> "FilmWeights":
+        instance("store", store, WeightStore)
         return cls(
             scale_w=store["extractor.film.scale.weight"],
             scale_b=store["extractor.film.scale.bias"],
@@ -168,6 +170,7 @@ class ExtractorWeights:
 
     @classmethod
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "ExtractorWeights":
+        instance("store", store, WeightStore)
         _, cross, _, *refine = extractor_nodes(config)
         return cls(cross=cross.weights(store), film=FilmWeights.from_store(store),
                    refine=tuple(node.weights(store) for node in refine))

@@ -15,7 +15,8 @@ Every output column gets the same per-tap products, summed in the same
 order, whatever the tile width, so the bits depend neither on the tile size
 nor on how the input arrives.  A tile makes no float64 pass it does not
 need (`conv1d`), and Transformer layers add their biases and residuals in
-place, in the order the formulas state, so neither moves a bit.
+place, in the order the formulas state, so neither moves a bit; they free
+each activation once its last reader is done, and run GELU in place.
 Transformer projections (`_project`) widen each float32 weight to float64
 _WIDEN_ROWS (512) output rows at a time, just before that chunk's GEMM,
 which writes its columns of the one float64 output; a remainder under 512
@@ -75,10 +76,10 @@ _QUERY_BLOCK = 256
 _WIDEN_ROWS = 512
 # Convolution tiles (see conv_tiles): _TILE_COLUMNS output columns, times
 # as many as fit when the layer is narrower than _TILE_CHANNELS.  A float64
-# tile buffer of a narrow layer then holds about 3 MB, while wide layers
-# amortize each tap's weight widening over 2,048 columns.  _GEMM_ALIGN
-# columns make the widest BLAS register block.
-_TILE_COLUMNS = 2048
+# tile buffer of a narrow layer then holds about 1.5 MiB, while wide layers
+# still amortize each tap's weight widening over 1,024 columns.
+# _GEMM_ALIGN columns make the widest BLAS register block.
+_TILE_COLUMNS = 1024
 _TILE_CHANNELS = 192
 _GEMM_ALIGN = 16
 
@@ -244,7 +245,7 @@ def conv1d(
     strided slice of an accumulator started from zeros.  One pass then adds
     the bias in float64 and writes the float32 tile.  Beyond the float32
     input and output, the peak working set is one tile's float64 buffers:
-    at most three (channels, tile) arrays (3 to 6 MB each for a narrow
+    at most three (channels, tile) arrays (1.5 to 3 MiB each for a narrow
     layer; the forward window is `stride` times wider) and one tap's
     weights, whatever L and K are.  For a stack, `np.matmul` broadcasts
     each widened tap as one GEMM call per signal, the call the signal
@@ -256,10 +257,11 @@ def conv1d(
     product, except in a product's last few columns, which it handles in
     narrower register blocks.  So every product starts on a multiple of
     _GEMM_ALIGN columns and either spans a whole number of them or ends
-    where an untiled product would: tiles start on multiples of 2,048, and
-    each transposed product is widened out to multiples of _GEMM_ALIGN
-    input columns.  Each float64 sum is then the one an untiled pass
-    computes, and a `tile` call is the kernel call a whole-length call
+    where an untiled product would: tiles start on multiples of their
+    width, itself a multiple of _GEMM_ALIGN, and each transposed product
+    is widened out to multiples of _GEMM_ALIGN input columns.  Each
+    float64 sum is then the one an untiled pass computes, and a `tile`
+    call is the kernel call a whole-length call
     makes for that tile, so stream bytes and decoded samples stay pinned
     (`tests/test_golden.py`).  Forward, the sum
     over (C_in, K) is grouped by tap; every float32 x float32 product is
@@ -429,15 +431,24 @@ def gelu(x: np.ndarray) -> np.ndarray:
     """Exact (erf-based) Gaussian error linear unit, in float64.
 
     The bits are those of 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), but the
-    steps run in place, so the call holds two arrays of the input's size.
+    steps run in place on a copy of x, so the call holds two arrays of the
+    input's size.  Transformer layers run the same steps on their own FF
+    activation, so they hold no copy.
     """
-    x = real_array("x", x, np.float64)
-    half = 0.5 * x
-    u = np.divide(x, np.sqrt(2.0), order="C")
-    _erf_in_place(u)
-    u += 1.0
-    u *= half
+    u = np.array(real_array("x", x, np.float64), order="C")
+    _gelu_in_place(u)
     return u
+
+
+def _gelu_in_place(x: np.ndarray) -> None:
+    # GELU of a C-contiguous float64 array, written over it: the operations
+    # of 0.5 * x * (1.0 + erf(x / sqrt(2))) in that order, with one scratch
+    # array for 0.5 * x.
+    half = 0.5 * x
+    np.divide(x, np.sqrt(2.0), out=x)
+    _erf_in_place(x)
+    x += 1.0
+    x *= half
 
 
 def erf(x: np.ndarray) -> np.ndarray:
@@ -650,11 +661,15 @@ class TransformerLayerWeights:
 
 
 def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
+    # Attention over LN1 of `tokens`; the LN1 output lives until Q, K and V
+    # have read it.
     m, d = tokens.shape
     heads, dh = w.n_heads, w.head_dim
-    q = _project(tokens, w.wq, w.bq).reshape(-1, t, heads, dh)
-    k = _project(tokens, w.wk, w.bk).reshape(-1, t, heads, dh)
-    v = _project(tokens, w.wv, w.bv).reshape(-1, t, heads, dh)
+    normed = _ln_rows(tokens, w.ln1_gain, w.ln1_bias)
+    q = _project(normed, w.wq, w.bq).reshape(-1, t, heads, dh)
+    k = _project(normed, w.wk, w.bk).reshape(-1, t, heads, dh)
+    v = _project(normed, w.wv, w.bv).reshape(-1, t, heads, dh)
+    del normed
     if use_rope:
         positions = np.arange(t)
         q = rope_rotate(q, positions)
@@ -746,11 +761,14 @@ def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool, out):
     tokens = stack.transpose(1, 0, 2).reshape(d, g * t).T.astype(np.float64)
 
     # tokens is this call's own copy, so both residual adds run in place,
-    # in the order (tokens + attn) then (tokens + hidden @ W2) + b2.
-    normed = _ln_rows(tokens, weights.ln1_gain, weights.ln1_bias)
-    tokens += _attention(normed, weights, use_rope, t)
+    # in the order (tokens + attn) then (tokens + hidden @ W2) + b2.  Each
+    # activation is freed once its last reader is done: the LN2 output
+    # after ff.w1 has read it, and GELU runs over the FF1 output in place.
+    tokens += _attention(tokens, weights, use_rope, t)
     normed = _ln_rows(tokens, weights.ln2_gain, weights.ln2_bias)
-    hidden = gelu(_project(normed, weights.ff_w1, weights.ff_b1))
+    hidden = _project(normed, weights.ff_w1, weights.ff_b1)
+    del normed
+    _gelu_in_place(hidden)
     tokens += _project(hidden, weights.ff_w2)
     tokens += weights.ff_b2
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import ModelConfig, RvqNode, WeightStore
-from .errors import InvalidArgumentError, integer, real_array, shape, weight_fields
+from .errors import (InvalidArgumentError, instance, integer, real_array, shape,
+                     weight_fields)
 from .numerics import check_finite, forward_stage
 
 __all__ = [
@@ -62,6 +63,7 @@ class RvqWeights:
 
     @classmethod
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "RvqWeights":
+        instance("store", store, WeightStore)
         down_w, down_b, up_w, up_b, *codebooks = RvqNode(config).read(store)
         return cls(down_w, down_b, up_w, up_b, tuple(codebooks))
 

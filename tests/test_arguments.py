@@ -7,8 +7,8 @@ raises the site's documented error type; numpy integers and integral floats
 are accepted and come back as Python ints.  Each row of PROMPT_SITES is one
 place that takes a prompt list, read by `PromptType.parse_all`.  Each row
 of ESTIMATE_SITES takes a list of estimates, read by `errors.sequence`, and
-each row of CONFIG_SITES takes a `ModelConfig`, read by `errors.instance`.
-Warnings are errors here.
+each row of CONFIG_SITES takes a `ModelConfig` and each row of STORE_SITES a
+`WeightStore`, both read by `errors.instance`.  Warnings are errors here.
 """
 
 import ast
@@ -73,7 +73,7 @@ SITES = [
      ConfigError, 1, None, 8),
     ("ModelConfig.strides",
      lambda v, c, s: codec.ModelConfig(strides=(v, 4, 5, 8)).strides[0],
-     ConfigError, 1, None, 2),
+     ConfigError, 2, None, 2),
     ("ModelConfig.seed", lambda v, c, s: codec.ModelConfig(seed=v).seed,
      ConfigError, 0, 2**64 - 1, 3),
     ("init_weights.seed", lambda v, c, s: codec.init_weights(c, v).seed,
@@ -456,3 +456,42 @@ def test_config_rule(site, tiny_config, tiny_store):
                            match="config must be a ModelConfig, got"):
             call(value, tiny_config, tiny_store)
     call(tiny_config, tiny_config, tiny_store)
+
+
+# (id, call(value, config, store) -> a result that reads the store passed as
+#  value; inputs are built for config)
+STORE_SITES = [
+    ("validate_store", lambda v, c, s: codec.validate_store(c, v)),
+    ("encode", lambda v, c, s: codec.encode(_mixture(c), c, v).shape),
+    ("decode", lambda v, c, s: codec.decode(_latents(c), c, v).n_samples),
+    ("extract_features", lambda v, c, s: len(pipeline.extract_features(
+        _mixture(c), ("speech",), c, v))),
+    ("encode_mixture", lambda v, c, s: pipeline.encode_mixture(
+        _mixture(c), ("speech",), c, v).n_frames),
+    ("decode_stream", lambda v, c, s: len(pipeline.decode_stream(
+        _stream(bits_per_code=c.bits_per_code, original_len=700), c, v))),
+    ("separate", lambda v, c, s: len(pipeline.separate(
+        _mixture(c), ("speech",), c, v))),
+    ("RvqWeights.from_store",
+     lambda v, c, s: rvq.RvqWeights.from_store(v, c).n_layers),
+    ("PromptBank.from_store",
+     lambda v, c, s: extractor.PromptBank.from_store(v).dim),
+    ("FilmWeights.from_store",
+     lambda v, c, s: extractor.FilmWeights.from_store(v).scale_w.shape),
+    ("ExtractorWeights.from_store",
+     lambda v, c, s: len(extractor.ExtractorWeights.from_store(v, c).refine)),
+]
+
+
+@pytest.mark.parametrize("site", STORE_SITES,
+                         ids=[site[0] for site in STORE_SITES])
+def test_store_rule(site, tiny_config, tiny_store):
+    # A dict of the store's own arrays would otherwise pass: it holds every
+    # tensor, but skips the store's seed and array rules.
+    call = site[1]
+    for value in (None, dict(tiny_store.tensors),
+                  list(tiny_store.tensors.values())):
+        with pytest.raises(InvalidArgumentError,
+                           match="store must be a WeightStore, got"):
+            call(value, tiny_config, tiny_store)
+    call(tiny_store, tiny_config, tiny_store)

@@ -895,3 +895,14 @@ class TestStreamingMemory:
             buffer_of(4 * 16000), full_config, full_store)
         assert encode_peak < 22 * 2**20
         assert decode_peak < 28 * 2**20
+
+    def test_full_model_4s_round_trip_holds_half_width_tiles(self, full_config,
+                                                             full_store):
+        # Traced 14.4 / 15.9 MiB, with conv tiles of 1,024 columns and
+        # each Transformer activation freed after its last reader; tiles of
+        # 2,048 columns and activations held to the end of their layer
+        # traced 20.0 / 24.1 MiB.
+        encode_peak, decode_peak = _traced_peaks(
+            buffer_of(4 * 16000), full_config, full_store)
+        assert encode_peak < 16 * 2**20
+        assert decode_peak < 18 * 2**20
