@@ -695,8 +695,6 @@ class TestTransformer:
             numerics.transformer_block(
                 rng.standard_normal((8, 4)).astype(np.float32), layer)
 
-
-class TestTransformerMemory:
     def test_full_width_layer_frees_each_activation(self):
         # Net of its float32 output, one layer at T = 1,600 traces 87.6 MiB,
         # set by attention.  With the LN1 and LN2 outputs held to the end
