@@ -31,6 +31,11 @@ whole-length call would give it, by the same BLAS products in the same
 order, and the snake and the residual add act on each column alone.  The
 final tanh runs once on the checked output.  Pieces may also be (S, C, n)
 source stacks, as when `decode` takes an (S, F, T) stack of maps.
+
+`init_weights` draws no value: the store it returns draws each tensor on
+first read.  The encoder and decoder share no weights, so a process that
+only encodes or only decodes holds only its own side's weights; a round
+trip in one process still ends up holding every weight.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ import json
 import math
 import os
 import struct
+import threading
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -270,17 +277,18 @@ INIT_UNIFORM = "uniform"      # U[-a, a] with a = sqrt(1 / fan_in)
 INIT_ONES = "ones"
 INIT_ZEROS = "zeros"
 INIT_CODEBOOK = "codebook"    # uniform rows, entry 0 pinned to zero
-# Most values in one drawn part: init_weights cuts each drawn tensor into
-# runs of at most this many values, each with its start in the one seeded
-# stream, and draws every part of every tensor in one batch.  Each part
-# builds and advances its own generator, so fewer parts start up faster:
-# full SUNAC has 217 parts at 2**21 and 415 at 2**18, and a fresh process's
-# import and init ran faster at 2**21 in 29 of 40 alternating pairs
-# (medians 0.45-0.52 s against 0.47-0.60 s, 2-vCPU x86-64 VM).  No buffer
-# of this size is allocated; a part draws through one _INIT_BLOCK block.
+# Most values in one drawn part: a seeded store cuts each tensor it draws
+# into runs of at most this many values, each with its start in the one
+# seeded stream, and draws a tensor's parts in one batch.  Each part builds
+# and advances its own generator, so fewer parts start up faster: full
+# SUNAC has 217 parts at 2**21 and 415 at 2**18, and when every tensor was
+# drawn up front a fresh process's import and init ran faster at 2**21 in
+# 29 of 40 alternating pairs (medians 0.45-0.52 s against 0.47-0.60 s,
+# 2-vCPU x86-64 VM).  No buffer of this size is allocated; a part draws
+# through one _INIT_BLOCK block.
 _INIT_CHUNK = 2**21
-# Most threads init_weights draws on; fewer when the process may run on
-# fewer CPUs.  The drawn bits do not depend on the count.
+# Most threads a tensor's parts are drawn on; fewer when the process may
+# run on fewer CPUs.  The drawn bits do not depend on the count.
 _INIT_WORKERS = 4
 # Values a worker draws, scales and casts in one pass (256 KiB of float64,
 # so each pass reads what the last one left in cache).
@@ -719,7 +727,13 @@ def manifest(config: ModelConfig) -> list[TensorSpec]:
 
 @dataclass
 class WeightStore:
-    """Named float32 tensors plus the seed they were drawn from."""
+    """Named float32 tensors plus the seed they were drawn from.
+
+    A store built from a dict holds its arrays as given.  One made by
+    `init_weights` draws each tensor on first read and keeps it; its
+    `tensors` maps names to float32 arrays in manifest order, drawing as
+    it is read, while names, `in` and `total_params` draw nothing.
+    """
 
     seed: int
     tensors: dict[str, np.ndarray]
@@ -728,8 +742,9 @@ class WeightStore:
         # Non-finite values are kept: only a file read refuses them.  A
         # float32 tensor is kept as it is, not copied.
         self.seed = _seed(self.seed)
-        self.tensors = {name: real_array(name, t, np.float32) for name, t in
-                        instance("tensors", self.tensors, dict).items()}
+        if not isinstance(self.tensors, _Drawn):
+            self.tensors = {name: real_array(name, t, np.float32) for name, t
+                            in instance("tensors", self.tensors, dict).items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -743,9 +758,14 @@ class WeightStore:
     def names(self) -> list[str]:
         return list(self.tensors)
 
+    def _shape(self, name: str) -> tuple[int, ...]:
+        if isinstance(self.tensors, _Drawn):
+            return self.tensors.table[name][0].shape
+        return self[name].shape
+
     @property
     def total_params(self) -> int:
-        return sum(int(t.size) for t in self.tensors.values())
+        return sum(math.prod(self._shape(name)) for name in self.tensors)
 
     def save(self, path: str) -> None:
         """Write the store atomically, one tensor at a time."""
@@ -815,7 +835,7 @@ def _read_struct(handle, fmt: str) -> tuple:
 
 
 def init_weights(config: ModelConfig, seed: int) -> WeightStore:
-    """Materialize a deterministic weight store for a configuration.
+    """A deterministic weight store for a configuration, drawn on read.
 
     Weights and biases are drawn uniformly from [-a, a] with
     a = sqrt(1 / fan_in); norm gains start at one, norm biases at zero,
@@ -826,39 +846,89 @@ def init_weights(config: ModelConfig, seed: int) -> WeightStore:
     64-bit field.
 
     The drawn tensors take one value each, in manifest order, from a single
-    PCG64 stream seeded with `seed`.  Every drawn tensor is cut into parts
-    of at most _INIT_CHUNK values, and all parts of all tensors are drawn
-    in one batch on a small thread pool; a part's generator jumps ahead to
-    the part's own position in the stream, so every value is the one a
-    single sequential generator would give it, whatever the worker count
-    and timing.  The pool is shut down before this returns.
+    PCG64 stream seeded with `seed`.  This walks the whole manifest, so an
+    unknown init rule raises ConfigError here, but draws nothing: it
+    records each tensor's start in the stream, and the store draws a
+    tensor the first time it is read (see `_Drawn`).  So a process that
+    only encodes holds only the encoder, extractor and quantizer weights,
+    and one that only decodes only the quantizer and decoder; a round trip
+    in one process ends up holding every weight.
     """
     seed = _seed(seed)
-    tensors: dict[str, np.ndarray] = {}
-    parts = []  # (stream position, bound, output slice)
+    table = {}  # name -> (spec, stream position of its first value)
     position = 0
     for spec in manifest(config):
-        if spec.init == INIT_ONES:
-            value = np.ones(spec.shape, dtype=np.float32)
-        elif spec.init == INIT_ZEROS:
-            value = np.zeros(spec.shape, dtype=np.float32)
-        elif spec.init in (INIT_UNIFORM, INIT_CODEBOOK):
-            bound = math.sqrt(1.0 / max(spec.fan_in, 1))
-            value = np.zeros(spec.shape, dtype=np.float32)
-            flat = value.reshape(-1)
-            # A codebook's entry 0 stays zero: its stream values are skipped.
-            first = value[0].size if spec.init == INIT_CODEBOOK else 0
-            parts += [(position + a, bound, flat[a : a + _INIT_CHUNK])
-                      for a in range(first, flat.size, _INIT_CHUNK)]
-            position += flat.size
-        else:
+        if spec.init not in (INIT_ONES, INIT_ZEROS, INIT_UNIFORM, INIT_CODEBOOK):
             raise ConfigError(f"unknown init rule {spec.init!r}")
-        tensors[spec.name] = value
-    with ThreadPoolExecutor(max_workers=_init_workers()) as pool:
-        futures = [pool.submit(_draw_part, seed, *part) for part in parts]
-        for future in futures:
-            future.result()
-    return WeightStore(seed=seed, tensors=tensors)
+        table[spec.name] = spec, position
+        if spec.init in (INIT_UNIFORM, INIT_CODEBOOK):
+            position += spec.size
+    return WeightStore(seed=seed, tensors=_Drawn(seed, table))
+
+
+class _Drawn(Mapping):
+    """A seeded store's tensors, each drawn on first read and then kept.
+
+    A first read takes the lock and looks again before drawing, so
+    concurrent first reads draw once and get one array; later reads take
+    no lock.  `in`, `len` and the names draw nothing.
+    """
+
+    def __init__(self, seed: int, table: dict):
+        self.table = table
+        self._seed = seed
+        self._drawn = {}
+        self._lock = threading.Lock()
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        tensor = self._drawn.get(name)
+        if tensor is None:
+            entry = self.table[name]
+            with self._lock:
+                tensor = self._drawn.get(name)
+                if tensor is None:
+                    tensor = self._drawn[name] = _draw_tensor(self._seed,
+                                                              *entry)
+        return tensor
+
+    def __contains__(self, name) -> bool:
+        return name in self.table
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __reduce__(self):
+        # A lock does not pickle; a copy draws its own tensors when read.
+        return _Drawn, (self._seed, self.table)
+
+
+def _draw_tensor(seed: int, spec: TensorSpec, start: int) -> np.ndarray:
+    # The tensor's values from stream position `start` on, in parts of at
+    # most _INIT_CHUNK values.  Each part's generator jumps to the part's own
+    # position, so the bits depend on neither worker count nor timing;
+    # several parts are drawn on a pool that is shut down before returning.
+    if spec.init == INIT_ONES:
+        return np.ones(spec.shape, dtype=np.float32)
+    value = np.zeros(spec.shape, dtype=np.float32)
+    if spec.init == INIT_ZEROS:
+        return value
+    bound = math.sqrt(1.0 / max(spec.fan_in, 1))
+    flat = value.reshape(-1)
+    # A codebook's entry 0 stays zero: its stream values are skipped.
+    first = value[0].size if spec.init == INIT_CODEBOOK else 0
+    parts = [(start + a, bound, flat[a : a + _INIT_CHUNK])
+             for a in range(first, flat.size, _INIT_CHUNK)]
+    if len(parts) > 1:
+        with ThreadPoolExecutor(max_workers=_init_workers()) as pool:
+            for future in [pool.submit(_draw_part, seed, *part)
+                           for part in parts]:
+                future.result()
+    elif parts:
+        _draw_part(seed, *parts[0])
+    return value
 
 
 def _init_workers() -> int:
@@ -899,7 +969,7 @@ def validate_store(config: ModelConfig, store: WeightStore) -> None:
             raise ContractViolationError(
                 f"weight store is missing tensor {spec.name!r}"
             )
-        found = store[spec.name].shape
+        found = store._shape(spec.name)
         if tuple(found) != spec.shape:
             raise ContractViolationError(
                 f"tensor {spec.name!r} has shape {tuple(found)}, "

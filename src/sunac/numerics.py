@@ -433,11 +433,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
     The bits are those of 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), but the
     steps run in place on a copy of x, so the call holds two arrays of the
     input's size.  Transformer layers run the same steps on their own FF
-    activation, so they hold no copy.
+    activation, so they hold no copy.  A non-finite output raises
+    NumericError.
     """
     u = np.array(real_array("x", x, np.float64), order="C")
     _gelu_in_place(u)
-    return u
+    return check_finite(u, "numerics.gelu")
 
 
 def _gelu_in_place(x: np.ndarray) -> None:
@@ -578,7 +579,8 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     positions one entry per token.  Consecutive (even, odd) pairs of
     each head vector are rotated by an angle that grows with the token
     position and shrinks geometrically with the pair index, so two equal
-    tokens at different positions stop being equal after rotation.
+    tokens at different positions stop being equal after rotation.  A
+    non-finite output raises NumericError.
     """
     x = real_array("x", x, np.float64)
     positions = real_array("positions", positions, np.float64)
@@ -586,6 +588,13 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     dh = shape("rope_rotate", "positions", positions, "t", sizes)["d"]
     if dh % 2 != 0:
         raise ContractViolationError(f"rotary coding needs an even head dim, got {dh}")
+    return check_finite(_rope(x, positions), "numerics.rope_rotate")
+
+
+def _rope(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    # rope_rotate of checked float64 arrays, output unchecked: a layer
+    # checks its own output and names itself.
+    dh = x.shape[-1]
     freqs = _ROPE_BASE ** (-np.arange(0, dh, 2, dtype=np.float64) / dh)
     angles = positions[:, None] * freqs[None, :]
     cos = np.cos(angles)[:, None, :]
@@ -671,9 +680,9 @@ def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
     v = _project(normed, w.wv, w.bv).reshape(-1, t, heads, dh)
     del normed
     if use_rope:
-        positions = np.arange(t)
-        q = rope_rotate(q, positions)
-        k = rope_rotate(k, positions)
+        positions = np.arange(t, dtype=np.float64)
+        q = _rope(q, positions)
+        k = _rope(k, positions)
     # Both products run on BLAS (np.matmul over per-map, per-head views),
     # one block of at most _QUERY_BLOCK queries at a time.  A softmax row
     # depends on its own query alone, so blocking needs no online

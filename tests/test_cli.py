@@ -632,3 +632,61 @@ def test_module_entry_point_runs_main():
     assert done.returncode == 0
     assert done.stdout.startswith("DAC:")
     assert run("analyze", "--arch", "vocoder9000").returncode == 2
+
+
+# ------------------------------------------------------ one-sided processes
+
+# Runs `sunac <argv>` and prints the process's own peak RSS in KiB: VmHWM,
+# the peak of the memory it mapped since exec.  ru_maxrss reads no better:
+# RUSAGE_CHILDREN gives the largest peak of every child the test process
+# has waited for, and Linux carries the forking process's peak into the
+# child's RUSAGE_SELF across exec (a child of a 300 MiB process read
+# 327 MiB there and 13.7 MiB in VmHWM).
+_PEAK_RSS_CHILD = (
+    "import sys\n"
+    "from sunac import cli\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "with open('/proc/self/status') as status:\n"
+    "    print(next(line.split()[1] for line in status\n"
+    "               if line.startswith('VmHWM:')))\n")
+
+
+def _child_peak_mib(*argv):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads peak RSS from /proc")
+    env = {name: value for name, value in os.environ.items()
+           if name != cli.SEED_ENV_VAR}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1]) / 1024
+
+
+@pytest.fixture(scope="module")
+def full_model_4s(tmp_path_factory):
+    """A 4 s three-prompt mixture encoded with full SUNAC in a child
+    process: the stream it wrote and the child's peak RSS."""
+    root = tmp_path_factory.mktemp("one_sided")
+    assert cli.main(["fixtures", "--types", "speech,speech,music", "--seed",
+                     "3", "--duration", "4", "-o", str(root / "fix")]) == 0
+    stream = root / "mixture.snac"
+    peak = _child_peak_mib("encode", str(root / "fix" / "mixture.wav"),
+                           "--prompts", "speech,speech,music",
+                           "-o", str(stream))
+    return {"root": root, "stream": str(stream), "encode_mib": peak}
+
+
+def test_encode_process_never_holds_the_decoder(full_model_4s):
+    # The store draws a tensor on first read, so the 144.5 MiB of decoder
+    # weights are never drawn.  Drawn up front, the peak was 321.6 MiB.
+    assert full_model_4s["encode_mib"] < 200
+
+
+def test_decode_process_never_holds_the_encoder(full_model_4s):
+    # The 115.6 MiB of encoder and extractor weights are never drawn.
+    # Drawn up front, the peak was 324.3 MiB.
+    peak = _child_peak_mib("decode", full_model_4s["stream"],
+                           "-o", str(full_model_4s["root"] / "decoded"))
+    assert peak < 230

@@ -1,7 +1,11 @@
+import copy
 import dataclasses
 import math
 import os
+import pickle
+import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from sunac import codec, numerics
+from sunac import analysis, codec, numerics, pipeline
 from sunac.audio import AudioBuffer
 from sunac.errors import (
     ConfigError,
@@ -334,6 +338,140 @@ class TestInitWeights:
     def test_missing_tensor_lookup(self, tiny_store):
         with pytest.raises(ContractViolationError):
             tiny_store["decoder.nonexistent"]
+
+
+class TestLazyStore:
+    """init_weights draws nothing: a seeded store draws each tensor the
+    first time it is read, with the bits an eager draw gives them."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("family", ["DAC", "DACT", "SUNAC"])
+    def test_lazy_draws_equal_whole_tensor_draws(self, monkeypatch, family,
+                                                 seed):
+        # Every read is a tensor's first, from a fresh store, so no store
+        # holds more than the one tensor it is asked for.
+        config = codec.default_config(family)
+        specs = [(s.name, s.shape, s.init, s.fan_in)
+                 for s in codec.manifest(config)]
+        for name, want in oracles.init_tensors_whole(specs, seed):
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(codec, "_init_workers", lambda: workers)
+                got = codec.init_weights(config, seed)[name]
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(
+                    got.view(np.uint32), want.view(np.uint32),
+                    err_msg=f"{name}, {workers} workers")
+
+    def test_names_shapes_and_checks_draw_nothing(self, monkeypatch,
+                                                  tiny_config, full_config):
+        calls = []
+        monkeypatch.setattr(codec, "_draw_part",
+                            lambda *args: calls.append("part"))
+        monkeypatch.setattr(codec, "_draw_tensor",
+                            lambda *args: calls.append("tensor"))
+        store = codec.init_weights(full_config, seed=0)
+        assert store.names() == [s.name for s in codec.manifest(full_config)]
+        assert len(store.tensors) == len(store.names())
+        assert store.total_params == codec.count_params(full_config).total
+        assert all(name in store for name in store.names())
+        assert "decoder.nonexistent" not in store
+        codec.validate_store(full_config, store)
+        with pytest.raises(ContractViolationError, match="has shape"):
+            codec.validate_store(tiny_config, store)
+        assert calls == []
+
+    def test_each_side_draws_only_its_own_tensors(self, monkeypatch,
+                                                  tiny_config):
+        drawn = []
+        real = codec._draw_tensor
+
+        def spy(seed, spec, start):
+            drawn.append(spec.name)
+            return real(seed, spec, start)
+
+        monkeypatch.setattr(codec, "_draw_tensor", spy)
+        prompts = ("speech", "music")
+        stream = pipeline.encode_mixture(
+            buffer_of(4000), prompts, tiny_config,
+            codec.init_weights(tiny_config, seed=tiny_config.seed))
+        assert drawn and len(set(drawn)) == len(drawn)
+        assert [n for n in drawn if n.startswith("decoder.")] == []
+        drawn.clear()
+        store = codec.init_weights(tiny_config, seed=tiny_config.seed)
+        pipeline.decode_stream(stream, tiny_config, store)
+        assert len(set(drawn)) == len(drawn)
+        assert [n for n in drawn
+                if n.startswith(("encoder.", "extractor."))] == []
+        assert {n for n in store.names() if n.startswith("decoder.")} <= set(
+            drawn)
+
+    def test_concurrent_first_reads_draw_once(self, monkeypatch, full_config,
+                                              full_store):
+        # decoder.conv_in.weight has several parts, so its draw runs a pool
+        # inside the store's lock.
+        name = "decoder.conv_in.weight"
+        calls = []
+        real = codec._draw_tensor
+
+        def slow(*args):
+            calls.append(args[1].name)
+            time.sleep(0.05)  # every reader reaches the lock meanwhile
+            return real(*args)
+
+        monkeypatch.setattr(codec, "_draw_tensor", slow)
+        store = codec.init_weights(full_config, seed=0)
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def read(i):
+            barrier.wait(timeout=60)
+            got[i] = store[name]
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == [name]
+        assert all(tensor is got[0] for tensor in got)
+        np.testing.assert_array_equal(got[0].view(np.uint32),
+                                      full_store[name].view(np.uint32))
+
+    def test_reads_leave_no_thread_running(self, monkeypatch, tiny_config):
+        # 7-value parts, so nearly every tensor is drawn on the pool.
+        monkeypatch.setattr(codec, "_INIT_CHUNK", 7)
+        monkeypatch.setattr(codec, "_init_workers", lambda: 3)
+        before = threading.active_count()
+        store = codec.init_weights(tiny_config, seed=1)
+        for _ in store.tensors.values():
+            assert threading.active_count() == before
+
+    def test_store_pickles_and_copies(self, tiny_config, tiny_store):
+        store = codec.init_weights(tiny_config, seed=tiny_config.seed)
+        store["rvq.codebook0"]
+        for other in (pickle.loads(pickle.dumps(store)), copy.deepcopy(store)):
+            assert other.seed == store.seed
+            assert other.names() == tiny_store.names()
+            for name, tensor in other.tensors.items():
+                np.testing.assert_array_equal(tensor, tiny_store[name])
+
+    def test_read_holds_no_float64_copy_of_its_tensor(self, full_config):
+        # A whole float64 draw of decoder.conv_in.weight alone is 42 MiB;
+        # the parts draw through one 256 KiB block per worker.
+        store = codec.init_weights(full_config, seed=0)
+        tracemalloc.start()
+        try:
+            tensor = store["decoder.conv_in.weight"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.nbytes + 2 * 2**20
 
 
 class TestWeightStore:
@@ -805,6 +943,15 @@ def _small_configs(draw):
     return fields, draw(st.integers(1, 3 * math.prod(strides)))
 
 
+def _analyzer_length(config, n_samples, with_decoder):
+    """The length `analysis.count_macs` reaches after the last cost row of a
+    config's spec, with or without the decoder, from n_samples samples."""
+    length, channels = n_samples, 1
+    for layer in analysis._arch_spec("probe", config, with_decoder).layers:
+        _, length, channels, _ = analysis._layer_cost(layer, length, channels)
+    return length
+
+
 class TestConfigSpace:
     @given(case=_small_configs())
     @settings(max_examples=140, deadline=None, derandomize=True)
@@ -828,6 +975,11 @@ class TestConfigSpace:
         (features, samples), *tiled = runs
         assert features.shape == (config.latent_dim, frames)
         assert samples.shape == (frames * config.hop,)
+        # The analyzer's lengths from the padded input the codec runs on.
+        assert codec.frames_for_length(config, n) == frames
+        assert _analyzer_length(config, frames * config.hop, False) == frames
+        assert _analyzer_length(config, frames * config.hop,
+                                True) == samples.size
         for got_features, got_samples in tiled:
             np.testing.assert_array_equal(got_features, features)
             np.testing.assert_array_equal(got_samples, samples)
@@ -870,12 +1022,13 @@ class TestStreamingMemory:
 
     def test_full_model_32s_round_trip_stays_under_ceilings(self, full_config,
                                                             full_store):
-        # Traced 65.6 / 131.6 MiB; whole-length layers took 205 / 301 MiB.  The
-        # decode peak is one Transformer layer at T = 1,600.
+        # Traced 40.8 / 100.3 MiB, so the ceilings leave about 7 / 12 MiB;
+        # whole-length layers took 205 / 301 MiB.  The decode peak is one
+        # Transformer layer at T = 1,600.
         encode_peak, decode_peak = _traced_peaks(
             buffer_of(32 * 16000), full_config, full_store)
-        assert encode_peak < 80 * 2**20
-        assert decode_peak < 155 * 2**20
+        assert encode_peak < 48 * 2**20
+        assert decode_peak < 112 * 2**20
 
     def test_full_model_4s_decode_stays_under_ceiling(self, full_config,
                                                       full_store):
@@ -888,9 +1041,10 @@ class TestStreamingMemory:
 
     def test_full_model_4s_convs_hold_no_snake_copies(self, full_config,
                                                       full_store):
-        # Traced 20.0 / 24.1 MiB.  With each snake output held as its own
-        # piece by the conv after it, and whole held pieces copied at tile
-        # boundaries, the same encode and decode traced 24.9 / 32.8 MiB.
+        # Traced 14.4 / 15.9 MiB (20.0 / 24.1 MiB with tiles of 2,048
+        # columns).  With each snake output held as its own piece by the
+        # conv after it, and whole held pieces copied at tile boundaries,
+        # the same encode and decode traced 24.9 / 32.8 MiB.
         encode_peak, decode_peak = _traced_peaks(
             buffer_of(4 * 16000), full_config, full_store)
         assert encode_peak < 22 * 2**20

@@ -21,6 +21,12 @@ from sunac.extractor import parse_prompts
 STREAM_SHA256 = "b4dff79e580319826e7468b2cfa750afbad5af1665bb0b36dcb9d6a9d1424030"
 STREAM_BYTES = 2430
 DECODED_SHA256 = "4f2de0947fe42ac28f4c2f6ff253e4074f8af25ff4459edbcd81a5cb892b3d55"
+# DACT, the one family with encoder Transformers: codec.encode's features
+# and codec.decode's samples for the mixture of golden_stream, seed 0.
+DACT_FEATURES_SHA256 = (
+    "895418008714b6d508498e431ad2e613794f4b185494aa4b2f427182d920b0d9")
+DACT_DECODED_SHA256 = (
+    "c75f1e74092d102fb3f0ee315cc7960b82abcb65ae2974e0d7b225b242cf8160")
 COMPARE_JSON_SHA256 = (
     "7c757c0c6d1d13b20468076dffdc7e29e8be87b03f855db3ff1fbb4b277a4cd1")
 # compare_report(duration_s, 3) at the shortest and a non-integral duration.
@@ -68,6 +74,19 @@ def test_decoded_samples(golden_stream, full_config, full_store):
     samples = b"".join(np.ascontiguousarray(buf.samples, dtype="<f4").tobytes()
                        for buf, _ in sources)
     assert _sha256(samples) == DECODED_SHA256
+
+
+def test_dact_features_and_samples():
+    config = codec.default_config("DACT")
+    store = codec.init_weights(config, seed=0)
+    manifest = fixtures.make_mixture(parse_prompts("speech,music"), seed=0,
+                                     duration_s=1.0)
+    features = codec.encode(fixtures.realize(manifest).mixture, config, store)
+    samples = codec.decode(features, config, store).samples
+    assert _sha256(np.ascontiguousarray(features, dtype="<f4").tobytes()) == (
+        DACT_FEATURES_SHA256)
+    assert _sha256(np.ascontiguousarray(samples, dtype="<f4").tobytes()) == (
+        DACT_DECODED_SHA256)
 
 
 def test_compare_report_json():

@@ -451,6 +451,19 @@ class TestActivations:
         got = numerics.gelu(np.array([0.0, 100.0, -100.0]))
         np.testing.assert_allclose(got, [0.0, 100.0, 0.0], atol=1e-6)
 
+    @pytest.mark.parametrize("call, stage", [
+        (lambda: numerics.gelu(np.array([-np.inf, 1.0])), "numerics.gelu"),
+        (lambda: numerics.gelu(np.array([np.nan])), "numerics.gelu"),
+        (lambda: numerics.rope_rotate(np.full((1, 1, 2), np.inf),
+                                      np.arange(1)), "numerics.rope_rotate"),
+    ], ids=["gelu-inf", "gelu-nan", "rope_rotate-inf"])
+    def test_non_finite_output_names_the_kernel(self, call, stage):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=f"non-finite output in {stage}$"):
+                call()
+
     def test_layer_norm_rows(self, rng):
         x = rng.standard_normal((4, 9))
         out = numerics.layer_norm(x, np.ones(4), np.zeros(4))
@@ -585,6 +598,18 @@ class TestTransformer:
         x = rng.standard_normal((16, 1)).astype(np.float32)
         out = numerics.transformer_block(x, layer)
         assert out.shape == (16, 1)
+
+    def test_non_finite_rotation_names_the_layer(self, rng):
+        # The layer rotates through the unchecked helper, so an inf query
+        # weight surfaces as the layer's own error, not the kernel's.
+        layer = random_layer(rng)
+        wq = layer.wq.copy()
+        wq[0, 0] = np.inf
+        x = rng.standard_normal((16, 5)).astype(np.float32)
+        with pytest.raises(NumericError,
+                           match="non-finite output in transformer layer probe"):
+            numerics.transformer_block(x, dataclasses.replace(layer, wq=wq),
+                                       name="probe")
 
     def test_rotation_separates_equal_tokens(self, rng):
         x = np.broadcast_to(rng.standard_normal((1, 2, 6)), (3, 2, 6)).copy()
