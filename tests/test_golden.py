@@ -27,6 +27,16 @@ DACT_FEATURES_SHA256 = (
     "895418008714b6d508498e431ad2e613794f4b185494aa4b2f427182d920b0d9")
 DACT_DECODED_SHA256 = (
     "c75f1e74092d102fb3f0ee315cc7960b82abcb65ae2974e0d7b225b242cf8160")
+# Full SUNAC on a 5.5 s mixture prompted `speech,speech`, fixture seed 0:
+# T = 275 frames, so attention splits into two query blocks, each map runs
+# alone (`numerics.stack_groups`), the duplicate prompt relies on rotary
+# coding, and every waveform-rate conv reads windows that span several
+# held pieces.
+LONG_STREAM_SHA256 = (
+    "7000ad9a0351a851776745c9aa7393b5e09394a96206cd090f41e2bf3aa804be")
+LONG_STREAM_BYTES = 13230
+LONG_DECODED_SHA256 = (
+    "dca77a6ed0c52881b7659ae845478eefa7a9cddff6e3e550269500f0b645ad37")
 COMPARE_JSON_SHA256 = (
     "7c757c0c6d1d13b20468076dffdc7e29e8be87b03f855db3ff1fbb4b277a4cd1")
 # compare_report(duration_s, 3) at the shortest and a non-integral duration.
@@ -74,6 +84,21 @@ def test_decoded_samples(golden_stream, full_config, full_store):
     samples = b"".join(np.ascontiguousarray(buf.samples, dtype="<f4").tobytes()
                        for buf, _ in sources)
     assert _sha256(samples) == DECODED_SHA256
+
+
+def test_long_stream_bytes_and_samples(full_config, full_store):
+    prompts = parse_prompts("speech,speech")
+    manifest = fixtures.make_mixture(prompts, seed=0, duration_s=5.5)
+    mixture = fixtures.realize(manifest).mixture
+    stream = pipeline.encode_mixture(mixture, prompts, full_config, full_store)
+    assert stream.n_frames == 275
+    blob = pack_stream(stream)
+    assert len(blob) == LONG_STREAM_BYTES
+    assert _sha256(blob) == LONG_STREAM_SHA256
+    sources = pipeline.decode_stream(stream, full_config, full_store)
+    samples = b"".join(np.ascontiguousarray(buf.samples, dtype="<f4").tobytes()
+                       for buf, _ in sources)
+    assert _sha256(samples) == LONG_DECODED_SHA256
 
 
 def test_dact_features_and_samples():
