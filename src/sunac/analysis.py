@@ -19,6 +19,7 @@ when its name starts with a prefix the family runs once per mixture.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import codec as _codec
@@ -199,12 +200,16 @@ def _layer_cost(spec: LayerSpec, length: int,
 def count_macs(spec: ArchSpec, duration_s: float, sample_rate: int = 16000) -> MacReport:
     """Walk an ArchSpec at a given duration and total its MACs.
 
-    Sequence length starts at round(duration * sample_rate) samples and is
-    updated by every conv layer, so attention stages automatically see the
-    frame count in effect where they sit.
+    Sequence length starts at round(duration * sample_rate) samples, padded
+    up to a multiple of the product of the forward-conv strides as
+    `codec.encode` pads its input to whole frames, and is updated by every
+    conv layer, so attention stages automatically see the frame count in
+    effect where they sit.
     """
     sample_rate = integer("sample rate", sample_rate, 1)
-    length = samples(duration_s, sample_rate, 1, _MAX_COUNT)
+    hop = math.prod(layer.stride for layer in spec.layers
+                    if layer.kind == "conv1d")
+    length = -(-samples(duration_s, sample_rate, 1, _MAX_COUNT) // hop) * hop
     channels = 1
     costs = []
     const_total = 0

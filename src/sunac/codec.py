@@ -20,10 +20,12 @@ the weight loaders cannot drift from the signal path.
 `encode` and `decode` stream a signal through their node chain in column
 pieces.  A conv node emits each tile of its whole-length output (see
 `numerics.conv_tiles`) as soon as the tile's input window has arrived, and
-holds only the input a later tile still reads.  Each conv runs its own
-snake on each window it reads, so it holds its input pieces untransformed
-(in a residual unit, the pieces its skip path holds anyway).  A residual
-unit holds its skip pieces until its branch catches up, and a Transformer
+holds only the input a later tile still reads.  A window is never joined:
+the conv writes the parts of the held pieces it spans straight into the
+tile's float64 window, through its own snake, whose last float32 add lands
+there, so it holds its input pieces untransformed (in a residual unit, the
+pieces its skip path holds anyway).  A residual unit holds its skip pieces
+until its branch catches up, and adds them piece by piece; a Transformer
 layer collects its frame-rate input and runs once.  So the conv stacks
 hold tile-sized pieces at any length.  The bits do not depend on how the
 pieces arrive: each tile is computed from exactly the input columns a
@@ -364,8 +366,9 @@ class ConvNode(_Node):
 
     def stream(self, pieces, store, length):
         # One conv1d call per tile of the whole-length layer, each on its
-        # own input window after the snake ran on it; a window's pieces stay
-        # held, untransformed, only while a later tile still reads them.
+        # own float64 window; a window's pieces stay held, untransformed,
+        # only while a later tile still reads them.  A forward window spans
+        # the tile's zero padding too, so the kernel copies no edge tile.
         # The window is passed on unnamed, so no window outlives its tile.
         conv = self._conv()
         *alpha, weight, bias = self.read(store)
@@ -373,14 +376,34 @@ class ConvNode(_Node):
         tiles = numerics.conv_tiles(length, self.c_out, self.c_in, self.kernel,
                                     sources=held.sources(), **conv)
         keeps = [lo for _, _, lo, _ in tiles[1:]] + [length]
-        for tile, keep in zip(tiles, keeps):
+        for (t0, t1, lo, hi), keep in zip(tiles, keeps):
+            a, b = lo, hi
+            if not self.transposed:
+                a = t0 * self.stride - self.padding
+                b = (a + (t1 - t0 - 1) * self.stride
+                     + (self.kernel - 1) * self.dilation + 1)
             yield numerics.conv1d(
-                _snake(held.window(tile[2], tile[3], keep), *alpha), weight,
-                bias, tile=tile, **conv)
+                _widen(held.window(lo, hi, keep), lo - a, b - hi, *alpha),
+                weight, bias, tile=(t0, t1, a, b), **conv)
 
 
-def _snake(x, alpha=None):
-    return x if alpha is None else numerics.snake(x, alpha)
+def _widen(parts, left, right, alpha=None) -> np.ndarray:
+    """The float64 window of a tile: `left` zero columns, each part written
+    once (through the snake, whose last add lands here, or copied), then
+    `right` zero columns."""
+    window = np.empty((*parts[0].shape[:-1],
+                       left + sum(p.shape[-1] for p in parts) + right))
+    window[..., :left] = 0.0
+    window[..., window.shape[-1] - right :] = 0.0
+    a = left
+    for part in parts:
+        b = a + part.shape[-1]
+        if alpha is None:
+            window[..., a:b] = part
+        else:
+            numerics.snake(part, alpha, out=window[..., a:b])
+        a = b
+    return window
 
 
 class ResidualNode(_Node):
@@ -400,10 +423,21 @@ class ResidualNode(_Node):
         # every column of it.  Both operands are float32.  A float32 add
         # rounds once to the same value as a float64 add rounded back
         # (53 >= 2 * 24 + 2 significand bits make the double rounding
-        # harmless), without the float64 copy.
+        # harmless), without the float64 copy.  Each branch piece takes the
+        # skip columns piece by piece, so no skip columns are joined; `map`
+        # holds no output between pulls, as a generator frame would.
         skip = _Columns(pieces)
-        return map(lambda y: np.add(skip.take(y.shape[-1]), y),
-                   _stream(self.children, skip.feed(), store, length))
+
+        def add(y):
+            out, a = np.empty_like(y), 0
+            while a < y.shape[-1]:
+                part = skip.take(y.shape[-1] - a)
+                b = a + part.shape[-1]
+                np.add(part, y[..., a:b], out=out[..., a:b])
+                a = b
+            return out
+
+        return map(add, _stream(self.children, skip.feed(), store, length))
 
     def apply(self, x, store):
         """The unit over a whole ([S,] C, L) signal, as one piece."""
@@ -525,7 +559,9 @@ class _Columns:
 
     Pieces are pulled from the source only when a window reaches past the
     held columns, and dropped once no later window reads them.  A window is
-    a slice of one held piece, or a copy joined from several.
+    handed out as its parts, views of the held pieces it spans, never
+    joined: a conv writes them straight into its float64 window (`_widen`),
+    and a residual unit adds them onto its branch piece by piece.
     """
 
     def __init__(self, pieces):
@@ -549,9 +585,10 @@ class _Columns:
         """The source pieces, each held here as it passes."""
         return map(self._hold, self._source)
 
-    def window(self, lo: int, hi: int, keep: int) -> np.ndarray:
-        """Columns [lo, hi) as one array; afterwards only pieces that reach
-        past column `keep` stay held."""
+    def window(self, lo: int, hi: int, keep: int) -> list[np.ndarray]:
+        """Columns [lo, hi) as views of the held pieces they lie in, in
+        order; afterwards only pieces that reach past column `keep` stay
+        held."""
         while self._end < hi:
             self._hold(next(self._source))
         parts, start = [], self._start
@@ -561,7 +598,7 @@ class _Columns:
                 parts.append(piece[..., max(lo - start, 0) : hi - start])
             start = end
         self._drop(keep, hi - lo)
-        return _join(parts)
+        return parts
 
     def _drop(self, keep: int, width: int) -> None:
         # Drop the pieces that end by column `keep`.  Of a piece that
@@ -578,9 +615,13 @@ class _Columns:
             self._start = keep
 
     def take(self, n: int) -> np.ndarray:
-        """The next n columns, which are then dropped."""
-        lo, self._taken = self._taken, self._taken + n
-        return self.window(lo, self._taken, self._taken)
+        """The next columns, at most n and all from one held piece, as a
+        view of it; they are then dropped."""
+        while self._end <= self._taken:
+            self._hold(next(self._source))
+        lo = self._taken
+        self._taken = min(lo + n, self._start + self._held[0].shape[-1])
+        return self.window(lo, self._taken, self._taken)[0]
 
 
 def _stream(nodes, pieces, store, length):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentError, NumericError,
-                     integer, real_array, shape, weight_fields)
+                     instance, integer, real_array, shape, weight_fields)
 
 __all__ = [
     "conv_out_len",
@@ -212,7 +212,8 @@ def conv1d(
 
     Args:
         x: input of shape (C_in, L) or an (S, C_in, L) stack, float32;
-            with `tile`, only the input columns [lo, hi) that it reads.
+            with `tile`, only the input columns [lo, hi) that it reads,
+            float32 or already widened to float64 (see below).
         weight: kernels of shape (C_out, C_in, K).  The same layout is used
             for the transposed direction; C_in is always the channel count
             of `x`.
@@ -222,7 +223,8 @@ def conv1d(
         output_padding: extra columns appended in the transposed direction
             only, to disambiguate the output length for odd strides.
         tile: one (t0, t1, lo, hi) entry of `conv_tiles` for the whole
-            input; then only output columns [t0, t1) are computed.
+            input; then only output columns [t0, t1) are computed.  A
+            forward tile's [lo, hi) may also span its zero padding.
 
     Returns:
         (C_out, L_out) float32, with L_out given by `conv_out_len`, or
@@ -232,8 +234,11 @@ def conv1d(
 
     Each kernel call computes one tile from its window: without `tile`
     the call loops over `conv_tiles`, with `tile` it is one kernel call.
-    The kernel widens the input columns the tile reads (its window, halo
-    and zero padding included) into a float64 buffer; then for each tap in
+    The kernel widens the float32 input columns the tile reads (its
+    window, halo and zero padding included) into a float64 buffer.  In
+    tile mode the caller may do that instead (`codec.ConvNode` writes the
+    float64 window from its held pieces, through the snake, zero padding
+    included), and the kernel reads it as it is.  Then for each tap in
     ascending order it widens that tap's weights and computes the float64
     product `weight[:, :, tap] @ window`.  Forward, the product reads a
     strided view of the window: the first tap's product is written
@@ -274,7 +279,8 @@ def conv1d(
     zeros, which adds it in as +0.0 (`tests/test_numerics.py` checks the
     bits, signed zeros included).
     """
-    x = real_array("x", x, np.float32)
+    wide = tile is not None and getattr(x, "dtype", None) == np.float64
+    x = real_array("x", x, np.float64 if wide else np.float32)
     w = real_array("weight", weight, np.float32)
     sizes = shape("conv1d", "x", x, ("il", "sil"),
                   shape("conv1d", "weight", w, "oik", {}))
@@ -315,8 +321,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 # The tile kernels write output columns [t0, t0 + y.shape[-1]) into y.  x holds
-# input columns [lo, lo + x.shape[-1]), which must include the tile's window
-# (`conv_tiles`); columns outside x read as zero padding.
+# input columns [lo, lo + x.shape[-1]), float32 or float64, which must include
+# the tile's window (`conv_tiles`); columns outside x read as zero padding.  A
+# C-contiguous float64 x that is the whole (padded) window is used as it is.
 
 
 def _conv_forward_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
@@ -327,13 +334,16 @@ def _conv_forward_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
     n = y.shape[-1]
     first = t0 * stride - padding - lo
     width = (n - 1) * stride + (k - 1) * dilation + 1
-    window = np.empty((*x.shape[:-1], width))
-    # Window columns [a, b) hold input; the rest is padding.
-    a = min(max(-first, 0), width)
-    b = min(max(x.shape[-1] - first, a), width)
-    window[..., :a] = 0.0
-    window[..., a:b] = x[..., first + a : first + b]
-    window[..., b:] = 0.0
+    if first == 0 and x.shape[-1] == width:
+        window = np.ascontiguousarray(x, dtype=np.float64)
+    else:
+        window = np.empty((*x.shape[:-1], width))
+        # Window columns [a, b) hold input; the rest is padding.
+        a = min(max(-first, 0), width)
+        b = min(max(x.shape[-1] - first, a), width)
+        window[..., :a] = 0.0
+        window[..., a:b] = x[..., first + a : first + b]
+        window[..., b:] = 0.0
     prod = np.empty(y.shape) if k > 1 or c_in == 1 else None
     if c_in == 1:
         # Broadcast products, not one-term GEMMs (see conv1d); the zero
@@ -382,7 +392,7 @@ def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
     n = y.shape[-1]
     p0, p1 = t0 + padding, t0 + n + padding
     end = lo + x.shape[-1]
-    window = x.astype(np.float64)
+    window = np.ascontiguousarray(x, dtype=np.float64)
     acc = np.zeros(y.shape)
     prod_buf = np.empty(window.size // c_in * c_out)
     w_tap = np.empty((c_out, c_in))
@@ -404,22 +414,34 @@ def _conv_transposed_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
 
 
 @forward_stage
-def snake(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def snake(x: np.ndarray, alpha: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Periodic activation x + sin^2(alpha * x) / alpha of a ([S,] C, L)
-    signal, with one alpha per channel.  The output is not checked for
-    finite values; the codec's stages check the pieces they assemble."""
+    signal, with one alpha per channel, in float32.  With `out`, a float64
+    array of x's shape, the result is written there and returned: the last
+    add still rounds to float32 and lands widened, so `out` gets exactly
+    snake(x, alpha).astype(np.float64), without that float32 copy.  The
+    output is not checked for finite values; the codec's stages check the
+    pieces they assemble."""
     x = real_array("x", x, np.float32)
     alpha = real_array("alpha", alpha, np.float32)
-    shape("snake", "x", x, ("cl", "scl"), shape("snake", "alpha", alpha, "c", {}))
+    sizes = shape("snake", "x", x, ("cl", "scl"),
+                  shape("snake", "alpha", alpha, "c", {}))
+    if out is not None:
+        if instance("out", out, np.ndarray).dtype != np.float64:
+            raise InvalidArgumentError(f"out must be float64, got {out.dtype}")
+        shape("snake", "out", out, "cl" if x.ndim == 2 else "scl", sizes)
     a = alpha[:, None]
-    # One output buffer, every step in place: same float32 operations in the
-    # same order as x + sin(a * x) ** 2 / a, without four temporaries.
+    # Every step in place: same float32 operations in the same order as
+    # x + sin(a * x) ** 2 / a, without four temporaries.
     y = a * x
     np.sin(y, out=y)
     np.square(y, out=y)
     y /= a
-    y += x
-    return y
+    if out is None:
+        y += x
+        return y
+    return np.add(x, y, out=out, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------

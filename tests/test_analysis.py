@@ -118,6 +118,21 @@ class TestCountMacs:
         with pytest.raises(InvalidArgumentError):
             analysis.count_macs(spec, 0.0, 16000)
 
+    def test_input_is_padded_to_whole_frames(self):
+        # codec.encode pads 16,001 samples to 51 frames of 320 samples.
+        spec = analysis.builtin_specs()["SUNAC"]
+        scan = {cost.name: cost.macs for cost in
+                analysis.count_macs(spec, 16001 / 16000).layers}["rvq"]
+        per_frame = {cost.name: cost.macs for cost in
+                     analysis.count_macs(spec, 1.0).layers}["rvq"] // 50
+        assert scan == 51 * per_frame
+
+    def test_input_shorter_than_one_frame_is_counted(self):
+        spec = analysis.builtin_specs()["SUNAC-encoder-only"]
+        report = analysis.count_macs(spec, 7 / 16000)
+        one_frame = analysis.count_macs(spec, 320 / 16000)
+        assert report.const_macs == one_frame.const_macs > 0
+
     def test_total_identity(self):
         report = analysis.count_macs(analysis.builtin_specs()["SUNAC"], 1.0)
         for n in (1, 2, 3, 7):

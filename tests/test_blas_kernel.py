@@ -1,6 +1,6 @@
-"""The golden stream and decoded digests do not depend on the OpenBLAS
-kernel: fresh interpreters forced onto the Haswell and Sandybridge kernels
-give the same bytes as the default one.
+"""The golden stream and decoded digests, SUNAC's and DACT's, do not depend
+on the OpenBLAS kernel: fresh interpreters forced onto the Haswell and
+Sandybridge kernels give the same bytes as the default one.
 
 Every float32 x float32 product is exact in float64, so kernels with and
 without fused multiply-add round each product alike; only the order of a
@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 import sunac
-from test_golden import DECODED_SHA256, STREAM_SHA256
-from test_thread_count import _GOLDEN_DIGESTS
+from test_thread_count import _GOLDEN_DIGESTS, GOLDEN
 
 
 def _dynamic_arch_openblas() -> bool:
@@ -45,4 +44,4 @@ def test_openblas_kernel_gives_the_golden_digests(coretype):
     # OPENBLAS_VERBOSE=2 makes OpenBLAS name the kernel it loaded.
     assert f"Core: {coretype}" in done.stderr
     digests = json.loads(done.stdout.splitlines()[-1])
-    assert digests == {"stream": STREAM_SHA256, "decoded": DECODED_SHA256}
+    assert digests == GOLDEN

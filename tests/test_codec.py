@@ -871,6 +871,52 @@ class TestStreaming:
                              axis=-1)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("snake", [True, False], ids=["snake", "plain"])
+    @pytest.mark.parametrize("shape, kernel, conv", [
+        ((5, 41), 7, dict(dilation=3, padding=9)),
+        ((6, 41), 10, dict(stride=5, padding=3, transposed=True,
+                           output_padding=1)),
+        ((2, 4, 40), 4, dict(stride=2, padding=1)),
+    ], ids=["forward", "transposed", "stack"])
+    def test_conv_window_is_its_parts_widened(self, monkeypatch, rng, shape,
+                                              kernel, conv, snake):
+        # Each window conv1d reads is built from views of the held pieces
+        # it spans (one to five here), and is bit for bit the widened
+        # snake of the joined input columns, zero padding included.
+        node = codec.ConvNode("conv", shape[-2], 3, kernel,
+                              snake="act" if snake else None, **conv)
+        store = _random_store([node], rng)
+        x = rng.standard_normal(shape).astype(np.float32)
+        joined = numerics.snake(x, store["act.alpha"]) if snake else x
+        edges = [0, 3, 5, 12, 20, shape[-1]]
+        pieces = [x[..., a:b].copy() for a, b in zip(edges, edges[1:])]
+        self._tiles(monkeypatch, 3)
+        windows, spans = [], []
+        window = codec._Columns.window
+
+        def parts(columns, lo, hi, keep):
+            found = window(columns, lo, hi, keep)
+            assert not any(part.flags.owndata for part in found)
+            spans.append(len(found))
+            return found
+
+        def conv1d(window, *args, tile, **kwargs):
+            windows.append((window.copy(), tile))
+            return numerics_conv1d(window, *args, tile=tile, **kwargs)
+
+        numerics_conv1d = numerics.conv1d
+        monkeypatch.setattr(codec._Columns, "window", parts)
+        monkeypatch.setattr(numerics, "conv1d", conv1d)
+        list(node.stream(pieces, store, shape[-1]))
+        assert {1, 2} <= set(spans) and max(spans) >= 3, spans
+        for got, (_, _, a, b) in windows:
+            want = np.zeros((*shape[:-1], b - a))
+            lo, hi = max(a, 0), min(b, shape[-1])
+            want[..., lo - a : hi - a] = joined[..., lo:hi]
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+
     @pytest.mark.parametrize("widths", [(1,), (2, 3, 5, 8, 13, 21, 34),
                                         (320, 1), (959,)])
     def test_encoder_output_does_not_depend_on_input_pieces(
@@ -1049,6 +1095,16 @@ class TestStreamingMemory:
             buffer_of(4 * 16000), full_config, full_store)
         assert encode_peak < 22 * 2**20
         assert decode_peak < 28 * 2**20
+
+    def test_full_model_4s_decode_joins_no_window(self, full_config,
+                                                 full_store):
+        # Traced 14.95 MiB with each conv window written in float64 from
+        # the views of its held pieces, zero padding included; joining the
+        # pieces, running the snake on the join and widening that in the
+        # tile kernel traced 15.95 MiB.
+        _, decode_peak = _traced_peaks(buffer_of(4 * 16000), full_config,
+                                       full_store)
+        assert decode_peak < 15.5 * 2**20
 
     def test_full_model_4s_round_trip_holds_half_width_tiles(self, full_config,
                                                              full_store):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -336,6 +337,39 @@ class TestConv1d:
         with pytest.raises(ContractViolationError):
             numerics.conv1d(x[:, lo : hi - 1], w, b, tile=tile, **conv)
 
+    @pytest.mark.parametrize("shape, conv", [
+        ((4, 50), dict(stride=2, padding=3, dilation=2)),
+        ((2, 4, 50), dict(stride=2, padding=3, dilation=2)),
+        ((4, 50), dict(stride=3, padding=2, transposed=True,
+                       output_padding=1)),
+    ], ids=["forward", "stack", "transposed"])
+    def test_a_float64_window_is_read_as_it_is(self, rng, monkeypatch, shape,
+                                               conv):
+        # A float64 tile window gives the bits of the float32 call, also
+        # when a forward window spans its zero padding: then its columns
+        # are [first, first + width), below 0 and past the end included.
+        monkeypatch.setattr(numerics, "_TILE_COLUMNS", 16)
+        monkeypatch.setattr(numerics, "_TILE_CHANNELS", 1)
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        whole = numerics.conv1d(x, w, b, **conv)
+        tiles = numerics.conv_tiles(50, 3, 4, 6, sources=math.prod(shape[:-2]),
+                                    **conv)
+        for t0, t1, lo, hi in tiles:
+            window = x[..., lo:hi].astype(np.float64)
+            got = numerics.conv1d(window, w, b, tile=(t0, t1, lo, hi), **conv)
+            np.testing.assert_array_equal(got, whole[..., t0:t1])
+            if conv.get("transposed"):
+                continue
+            first = t0 * conv["stride"] - conv["padding"]
+            width = (t1 - t0 - 1) * conv["stride"] + 5 * conv["dilation"] + 1
+            padded = np.zeros((*shape[:-1], width))
+            padded[..., lo - first : hi - first] = window
+            got = numerics.conv1d(padded, w, b, tile=(t0, t1, first,
+                                                     first + width), **conv)
+            np.testing.assert_array_equal(got, whole[..., t0:t1])
+
     @staticmethod
     def _summed_per_tap(x, w, b, stride, padding, dilation, transposed):
         # One tile's sums as separate passes: an accumulator started from
@@ -446,6 +480,28 @@ class TestActivations:
         got = numerics.snake(x, alpha[:, 0])
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(3, 40), (2, 3, 40)])
+    def test_snake_into_float64_out_is_the_widened_snake(self, rng, shape):
+        x = (rng.standard_normal(shape) * 3).astype(np.float32)
+        alpha = (rng.random(3) * 2 + 0.1).astype(np.float32)
+        out = np.full(shape, np.nan)
+        assert numerics.snake(x, alpha, out=out) is out
+        want = numerics.snake(x, alpha).astype(np.float64)
+        np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("out, error", [
+        (np.empty((3, 40), dtype=np.float32), InvalidArgumentError),
+        (np.empty((3, 40)).tolist(), InvalidArgumentError),
+        (np.empty((3, 39)), ContractViolationError),
+        (np.empty((4, 40)), ContractViolationError),
+        (np.empty((1, 3, 40)), ContractViolationError),
+        (np.empty(120), ContractViolationError),
+    ], ids=["float32", "list", "columns", "channels", "stack", "flat"])
+    def test_snake_refuses_a_bad_out(self, out, error):
+        x = np.ones((3, 40), dtype=np.float32)
+        with pytest.raises(error):
+            numerics.snake(x, np.ones(3, dtype=np.float32), out=out)
 
     def test_gelu_known_points(self):
         got = numerics.gelu(np.array([0.0, 100.0, -100.0]))

@@ -1,5 +1,6 @@
-"""The golden stream and decoded digests do not depend on numpy's AVX-512
-loops: a fresh interpreter limited to the AVX2 ones gives the same bytes.
+"""The golden stream and decoded digests, SUNAC's and DACT's, do not
+depend on numpy's AVX-512 loops: a fresh interpreter limited to the AVX2
+ones gives the same bytes.
 
 numpy picks its SIMD loops for transcendental ufuncs (float64 `np.exp` in
 the attention softmax, float32 `np.sin` in snake and `np.tanh`) once, at
@@ -20,8 +21,7 @@ from pathlib import Path
 import pytest
 
 import sunac
-from test_golden import DECODED_SHA256, STREAM_SHA256
-from test_thread_count import _GOLDEN_DIGESTS
+from test_thread_count import _GOLDEN_DIGESTS, GOLDEN
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__
@@ -48,4 +48,4 @@ def test_avx2_loops_give_the_golden_digests():
         capture_output=True, text=True, env=env, timeout=600)
     assert done.returncode == 0, done.stderr
     digests = json.loads(done.stdout.splitlines()[-1])
-    assert digests == {"stream": STREAM_SHA256, "decoded": DECODED_SHA256}
+    assert digests == GOLDEN
