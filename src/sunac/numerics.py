@@ -240,21 +240,22 @@ def conv1d(
     float64 window from its held pieces, through the snake, zero padding
     included), and the kernel reads it as it is.  Then for each tap in
     ascending order it widens that tap's weights and computes the float64
-    product `weight[:, :, tap] @ window`.  Forward, the product reads a
-    strided view of the window: the first tap's product is written
-    straight into the tile's float64 accumulator, and each later one goes
-    through one product buffer (none for a one-tap kernel) and is added to
-    it.  With one input channel the product is the broadcast
-    `weight[:, 0, tap] * window_row` instead of a GEMM, added to an
-    accumulator started from zeros.  Transposed, each product lands on a
-    strided slice of an accumulator started from zeros.  One pass then adds
-    the bias in float64 and writes the float32 tile.  Beyond the float32
-    input and output, the peak working set is one tile's float64 buffers:
-    at most three (channels, tile) arrays (1.5 to 3 MiB each for a narrow
-    layer; the forward window is `stride` times wider) and one tap's
-    weights, whatever L and K are.  For a stack, `np.matmul` broadcasts
-    each widened tap as one GEMM call per signal, the call the signal
-    alone makes.
+    product `weight[:, :, tap] @ window`.  Forward, the products run over
+    at most _TILE_COLUMNS output columns at a time, each reading a strided
+    view of the window: the first tap's product is written straight into a
+    float64 accumulator, and each later one goes through one product
+    buffer (none for a one-tap kernel) and is added to it.  With one input
+    channel the product is the broadcast `weight[:, 0, tap] * window_row`
+    of the whole tile instead of a GEMM, added to an accumulator started
+    from zeros.  Transposed, each product lands on a strided slice of an
+    accumulator of the whole tile, started from zeros.  One pass then adds
+    the bias in float64 and writes the float32 columns.  Beyond the float32
+    input and output, the peak working set is one tile's float64 window
+    (1.5 to 3 MiB for a narrow layer; the forward window is `stride` times
+    wider), an accumulator and a product buffer no wider than the tile, and
+    one tap's weights, whatever L and K are.  For a stack, `np.matmul`
+    broadcasts each widened tap as one GEMM call per signal, the call the
+    signal alone makes.
 
     The summation order is part of the result, and tiling keeps it: every
     output column receives the same per-tap sums over C_in, added in tap
@@ -344,11 +345,11 @@ def _conv_forward_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
         window[..., :a] = 0.0
         window[..., a:b] = x[..., first + a : first + b]
         window[..., b:] = 0.0
-    prod = np.empty(y.shape) if k > 1 or c_in == 1 else None
     if c_in == 1:
         # Broadcast products, not one-term GEMMs (see conv1d); the zero
         # start adds a -0.0 product in as +0.0, as BLAS's sums do.
         w64 = w[:, 0, :, None].astype(np.float64)
+        prod = np.empty(y.shape)
         acc = np.zeros(y.shape)
         for tap in range(k):
             start = tap * dilation
@@ -356,18 +357,26 @@ def _conv_forward_tile(x, w, b64, y, t0, lo, stride, padding, dilation):
                         window[..., start : start + (n - 1) * stride + 1 : stride],
                         out=prod)
             acc += prod
-    else:
-        acc = np.empty(y.shape)
-        w_tap = np.empty((c_out, c_in))
+        _write_tile(acc, b64, y)
+        return
+    # The sums run over at most _TILE_COLUMNS output columns at a time, so a
+    # narrow layer's wider tile holds two float64 buffers of that width, not
+    # of its own.  Each chunk starts on a multiple of _GEMM_ALIGN.
+    step = min(n, _TILE_COLUMNS)
+    acc = np.empty((*y.shape[:-1], step))
+    prod = np.empty(acc.shape) if k > 1 else None
+    w_tap = np.empty((c_out, c_in))
+    for c0 in range(0, n, step):
+        m = min(step, n - c0)
         for tap in range(k):
-            start = tap * dilation
+            start = c0 * stride + tap * dilation
             np.copyto(w_tap, w[:, :, tap])
             np.matmul(w_tap,
-                      window[..., start : start + (n - 1) * stride + 1 : stride],
-                      out=prod if tap else acc)
+                      window[..., start : start + (m - 1) * stride + 1 : stride],
+                      out=(prod if tap else acc)[..., :m])
             if tap:
-                acc += prod
-    _write_tile(acc, b64, y)
+                acc[..., :m] += prod[..., :m]
+        _write_tile(acc[..., :m], b64, y[..., c0 : c0 + m])
 
 
 def _write_tile(acc, b64, y):

@@ -225,6 +225,33 @@ class TestConv1d:
         edges = list(range(0, l_out - step, step)) + [l_out]
         np.testing.assert_array_equal(sums(edges), sums([0, l_out]))
 
+    def test_forward_sums_run_in_aligned_chunks(self, rng, monkeypatch):
+        # A narrow layer's tile is wider than _TILE_COLUMNS.  Its forward
+        # sums run over _TILE_COLUMNS columns at a time, so each float64
+        # sum is the one a single pass over the tile computes, and the
+        # kernel holds two chunk-wide float64 buffers beside its window.
+        x = rng.standard_normal((2, 4, 2000)).astype(np.float32)
+        w = rng.standard_normal((3, 4, 7)).astype(np.float32)
+        b64 = rng.standard_normal((3, 1))
+        conv = (2, 3, 3)  # stride, padding, dilation
+        l_out = numerics.conv_out_len(2000, 7, stride=2, padding=3, dilation=3)
+
+        def sums(columns):
+            monkeypatch.setattr(numerics, "_TILE_COLUMNS", columns)
+            y = np.empty((2, 3, l_out))
+            tracemalloc.start()
+            numerics._conv_forward_tile(x, w, b64, y, 0, 0, *conv)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return y, peak
+
+        (chunked, peak), (whole, whole_peak) = sums(64), sums(10**9)
+        np.testing.assert_array_equal(chunked, whole)
+        window = 8 * x[..., 0].size * ((l_out - 1) * 2 + 6 * 3 + 1)
+        chunk = 8 * 2 * 3 * 64
+        assert peak - window < 8 * chunk
+        assert whole_peak - window > 2 * chunk * l_out // 64
+
     CASES = [
         (6, 5, 300, 7, dict(padding=9, dilation=3)),
         (6, 5, 300, 4, dict(stride=3, padding=2)),
