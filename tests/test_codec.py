@@ -1098,10 +1098,11 @@ class TestStreamingMemory:
 
     def test_full_model_4s_decode_joins_no_window(self, full_config,
                                                  full_store):
-        # Traced 14.95 MiB with each conv window written in float64 from
-        # the views of its held pieces, zero padding included; joining the
-        # pieces, running the snake on the join and widening that in the
-        # tile kernel traced 15.95 MiB.
+        # Traced 14.43 MiB with each conv window written in float64 from
+        # the views of its held pieces, zero padding included, and the
+        # forward sums run in _TILE_COLUMNS chunks (14.93 MiB without the
+        # chunks); joining the pieces, running the snake on the join and
+        # widening that in the tile kernel traced 15.92 MiB.
         _, decode_peak = _traced_peaks(buffer_of(4 * 16000), full_config,
                                        full_store)
         assert decode_peak < 15.5 * 2**20
