@@ -429,9 +429,9 @@ def snake(x: np.ndarray, alpha: np.ndarray,
     signal, with one alpha per channel, in float32.  With `out`, a float64
     array of x's shape, the result is written there and returned: the last
     add still rounds to float32 and lands widened, so `out` gets exactly
-    snake(x, alpha).astype(np.float64), without that float32 copy.  The
-    output is not checked for finite values; the codec's stages check the
-    pieces they assemble."""
+    snake(x, alpha).astype(np.float64), without that float32 copy.  A
+    non-finite output raises NumericError; one written to `out` is not
+    checked, since the codec's stages check the pieces they assemble."""
     x = real_array("x", x, np.float32)
     alpha = real_array("alpha", alpha, np.float32)
     sizes = shape("snake", "x", x, ("cl", "scl"),
@@ -449,7 +449,7 @@ def snake(x: np.ndarray, alpha: np.ndarray,
     y /= a
     if out is None:
         y += x
-        return y
+        return check_finite(y, "numerics.snake")
     return np.add(x, y, out=out, dtype=np.float32)
 
 

@@ -539,7 +539,12 @@ class TestActivations:
         (lambda: numerics.gelu(np.array([np.nan])), "numerics.gelu"),
         (lambda: numerics.rope_rotate(np.full((1, 1, 2), np.inf),
                                       np.arange(1)), "numerics.rope_rotate"),
-    ], ids=["gelu-inf", "gelu-nan", "rope_rotate-inf"])
+        (lambda: numerics.snake(np.array([[np.inf], [1.0]]), np.ones(2)),
+         "numerics.snake"),
+        (lambda: numerics.snake(np.array([[np.nan]]), np.ones(1)),
+         "numerics.snake"),
+    ], ids=["gelu-inf", "gelu-nan", "rope_rotate-inf", "snake-inf",
+            "snake-nan"])
     def test_non_finite_output_names_the_kernel(self, call, stage):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
