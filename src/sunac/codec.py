@@ -35,22 +35,23 @@ final tanh runs once on the checked output.  Pieces may also be (S, C, n)
 source stacks, as when `decode` takes an (S, F, T) stack of maps.
 
 `init_weights` draws no value: the store it returns draws each tensor on
-first read.  The encoder and decoder share no weights, so a process that
-only encodes or only decodes holds only its own side's weights; a round
-trip in one process still ends up holding every weight.
+first read.  `WeightStore.load` checks every value of a weight file but
+keeps none: its store reads each tensor from the file on first read.  The
+encoder and decoder share no weights, so a process that only encodes or
+only decodes holds only its own side's weights; a round trip in one
+process still ends up holding every weight.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import json
 import math
 import os
 import struct
 import threading
+import weakref
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -226,13 +227,17 @@ class ModelConfig:
     def is_runnable(self) -> bool:
         return self.arch_family in _RUNNABLE
 
-    # -- serialization
+    # -- serialization (json is imported on first use: set-up needs none)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ModelConfig":
+        import json
+
         try:
             payload = json.loads(text)
         except ValueError as exc:  # also bad UTF-8, or too long an integer
@@ -293,7 +298,8 @@ _INIT_CHUNK = 2**21
 # run on fewer CPUs.  The drawn bits do not depend on the count.
 _INIT_WORKERS = 4
 # Values a worker draws, scales and casts in one pass (256 KiB of float64,
-# so each pass reads what the last one left in cache).
+# so each pass reads what the last one left in cache); also the float32
+# values a weight file's scan checks, and a first read copies, in one pass.
 _INIT_BLOCK = 2**15
 
 
@@ -771,9 +777,10 @@ class WeightStore:
     """Named float32 tensors plus the seed they were drawn from.
 
     A store built from a dict holds its arrays as given.  One made by
-    `init_weights` draws each tensor on first read and keeps it; its
-    `tensors` maps names to float32 arrays in manifest order, drawing as
-    it is read, while names, `in` and `total_params` draw nothing.
+    `init_weights` or `load` reads each tensor on first access and keeps
+    it (see `_Drawn`); its `tensors` maps names to float32 arrays in
+    manifest or file order, reading as it is read, while names, `in` and
+    `total_params` read nothing.
     """
 
     seed: int
@@ -799,6 +806,12 @@ class WeightStore:
     def names(self) -> list[str]:
         return list(self.tensors)
 
+    def _fetch(self, nodes) -> None:
+        # A stage's first read: its tensors read together, not one by one.
+        if isinstance(self.tensors, _Drawn):
+            self.tensors.fetch([spec.name for node in nodes
+                                for spec in node.manifest()])
+
     def _shape(self, name: str) -> tuple[int, ...]:
         if isinstance(self.tensors, _Drawn):
             return self.tensors.table[name][0].shape
@@ -823,15 +836,19 @@ class WeightStore:
 
     @classmethod
     def load(cls, path: str) -> "WeightStore":
-        """Read a store, each tensor straight into its own float32 array."""
+        """Read a store's tensor table and check every value, one block at
+        a time; each tensor is read into its own float32 array on first
+        access, from the file as it was scanned (see `_read_tensor`)."""
         with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
+            stat = os.fstat(handle.fileno())
+            size = stat.st_size
             magic = handle.read(4)
             if magic != WEIGHTS_MAGIC:
                 raise CorruptStreamError(
                     f"{path}: bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}"
                 )
-            tensors: dict[str, np.ndarray] = {}
+            table = {}  # name -> (spec, file offset of its data)
+            block = np.empty(_INIT_BLOCK, dtype="<f4")
             try:
                 version, seed = _read_struct(handle, "<HQ")
                 if version != WEIGHTS_VERSION:
@@ -844,35 +861,57 @@ class WeightStore:
                     (rank,) = _read_struct(handle, "<B")
                     shape = _read_struct(handle, f"<{rank}I")
                     count = int(math.prod(shape))
-                    if handle.tell() + 4 * count > size:
+                    offset = handle.tell()
+                    if offset + 4 * count > size:
                         raise CorruptStreamError(
                             f"{path}: truncated tensor {name!r}")
-                    if name in tensors:
+                    if name in table:
                         raise CorruptStreamError(
                             f"{path}: duplicate tensor {name!r}")
-                    try:
-                        data = np.empty(count, dtype="<f4").reshape(shape)
+                    try:  # numpy's shape rules, with nothing allocated
+                        np.broadcast_to(block[0], shape)
                     except ValueError as exc:  # rank above 64, or size overflow
                         raise CorruptStreamError(
                             f"{path}: tensor {name!r} has unusable shape: {exc}"
                         ) from exc
-                    if handle.readinto(data.reshape(-1)) != data.nbytes:
-                        raise CorruptStreamError(
-                            f"{path}: truncated tensor {name!r}")
-                    if not np.all(np.isfinite(data)):
-                        raise CorruptStreamError(
-                            f"{path}: tensor {name!r} holds non-finite values"
-                        )
-                    tensors[name] = data
+                    for start in range(0, count, _INIT_BLOCK):
+                        part = block[: count - start]
+                        if handle.readinto(part) != part.nbytes:
+                            raise CorruptStreamError(
+                                f"{path}: truncated tensor {name!r}")
+                        if not np.isfinite(part).all():
+                            raise CorruptStreamError(
+                                f"{path}: tensor {name!r} holds non-finite "
+                                "values")
+                    # A loaded tensor has no init rule.
+                    table[name] = TensorSpec(name, shape, ""), offset
             except (struct.error, UnicodeDecodeError) as exc:
                 raise CorruptStreamError(
                     f"{path}: malformed tensor table: {exc}") from exc
-        return cls(seed=seed, tensors=tensors)
+            scanned = path, os.dup(handle.fileno()), (size, stat.st_mtime_ns)
+        return cls(seed=seed, tensors=_Drawn(seed, table, scanned))
 
 
 def _read_struct(handle, fmt: str) -> tuple:
     # struct.error when the file ends first.
     return struct.unpack(fmt, handle.read(struct.calcsize(fmt)))
+
+
+def _read_tensor(path: str, fd: int, scanned: tuple, spec: TensorSpec,
+                 offset: int) -> np.ndarray:
+    # A loaded tensor, read from the descriptor its scan held.  A file put
+    # in place by rename, as `save` does, leaves the scanned one as it was;
+    # one written in place changes its size or modification time.
+    stat = os.fstat(fd)
+    if (stat.st_size, stat.st_mtime_ns) != scanned:
+        raise CorruptStreamError(f"{path}: changed since it was loaded")
+    value = np.empty(spec.shape, dtype="<f4")
+    flat = value.reshape(-1).view(np.uint8)
+    for start in range(0, flat.size, 4 * _INIT_BLOCK):
+        n = min(4 * _INIT_BLOCK, flat.size - start)
+        flat[start : start + n] = np.frombuffer(
+            os.pread(fd, n, offset + start), np.uint8)
+    return value
 
 
 def init_weights(config: ModelConfig, seed: int) -> WeightStore:
@@ -908,29 +947,47 @@ def init_weights(config: ModelConfig, seed: int) -> WeightStore:
 
 
 class _Drawn(Mapping):
-    """A seeded store's tensors, each drawn on first read and then kept.
+    """A lazy store's tensors, each read on first access and then kept.
 
-    A first read takes the lock and looks again before drawing, so
-    concurrent first reads draw once and get one array; later reads take
-    no lock.  `in`, `len` and the names draw nothing.
+    `table` maps each name to its spec and a position.  A seeded store
+    draws a tensor from the stream position of its first value; a loaded
+    one, given `scanned` (path, descriptor, size and mtime), reads it from
+    the file offset of its data.  The descriptor closes with the mapping.
+    A first read takes the lock and looks again before reading, so
+    concurrent first reads read once and get one array; later reads take
+    no lock.  `in`, `len` and the names read nothing.
     """
 
-    def __init__(self, seed: int, table: dict):
+    def __init__(self, seed: int, table: dict, scanned: tuple | None = None):
         self.table = table
         self._seed = seed
+        self._scanned = scanned
         self._drawn = {}
         self._lock = threading.Lock()
+        if scanned is not None:
+            weakref.finalize(self, os.close, scanned[1])
 
     def __getitem__(self, name: str) -> np.ndarray:
         tensor = self._drawn.get(name)
         if tensor is None:
-            entry = self.table[name]
-            with self._lock:
-                tensor = self._drawn.get(name)
-                if tensor is None:
-                    tensor = self._drawn[name] = _draw_tensor(self._seed,
-                                                              *entry)
+            self.fetch((name,))
+            tensor = self._drawn[name]
         return tensor
+
+    def fetch(self, names) -> None:
+        """First-read the tensors among `names` not read yet, together: a
+        seeded store draws all their parts on one pool."""
+        if all(name in self._drawn for name in names):
+            return
+        with self._lock:
+            missing = [name for name in names if name not in self._drawn]
+            if self._scanned is None:
+                tensors = _draw_tensors(self._seed,
+                                        [self.table[n] for n in missing])
+            else:
+                tensors = [_read_tensor(*self._scanned, *self.table[n])
+                           for n in missing]
+            self._drawn.update(zip(missing, tensors))
 
     def __contains__(self, name) -> bool:
         return name in self.table
@@ -942,34 +999,41 @@ class _Drawn(Mapping):
         return len(self.table)
 
     def __reduce__(self):
-        # A lock does not pickle; a copy draws its own tensors when read.
-        return _Drawn, (self._seed, self.table)
+        # A lock and a descriptor do not pickle.  A seeded copy draws its
+        # own tensors when read; a loaded store's copy holds every tensor.
+        if self._scanned is None:
+            return _Drawn, (self._seed, self.table)
+        return dict, (dict(self.items()),)
 
 
-def _draw_tensor(seed: int, spec: TensorSpec, start: int) -> np.ndarray:
-    # The tensor's values from stream position `start` on, in parts of at
-    # most _INIT_CHUNK values.  Each part's generator jumps to the part's own
-    # position, so the bits depend on neither worker count nor timing;
-    # several parts are drawn on a pool that is shut down before returning.
-    if spec.init == INIT_ONES:
-        return np.ones(spec.shape, dtype=np.float32)
-    value = np.zeros(spec.shape, dtype=np.float32)
-    if spec.init == INIT_ZEROS:
-        return value
-    bound = math.sqrt(1.0 / max(spec.fan_in, 1))
-    flat = value.reshape(-1)
-    # A codebook's entry 0 stays zero: its stream values are skipped.
-    first = value[0].size if spec.init == INIT_CODEBOOK else 0
-    parts = [(start + a, bound, flat[a : a + _INIT_CHUNK])
-             for a in range(first, flat.size, _INIT_CHUNK)]
+def _draw_tensors(seed: int, entries) -> list[np.ndarray]:
+    # Each (spec, start) tensor's values from stream position `start` on, in
+    # parts of at most _INIT_CHUNK values.  Each part's generator jumps to
+    # the part's own position, so the bits depend on neither worker count
+    # nor timing; several parts, of one tensor or many, are drawn on one
+    # pool that is shut down before returning.
+    tensors, parts = [], []
+    for spec, start in entries:
+        value = (np.ones if spec.init == INIT_ONES else np.zeros)(
+            spec.shape, dtype=np.float32)
+        tensors.append(value)
+        if spec.init in (INIT_UNIFORM, INIT_CODEBOOK):
+            bound = math.sqrt(1.0 / max(spec.fan_in, 1))
+            flat = value.reshape(-1)
+            # A codebook's entry 0 stays zero: its stream values are skipped.
+            first = value[0].size if spec.init == INIT_CODEBOOK else 0
+            parts += [(start + a, bound, flat[a : a + _INIT_CHUNK])
+                      for a in range(first, flat.size, _INIT_CHUNK)]
     if len(parts) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not at set-up
+
         with ThreadPoolExecutor(max_workers=_init_workers()) as pool:
             for future in [pool.submit(_draw_part, seed, *part)
                            for part in parts]:
                 future.result()
     elif parts:
         _draw_part(seed, *parts[0])
-    return value
+    return tensors
 
 
 def _init_workers() -> int:
@@ -1066,6 +1130,8 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
     if audio.n_samples < 1:
         raise InvalidArgumentError("cannot encode empty audio")
     validate_store(config, store)
+    nodes = encoder_nodes(config)
+    store._fetch(nodes)
     n = audio.n_samples
     frames = frames_for_length(config, n)
     # The zero padding to a whole frame arrives as its own last piece, so
@@ -1074,7 +1140,7 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
     if frames * config.hop > n:
         pieces.append(np.zeros((1, frames * config.hop - n), dtype=np.float32))
     features = np.empty((config.latent_dim, frames), dtype=np.float32)
-    _write(_stream(encoder_nodes(config), pieces, store, frames * config.hop),
+    _write(_stream(nodes, pieces, store, frames * config.hop),
            features, "codec.encode")
     return features
 
@@ -1100,6 +1166,7 @@ def decode(features: np.ndarray, config: ModelConfig,
         raise InvalidArgumentError("cannot decode an empty feature map")
     validate_store(config, store)
     nodes = decoder_nodes(config)
+    store._fetch(nodes)
     split = 1 + [getattr(n, "transposed", False) for n in nodes].index(True)
     out = np.empty((n_src, 1, frames * config.hop), dtype=np.float32)
     for group in numerics.stack_groups(n_src, frames):

@@ -171,7 +171,9 @@ class ExtractorWeights:
     @classmethod
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "ExtractorWeights":
         instance("store", store, WeightStore)
-        _, cross, _, *refine = extractor_nodes(config)
+        nodes = extractor_nodes(config)
+        store._fetch(nodes)
+        _, cross, _, *refine = nodes
         return cls(cross=cross.weights(store), film=FilmWeights.from_store(store),
                    refine=tuple(node.weights(store) for node in refine))
 

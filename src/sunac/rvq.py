@@ -64,7 +64,9 @@ class RvqWeights:
     @classmethod
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "RvqWeights":
         instance("store", store, WeightStore)
-        down_w, down_b, up_w, up_b, *codebooks = RvqNode(config).read(store)
+        node = RvqNode(config)
+        store._fetch([node])
+        down_w, down_b, up_w, up_b, *codebooks = node.read(store)
         return cls(down_w, down_b, up_w, up_b, tuple(codebooks))
 
 

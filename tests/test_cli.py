@@ -690,3 +690,34 @@ def test_decode_process_never_holds_the_encoder(full_model_4s):
     peak = _child_peak_mib("decode", full_model_4s["stream"],
                            "-o", str(full_model_4s["root"] / "decoded"))
     assert peak < 230
+
+
+@pytest.fixture(scope="module")
+def full_weight_file(tmp_path_factory):
+    """Full SUNAC's seed-0 store, the CLI's seeded default, in a file."""
+    path = tmp_path_factory.mktemp("weights") / "sunac.suwt"
+    codec.init_weights(codec.default_config("SUNAC"), seed=0).save(str(path))
+    return str(path)
+
+
+def test_encode_with_a_weight_file_never_holds_the_decoder(full_model_4s,
+                                                           full_weight_file):
+    # The file is scanned in blocks and only the tensors the encoder,
+    # extractor and quantizer read are read.  Read whole, the peak was
+    # 314.5 MiB.
+    root = full_model_4s["root"]
+    stream = root / "from_file.snac"
+    peak = _child_peak_mib("encode", str(root / "fix" / "mixture.wav"),
+                           "--prompts", "speech,speech,music",
+                           "--weights", full_weight_file, "-o", str(stream))
+    assert peak < 200
+    assert stream.read_bytes() == Path(full_model_4s["stream"]).read_bytes()
+
+
+def test_decode_with_a_weight_file_never_holds_the_encoder(full_model_4s,
+                                                           full_weight_file):
+    # Read whole, the peak was 314.9 MiB.
+    peak = _child_peak_mib("decode", full_model_4s["stream"],
+                           "--weights", full_weight_file,
+                           "-o", str(full_model_4s["root"] / "from_file"))
+    assert peak < 230

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import dataclasses
 import math
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from sunac import analysis, codec, numerics, pipeline
+from sunac import analysis, codec, numerics, pipeline, rvq
 from sunac.audio import AudioBuffer
+from sunac.extractor import ExtractorWeights
 from sunac.errors import (
     ConfigError,
     ContractViolationError,
@@ -288,13 +290,13 @@ class TestInitWeights:
                                                      tiny_config):
         # The whole manifest is checked before a single value is drawn.
         pools = []
-        real = codec.ThreadPoolExecutor
+        real = concurrent.futures.ThreadPoolExecutor
 
         def spy(*args, **kwargs):
             pools.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(codec, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
         specs = [*codec.manifest(tiny_config),
                  codec.TensorSpec("extra", (2,), "gaussian", 1)]
         monkeypatch.setattr(codec, "manifest", lambda config: specs)
@@ -367,7 +369,7 @@ class TestLazyStore:
         calls = []
         monkeypatch.setattr(codec, "_draw_part",
                             lambda *args: calls.append("part"))
-        monkeypatch.setattr(codec, "_draw_tensor",
+        monkeypatch.setattr(codec, "_draw_tensors",
                             lambda *args: calls.append("tensor"))
         store = codec.init_weights(full_config, seed=0)
         assert store.names() == [s.name for s in codec.manifest(full_config)]
@@ -383,13 +385,13 @@ class TestLazyStore:
     def test_each_side_draws_only_its_own_tensors(self, monkeypatch,
                                                   tiny_config):
         drawn = []
-        real = codec._draw_tensor
+        real = codec._draw_tensors
 
-        def spy(seed, spec, start):
-            drawn.append(spec.name)
-            return real(seed, spec, start)
+        def spy(seed, entries):
+            drawn.extend(spec.name for spec, _ in entries)
+            return real(seed, entries)
 
-        monkeypatch.setattr(codec, "_draw_tensor", spy)
+        monkeypatch.setattr(codec, "_draw_tensors", spy)
         prompts = ("speech", "music")
         stream = pipeline.encode_mixture(
             buffer_of(4000), prompts, tiny_config,
@@ -411,14 +413,14 @@ class TestLazyStore:
         # inside the store's lock.
         name = "decoder.conv_in.weight"
         calls = []
-        real = codec._draw_tensor
+        real = codec._draw_tensors
 
         def slow(*args):
-            calls.append(args[1].name)
+            calls.extend(spec.name for spec, _ in args[1])
             time.sleep(0.05)  # every reader reaches the lock meanwhile
             return real(*args)
 
-        monkeypatch.setattr(codec, "_draw_tensor", slow)
+        monkeypatch.setattr(codec, "_draw_tensors", slow)
         store = codec.init_weights(full_config, seed=0)
         barrier = threading.Barrier(4)
         got = [None] * 4
@@ -461,6 +463,35 @@ class TestLazyStore:
             for name, tensor in other.tensors.items():
                 np.testing.assert_array_equal(tensor, tiny_store[name])
 
+    def test_a_stage_draws_its_tensors_together(self, monkeypatch,
+                                                tiny_config):
+        # Each stage's first read draws every tensor it reads in one call,
+        # so their parts share one pool; a later call draws nothing.
+        calls = []
+        real = codec._draw_tensors
+
+        def spy(seed, entries):
+            calls.append([spec.name for spec, _ in entries])
+            return real(seed, entries)
+
+        def names(nodes):
+            return [spec.name for node in nodes for spec in node.manifest()]
+
+        monkeypatch.setattr(codec, "_draw_tensors", spy)
+        store = codec.init_weights(tiny_config, seed=tiny_config.seed)
+        features = codec.encode(buffer_of(700), tiny_config, store)
+        assert calls == [names(codec.encoder_nodes(tiny_config))]
+        codec.decode(features, tiny_config, store)
+        assert calls[1:] == [names(codec.decoder_nodes(tiny_config))]
+        rvq.RvqWeights.from_store(store, tiny_config)
+        assert calls[2:] == [names([codec.RvqNode(tiny_config)])]
+        ExtractorWeights.from_store(store, tiny_config)
+        assert calls[3:] == [names(codec.extractor_nodes(tiny_config))]
+        calls.clear()
+        codec.encode(buffer_of(700), tiny_config, store)
+        codec.decode(features, tiny_config, store)
+        assert calls == []
+
     def test_read_holds_no_float64_copy_of_its_tensor(self, full_config):
         # A whole float64 draw of decoder.conv_in.weight alone is 42 MiB;
         # the parts draw through one 256 KiB block per worker.
@@ -472,6 +503,136 @@ class TestLazyStore:
         finally:
             tracemalloc.stop()
         assert peak < tensor.nbytes + 2 * 2**20
+
+
+class TestLoadedStore:
+    """`WeightStore.load` checks every value of the file but keeps none: the
+    store reads each tensor from the scanned file on first access."""
+
+    @pytest.fixture()
+    def saved(self, tiny_config, tiny_store, tmp_path):
+        path = tmp_path / "weights.suwt"
+        tiny_store.save(str(path))
+        return path
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_loaded_tensors_equal_the_saved_ones(self, monkeypatch,
+                                                 tiny_config, tmp_path, seed):
+        # 7-value blocks: most tensors are scanned and read in several
+        # blocks, ending in a partial one.
+        monkeypatch.setattr(codec, "_INIT_BLOCK", 7)
+        path = str(tmp_path / "weights.suwt")
+        store = codec.init_weights(tiny_config, seed)
+        store.save(path)
+        back = codec.load_weights(path, tiny_config)
+        assert back.seed == seed and back.names() == store.names()
+        for name, tensor in back.tensors.items():
+            assert tensor.dtype == np.float32
+            np.testing.assert_array_equal(tensor.view(np.uint32),
+                                          store[name].view(np.uint32),
+                                          err_msg=name)
+
+    def test_load_and_checks_read_no_tensor(self, monkeypatch, tiny_config,
+                                            saved):
+        calls = []
+        monkeypatch.setattr(codec, "_read_tensor",
+                            lambda *args: calls.append(args))
+        store = codec.load_weights(str(saved), tiny_config)
+        assert store.total_params == codec.count_params(tiny_config).total
+        assert all(name in store for name in store.names())
+        assert calls == []
+
+    def test_each_side_reads_only_its_own_tensors(self, monkeypatch,
+                                                  tiny_config, saved):
+        read = []
+        real = codec._read_tensor
+
+        def spy(*args):
+            read.append(args[3].name)
+            return real(*args)
+
+        monkeypatch.setattr(codec, "_read_tensor", spy)
+        stream = pipeline.encode_mixture(
+            buffer_of(4000), ("speech", "music"), tiny_config,
+            codec.load_weights(str(saved), tiny_config))
+        assert read and len(set(read)) == len(read)
+        assert [n for n in read if n.startswith("decoder.")] == []
+        read.clear()
+        pipeline.decode_stream(stream, tiny_config,
+                               codec.load_weights(str(saved), tiny_config))
+        assert read and len(set(read)) == len(read)
+        assert [n for n in read
+                if n.startswith(("encoder.", "extractor."))] == []
+
+    def test_concurrent_first_reads_read_once(self, monkeypatch, tiny_store,
+                                              saved):
+        name = "decoder.conv_in.weight"
+        calls = []
+        real = codec._read_tensor
+
+        def slow(*args):
+            calls.append(args[3].name)
+            time.sleep(0.05)  # every reader reaches the lock meanwhile
+            return real(*args)
+
+        monkeypatch.setattr(codec, "_read_tensor", slow)
+        store = codec.WeightStore.load(str(saved))
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def read(i):
+            barrier.wait(timeout=60)
+            got[i] = store[name]
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == [name]
+        assert all(tensor is got[0] for tensor in got)
+        np.testing.assert_array_equal(got[0], tiny_store[name])
+
+    @pytest.mark.parametrize("change", ["same size", "longer", "shorter"])
+    def test_a_file_written_in_place_is_refused(self, tiny_store, saved,
+                                                change):
+        store = codec.WeightStore.load(str(saved))
+        first = store.names()[0]
+        store[first]
+        blob = saved.read_bytes()
+        blob = {"same size": blob[:-4] + bytes(4), "longer": blob + bytes(4),
+                "shorter": blob[:-4]}[change]
+        time.sleep(0.05)  # past the file clock's tick
+        saved.write_bytes(blob)  # the same inode
+        np.testing.assert_array_equal(store[first], tiny_store[first])
+        with pytest.raises(CorruptStreamError, match="changed since"):
+            store[store.names()[-1]]
+
+    def test_a_file_replaced_by_rename_reads_the_scanned_bytes(
+            self, tiny_config, tiny_store, saved):
+        store = codec.WeightStore.load(str(saved))
+        codec.init_weights(tiny_config, seed=99).save(str(saved))
+        assert codec.WeightStore.load(str(saved)).seed == 99
+        for name, tensor in store.tensors.items():
+            np.testing.assert_array_equal(tensor, tiny_store[name])
+
+    def test_store_pickles_and_copies(self, tiny_store, saved):
+        store = codec.WeightStore.load(str(saved))
+        store["rvq.codebook0"]
+        for other in (pickle.loads(pickle.dumps(store)), copy.deepcopy(store)):
+            assert other.seed == store.seed
+            assert other.names() == tiny_store.names()
+            for name, tensor in other.tensors.items():
+                np.testing.assert_array_equal(tensor, tiny_store[name])
+
+    def test_the_descriptor_closes_with_the_store(self, saved):
+        store = codec.WeightStore.load(str(saved))
+        fd = store.tensors._scanned[1]
+        os.fstat(fd)
+        del store
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 class TestWeightStore:

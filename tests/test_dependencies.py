@@ -48,6 +48,32 @@ def test_encode_decode_and_masked_evaluation_load_no_scipy(tiny_config):
     assert result == {"rows": 2, "scipy": []}
 
 
+_SET_UP = """
+import json, sys
+import sunac
+sunac.init_weights(sunac.default_config("SUNAC"), seed=0)
+print(json.dumps(sorted(name for name in sys.modules
+                        if name == "sunac" or name.startswith("sunac."))))
+"""
+
+
+def test_set_up_imports_only_the_modules_it_reads():
+    # The package imports a module when one of its names is first read.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", _SET_UP], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        "sunac", "sunac.audio", "sunac.codec", "sunac.errors",
+        "sunac.numerics"]
+
+
+def test_unknown_names_are_attribute_errors():
+    assert not hasattr(sunac, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from sunac import no_such_name", {})
+
+
 def _top_level_imports(path: Path) -> set[str]:
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
