@@ -284,22 +284,14 @@ INIT_UNIFORM = "uniform"      # U[-a, a] with a = sqrt(1 / fan_in)
 INIT_ONES = "ones"
 INIT_ZEROS = "zeros"
 INIT_CODEBOOK = "codebook"    # uniform rows, entry 0 pinned to zero
-# Most values in one drawn part: a seeded store cuts each tensor it draws
-# into runs of at most this many values, each with its start in the one
-# seeded stream, and draws a tensor's parts in one batch.  Each part builds
-# and advances its own generator, so fewer parts start up faster: full
-# SUNAC has 217 parts at 2**21 and 415 at 2**18, and when every tensor was
-# drawn up front a fresh process's import and init ran faster at 2**21 in
-# 29 of 40 alternating pairs (medians 0.45-0.52 s against 0.47-0.60 s,
-# 2-vCPU x86-64 VM).  No buffer of this size is allocated; a part draws
-# through one _INIT_BLOCK block.
-_INIT_CHUNK = 2**21
-# Most threads a tensor's parts are drawn on; fewer when the process may
-# run on fewer CPUs.  The drawn bits do not depend on the count.
+# Most threads a stage's tensors are drawn on, one task per tensor; fewer
+# when the process may run on fewer CPUs.  The drawn bits do not depend on
+# the count.
 _INIT_WORKERS = 4
-# Values a worker draws, scales and casts in one pass (256 KiB of float64,
-# so each pass reads what the last one left in cache); also the float32
-# values a weight file's scan checks, and a first read copies, in one pass.
+# Values a draw task draws, scales and casts in one pass (256 KiB of
+# float64, so each pass reads what the last one left in cache); also the
+# float32 values a weight file's scan checks, and a first read copies, in
+# one pass.
 _INIT_BLOCK = 2**15
 
 
@@ -429,18 +421,20 @@ class ResidualNode(_Node):
         # every column of it.  Both operands are float32.  A float32 add
         # rounds once to the same value as a float64 add rounded back
         # (53 >= 2 * 24 + 2 significand bits make the double rounding
-        # harmless), without the float64 copy.  Each branch piece takes the
-        # skip columns piece by piece, so no skip columns are joined; `map`
-        # holds no output between pulls, as a generator frame would.
+        # harmless), without the float64 copy.  Each branch piece reads its
+        # skip columns as a window of views, so no skip columns are joined;
+        # `map` holds no output between pulls, as a generator frame would.
         skip = _Columns(pieces)
+        done = 0
 
         def add(y):
-            out, a = np.empty_like(y), 0
-            while a < y.shape[-1]:
-                part = skip.take(y.shape[-1] - a)
+            nonlocal done
+            out, a, hi = np.empty_like(y), 0, done + y.shape[-1]
+            for part in skip.window(done, hi, hi):
                 b = a + part.shape[-1]
                 np.add(part, y[..., a:b], out=out[..., a:b])
                 a = b
+            done = hi
             return out
 
         return map(add, _stream(self.children, skip.feed(), store, length))
@@ -567,7 +561,7 @@ class _Columns:
     held columns, and dropped once no later window reads them.  A window is
     handed out as its parts, views of the held pieces it spans, never
     joined: a conv writes them straight into its float64 window (`_widen`),
-    and a residual unit adds them onto its branch piece by piece.
+    and a residual unit adds each onto the matching columns of its branch.
     """
 
     def __init__(self, pieces):
@@ -575,7 +569,6 @@ class _Columns:
         self._held = collections.deque()
         self._start = 0      # first held column
         self._end = 0        # one past the last held column
-        self._taken = 0      # columns handed out by take()
 
     def _hold(self, piece):
         self._held.append(piece)
@@ -619,15 +612,6 @@ class _Columns:
                 and self._start + self._held[0].shape[-1] - keep <= width):
             self._held[0] = self._held[0][..., keep - self._start :].copy()
             self._start = keep
-
-    def take(self, n: int) -> np.ndarray:
-        """The next columns, at most n and all from one held piece, as a
-        view of it; they are then dropped."""
-        while self._end <= self._taken:
-            self._hold(next(self._source))
-        lo = self._taken
-        self._taken = min(lo + n, self._start + self._held[0].shape[-1])
-        return self.window(lo, self._taken, self._taken)[0]
 
 
 def _stream(nodes, pieces, store, length):
@@ -976,7 +960,7 @@ class _Drawn(Mapping):
 
     def fetch(self, names) -> None:
         """First-read the tensors among `names` not read yet, together: a
-        seeded store draws all their parts on one pool."""
+        seeded store draws them on one pool, one task per tensor."""
         if all(name in self._drawn for name in names):
             return
         with self._lock:
@@ -1007,32 +991,30 @@ class _Drawn(Mapping):
 
 
 def _draw_tensors(seed: int, entries) -> list[np.ndarray]:
-    # Each (spec, start) tensor's values from stream position `start` on, in
-    # parts of at most _INIT_CHUNK values.  Each part's generator jumps to
-    # the part's own position, so the bits depend on neither worker count
-    # nor timing; several parts, of one tensor or many, are drawn on one
-    # pool that is shut down before returning.
-    tensors, parts = [], []
+    # Each (spec, start) tensor's values from stream position `start` on, one
+    # task per drawn tensor.  Each task's generator jumps to its tensor's own
+    # position, so the bits depend on neither worker count nor timing;
+    # several tensors are drawn on one pool that is shut down before
+    # returning, one alone in the calling thread.
+    tensors, tasks = [], []
     for spec, start in entries:
         value = (np.ones if spec.init == INIT_ONES else np.zeros)(
             spec.shape, dtype=np.float32)
         tensors.append(value)
         if spec.init in (INIT_UNIFORM, INIT_CODEBOOK):
-            bound = math.sqrt(1.0 / max(spec.fan_in, 1))
-            flat = value.reshape(-1)
             # A codebook's entry 0 stays zero: its stream values are skipped.
             first = value[0].size if spec.init == INIT_CODEBOOK else 0
-            parts += [(start + a, bound, flat[a : a + _INIT_CHUNK])
-                      for a in range(first, flat.size, _INIT_CHUNK)]
-    if len(parts) > 1:
+            tasks.append((start + first, math.sqrt(1.0 / max(spec.fan_in, 1)),
+                          value.reshape(-1)[first:]))
+    if len(tasks) > 1:
         from concurrent.futures import ThreadPoolExecutor  # not at set-up
 
         with ThreadPoolExecutor(max_workers=_init_workers()) as pool:
-            for future in [pool.submit(_draw_part, seed, *part)
-                           for part in parts]:
+            for future in [pool.submit(_draw_part, seed, *task)
+                           for task in tasks]:
                 future.result()
-    elif parts:
-        _draw_part(seed, *parts[0])
+    elif tasks:
+        _draw_part(seed, *tasks[0])
     return tensors
 
 

@@ -700,7 +700,7 @@ class TransformerLayerWeights:
             )
 
 
-def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
+def _attention(tokens, w: TransformerLayerWeights, t: int):
     # Attention over LN1 of `tokens`; the LN1 output lives until Q, K and V
     # have read it.
     m, d = tokens.shape
@@ -710,10 +710,9 @@ def _attention(tokens, w: TransformerLayerWeights, use_rope: bool, t: int):
     k = _project(normed, w.wk, w.bk).reshape(-1, t, heads, dh)
     v = _project(normed, w.wv, w.bv).reshape(-1, t, heads, dh)
     del normed
-    if use_rope:
-        positions = np.arange(t, dtype=np.float64)
-        q = _rope(q, positions)
-        k = _rope(k, positions)
+    positions = np.arange(t, dtype=np.float64)
+    q = _rope(q, positions)
+    k = _rope(k, positions)
     # Both products run on BLAS (np.matmul over per-map, per-head views),
     # one block of at most _QUERY_BLOCK queries at a time.  A softmax row
     # depends on its own query alone, so blocking needs no online
@@ -763,15 +762,15 @@ def transformer_block(
     x: np.ndarray,
     weights: TransformerLayerWeights,
     *,
-    use_rope: bool = True,
     name: str | None = None,
 ) -> np.ndarray:
     """Run one pre-norm Transformer layer over an (F, T) map or a stack.
 
     Columns are tokens.  F must equal the layer's hidden dim.  Attention is
     full (non-causal) within each map, rotary coding (from position 0 in
-    each map) is applied to queries and keys only, and a stack runs in
-    `stack_groups`.  Raises NumericError naming the layer if not finite.
+    each map) is always applied, to queries and keys only, and a stack
+    runs in `stack_groups`.  Raises NumericError naming the layer if not
+    finite.
     """
     x = real_array("x", x, np.float32)
     shape("transformer_block", "x", x, ("dt", "sdt"), {"d": weights.hidden_dim})
@@ -781,7 +780,7 @@ def transformer_block(
         raise InvalidArgumentError("transformer input needs at least one token")
     out = np.empty(stack.shape, dtype=np.float32)
     for g in stack_groups(n, t):
-        _block_rows(stack[g], weights, use_rope, out[g])
+        _block_rows(stack[g], weights, out[g])
     check_finite(out, f"transformer layer {name or '<unnamed>'}")
     return out if x.ndim == 3 else out[0]
 
@@ -793,7 +792,7 @@ def stack_groups(n: int, t: int) -> list[slice]:
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
-def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool, out):
+def _block_rows(stack, weights: TransformerLayerWeights, out):
     # One group of a stack, written into `out`.  Its (rows, F) tokens are
     # feature-major, as one map's transpose is, so each row's reductions sum
     # as for that map.
@@ -804,7 +803,7 @@ def _block_rows(stack, weights: TransformerLayerWeights, use_rope: bool, out):
     # in the order (tokens + attn) then (tokens + hidden @ W2) + b2.  Each
     # activation is freed once its last reader is done: the LN2 output
     # after ff.w1 has read it, and GELU runs over the FF1 output in place.
-    tokens += _attention(tokens, weights, use_rope, t)
+    tokens += _attention(tokens, weights, t)
     normed = _ln_rows(tokens, weights.ln2_gain, weights.ln2_bias)
     hidden = _project(normed, weights.ff_w1, weights.ff_b1)
     del normed
@@ -862,14 +861,21 @@ def stft(audio, n_fft: int, hop: int) -> np.ndarray:
 def istft(spec: np.ndarray, n_fft: int, hop: int, length: int) -> np.ndarray:
     """Invert `stft` by Hann-windowed overlap-add with squared-window
     weighting, returning `length` samples after stripping the center
-    padding.  An output that is not finite raises NumericError."""
+    padding.  A `length` past what the frames cover raises
+    InvalidArgumentError; an output that is not finite, NumericError."""
     spec = real_array("spectrogram", spec, np.complex128)
     n_fft, hop = _check_stft_params(n_fft, hop)
     length = integer("length", length, 0)
     n_frames = shape("istft", "spectrogram", spec, "ft", {"f": n_fft // 2 + 1})["t"]
+    total = (n_frames - 1) * hop + n_fft
+    pad = n_fft // 2
+    if length > total - pad:
+        raise InvalidArgumentError(
+            f"istft length {length} is past the {total - pad} samples "
+            f"{n_frames} frames cover"
+        )
     win = _hann(n_fft)
     frames = np.fft.irfft(spec.T, n=n_fft, axis=1)
-    total = (n_frames - 1) * hop + n_fft
     acc = np.zeros(total)
     weight = np.zeros(total)
     for t in range(n_frames):
@@ -877,5 +883,4 @@ def istft(spec: np.ndarray, n_fft: int, hop: int, length: int) -> np.ndarray:
         acc[start : start + n_fft] += frames[t] * win
         weight[start : start + n_fft] += win * win
     out = acc / np.maximum(weight, 1e-12)
-    pad = n_fft // 2
     return check_finite(out[pad : pad + length], "numerics.istft")

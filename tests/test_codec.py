@@ -251,26 +251,31 @@ class TestInitWeights:
     def test_store_does_not_depend_on_worker_count(self, monkeypatch,
                                                    full_config, full_store,
                                                    workers):
-        monkeypatch.setattr(codec, "_init_workers", lambda: workers)
-        store = codec.init_weights(full_config, seed=0)
-        assert store.names() == full_store.names()
-        for name in store.names():
-            np.testing.assert_array_equal(store[name].view(np.uint32),
-                                          full_store[name].view(np.uint32),
-                                          err_msg=name)
+        # Read one at a time, each tensor is drawn in the reading thread;
+        # fetched together, the tensors are drawn on one pool of `workers`.
+        pools = []
+        real = concurrent.futures.ThreadPoolExecutor
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_uneven_chunks_keep_the_bits(self, monkeypatch, tiny_config,
-                                         tiny_store, workers):
-        # 7-value chunks split unevenly over 2 and 3 workers, some parts are
-        # empty, and most tensors end in a partial chunk.
-        monkeypatch.setattr(codec, "_INIT_CHUNK", 7)
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
         monkeypatch.setattr(codec, "_init_workers", lambda: workers)
-        store = codec.init_weights(tiny_config, seed=tiny_config.seed)
-        for name in tiny_store.names():
-            np.testing.assert_array_equal(store[name].view(np.uint32),
-                                          tiny_store[name].view(np.uint32),
-                                          err_msg=name)
+
+        def assert_bits(store):
+            assert store.names() == full_store.names()
+            for name in store.names():
+                np.testing.assert_array_equal(
+                    store[name].view(np.uint32),
+                    full_store[name].view(np.uint32), err_msg=name)
+
+        assert_bits(codec.init_weights(full_config, seed=0))
+        assert pools == []
+        store = codec.init_weights(full_config, seed=0)
+        store.tensors.fetch(store.names())
+        assert pools == [dict(max_workers=workers)]
+        assert_bits(store)
 
     def test_init_leaves_no_thread_running(self, monkeypatch, tiny_config):
         monkeypatch.setattr(codec, "_init_workers", lambda: 3)
@@ -446,11 +451,16 @@ class TestLazyStore:
                                       full_store[name].view(np.uint32))
 
     def test_reads_leave_no_thread_running(self, monkeypatch, tiny_config):
-        # 7-value parts, so nearly every tensor is drawn on the pool.
-        monkeypatch.setattr(codec, "_INIT_CHUNK", 7)
+        # Each stage fetch draws its tensors on a pool of 3.
         monkeypatch.setattr(codec, "_init_workers", lambda: 3)
         before = threading.active_count()
         store = codec.init_weights(tiny_config, seed=1)
+        for nodes in (codec.encoder_nodes(tiny_config),
+                      codec.decoder_nodes(tiny_config),
+                      [codec.RvqNode(tiny_config)],
+                      codec.extractor_nodes(tiny_config)):
+            store._fetch(nodes)
+            assert threading.active_count() == before
         for _ in store.tensors.values():
             assert threading.active_count() == before
 
@@ -494,7 +504,7 @@ class TestLazyStore:
 
     def test_read_holds_no_float64_copy_of_its_tensor(self, full_config):
         # A whole float64 draw of decoder.conv_in.weight alone is 42 MiB;
-        # the parts draw through one 256 KiB block per worker.
+        # the draw goes through one 256 KiB block.
         store = codec.init_weights(full_config, seed=0)
         tracemalloc.start()
         try:
@@ -914,18 +924,22 @@ class TestColumns:
 
     def test_take_to_a_piece_boundary_keeps_the_next_piece(self):
         columns, (a, b) = self._fed(4, 4)
-        np.testing.assert_array_equal(columns.take(4), a)
+        [part] = columns.window(0, 4, 4)
+        np.testing.assert_array_equal(part, a)
         assert list(columns._held) == [b] and columns._held[0] is b
-        assert np.shares_memory(columns.take(4), b)
+        [part] = columns.window(4, 8, 8)
+        assert np.shares_memory(part, b)
 
     def test_take_inside_a_piece_copies_only_its_tail(self):
         columns, (a, b) = self._fed(8, 4)
-        np.testing.assert_array_equal(columns.take(5), a[:, :5])
+        [part] = columns.window(0, 5, 5)
+        np.testing.assert_array_equal(part, a[:, :5])
         tail, rest = columns._held
         assert rest is b
         np.testing.assert_array_equal(tail, a[:, 5:])
         assert not np.shares_memory(tail, a)
-        np.testing.assert_array_equal(columns.take(3), a[:, 5:])
+        [part] = columns.window(5, 8, 8)
+        np.testing.assert_array_equal(part, a[:, 5:])
         assert columns._held[0] is b
 
 

@@ -717,7 +717,7 @@ class TestTransformer:
         x = np.stack([col, col, other], axis=1)
         out = numerics.transformer_block(x, layer)
         assert not np.allclose(out[:, 0], out[:, 1])
-        plain = numerics.transformer_block(x, layer, use_rope=False)
+        plain = oracles.transformer_block_naive(x, layer, use_rope=False)
         np.testing.assert_allclose(plain[:, 0], plain[:, 1], atol=1e-6)
 
     def test_deterministic(self, rng):
@@ -927,6 +927,14 @@ class TestStft:
         assert back.shape == (4096,)
         err = np.sqrt(np.mean((back - x) ** 2))
         assert err < 1e-4
+
+    @pytest.mark.parametrize("length", [4353, 4400, 10000])
+    def test_length_past_the_frames_is_refused(self, rng, length):
+        # 16 frames at hop 256 cover 15 * 256 + 1024 - 512 = 4352 samples.
+        spec = numerics.stft(rng.standard_normal(4000), 1024, 256)
+        assert numerics.istft(spec, 1024, 256, 4352).shape == (4352,)
+        with pytest.raises(InvalidArgumentError, match="past the 4352"):
+            numerics.istft(spec, 1024, 256, length)
 
     def test_linearity(self, rng):
         a = rng.standard_normal(2048).astype(np.float64)
