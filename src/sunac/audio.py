@@ -97,8 +97,18 @@ def read_wav(path: str) -> AudioBuffer:
     return AudioBuffer(ints.astype(np.float32) / 32768.0, rate)
 
 
+def _check_wav_rate(rate: int) -> None:
+    """Refuse a rate a 16-bit mono WAV cannot store: its header holds the
+    rate and the byte rate, 2 x rate, in unsigned 32-bit fields."""
+    if 2 * rate > 0xFFFFFFFF:
+        raise InvalidArgumentError(
+            f"a 16-bit mono WAV cannot store a sample rate of {rate} Hz; "
+            f"the most is {0xFFFFFFFF // 2} Hz")
+
+
 def write_wav(path: str, buffer: AudioBuffer) -> None:
     """Write an AudioBuffer as 16-bit PCM mono WAV, atomically."""
+    _check_wav_rate(buffer.sample_rate)
     ints = _float_to_pcm16(buffer.samples)
     import io
 

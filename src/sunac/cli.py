@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, codec, fixtures, pipeline
-from .audio import _atomic_write_bytes, read_wav, write_wav
+from .audio import _atomic_write_bytes, _check_wav_rate, read_wav, write_wav
 from .bitstream import read_stream, write_stream
 from .errors import CorruptStreamError, InvalidArgumentError, SunacError
 from .extractor import parse_prompts
@@ -137,6 +137,7 @@ def _cmd_fixtures(args) -> int:
             duration_s=args.duration, sample_rate=args.rate,
             allow_four_sources=args.allow_four_sources,
         )
+    _check_wav_rate(manifest.sample_rate)
     rendered = fixtures.realize(manifest)
     os.makedirs(args.output_dir, exist_ok=True)
     fixtures.save_manifest(manifest, os.path.join(args.output_dir, "manifest.json"))

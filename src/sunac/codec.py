@@ -284,11 +284,7 @@ INIT_UNIFORM = "uniform"      # U[-a, a] with a = sqrt(1 / fan_in)
 INIT_ONES = "ones"
 INIT_ZEROS = "zeros"
 INIT_CODEBOOK = "codebook"    # uniform rows, entry 0 pinned to zero
-# Most threads a stage's tensors are drawn on, one task per tensor; fewer
-# when the process may run on fewer CPUs.  The drawn bits do not depend on
-# the count.
-_INIT_WORKERS = 4
-# Values a draw task draws, scales and casts in one pass (256 KiB of
+# Values a first read draws, scales and casts in one pass (256 KiB of
 # float64, so each pass reads what the last one left in cache); also the
 # float32 values a weight file's scan checks, and a first read copies, in
 # one pass.
@@ -775,7 +771,8 @@ class WeightStore:
         # float32 tensor is kept as it is, not copied.
         self.seed = _seed(self.seed)
         if not isinstance(self.tensors, _Drawn):
-            self.tensors = {name: real_array(name, t, np.float32) for name, t
+            self.tensors = {_tensor_name(name): real_array(name, t, np.float32)
+                            for name, t
                             in instance("tensors", self.tensors, dict).items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -789,12 +786,6 @@ class WeightStore:
 
     def names(self) -> list[str]:
         return list(self.tensors)
-
-    def _fetch(self, nodes) -> None:
-        # A stage's first read: its tensors read together, not one by one.
-        if isinstance(self.tensors, _Drawn):
-            self.tensors.fetch([spec.name for node in nodes
-                                for spec in node.manifest()])
 
     def _shape(self, name: str) -> tuple[int, ...]:
         if isinstance(self.tensors, _Drawn):
@@ -876,6 +867,17 @@ class WeightStore:
         return cls(seed=seed, tensors=_Drawn(seed, table, scanned))
 
 
+def _tensor_name(name) -> str:
+    # A name `save` can write: a str of at most 65,535 UTF-8 bytes.
+    try:
+        if isinstance(name, str) and len(name.encode("utf-8")) <= 0xFFFF:
+            return name
+    except UnicodeEncodeError:  # a lone surrogate
+        pass
+    raise InvalidArgumentError(f"tensor name {name!r:.60} is not a str of at "
+                               "most 65,535 UTF-8 bytes")
+
+
 def _read_struct(handle, fmt: str) -> tuple:
     # struct.error when the file ends first.
     return struct.unpack(fmt, handle.read(struct.calcsize(fmt)))
@@ -937,9 +939,9 @@ class _Drawn(Mapping):
     draws a tensor from the stream position of its first value; a loaded
     one, given `scanned` (path, descriptor, size and mtime), reads it from
     the file offset of its data.  The descriptor closes with the mapping.
-    A first read takes the lock and looks again before reading, so
-    concurrent first reads read once and get one array; later reads take
-    no lock.  `in`, `len` and the names read nothing.
+    A first read takes the lock and looks again before reading, in the
+    reading thread, so concurrent first reads read once and get one array;
+    later reads take no lock.  `in`, `len` and the names read nothing.
     """
 
     def __init__(self, seed: int, table: dict, scanned: tuple | None = None):
@@ -954,24 +956,16 @@ class _Drawn(Mapping):
     def __getitem__(self, name: str) -> np.ndarray:
         tensor = self._drawn.get(name)
         if tensor is None:
-            self.fetch((name,))
-            tensor = self._drawn[name]
+            with self._lock:
+                tensor = self._drawn.get(name)
+                if tensor is None:
+                    if self._scanned is None:
+                        tensor = _draw_tensor(self._seed, *self.table[name])
+                    else:
+                        tensor = _read_tensor(*self._scanned,
+                                              *self.table[name])
+                    self._drawn[name] = tensor
         return tensor
-
-    def fetch(self, names) -> None:
-        """First-read the tensors among `names` not read yet, together: a
-        seeded store draws them on one pool, one task per tensor."""
-        if all(name in self._drawn for name in names):
-            return
-        with self._lock:
-            missing = [name for name in names if name not in self._drawn]
-            if self._scanned is None:
-                tensors = _draw_tensors(self._seed,
-                                        [self.table[n] for n in missing])
-            else:
-                tensors = [_read_tensor(*self._scanned, *self.table[n])
-                           for n in missing]
-            self._drawn.update(zip(missing, tensors))
 
     def __contains__(self, name) -> bool:
         return name in self.table
@@ -990,56 +984,31 @@ class _Drawn(Mapping):
         return dict, (dict(self.items()),)
 
 
-def _draw_tensors(seed: int, entries) -> list[np.ndarray]:
-    # Each (spec, start) tensor's values from stream position `start` on, one
-    # task per drawn tensor.  Each task's generator jumps to its tensor's own
-    # position, so the bits depend on neither worker count nor timing;
-    # several tensors are drawn on one pool that is shut down before
-    # returning, one alone in the calling thread.
-    tensors, tasks = [], []
-    for spec, start in entries:
-        value = (np.ones if spec.init == INIT_ONES else np.zeros)(
-            spec.shape, dtype=np.float32)
-        tensors.append(value)
-        if spec.init in (INIT_UNIFORM, INIT_CODEBOOK):
-            # A codebook's entry 0 stays zero: its stream values are skipped.
-            first = value[0].size if spec.init == INIT_CODEBOOK else 0
-            tasks.append((start + first, math.sqrt(1.0 / max(spec.fan_in, 1)),
-                          value.reshape(-1)[first:]))
-    if len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not at set-up
-
-        with ThreadPoolExecutor(max_workers=_init_workers()) as pool:
-            for future in [pool.submit(_draw_part, seed, *task)
-                           for task in tasks]:
-                future.result()
-    elif tasks:
-        _draw_part(seed, *tasks[0])
-    return tensors
-
-
-def _init_workers() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(_INIT_WORKERS, cpus)
-
-
-def _draw_part(seed, skip, bound, out):
-    # Values skip, skip + 1, ... of the stream, mapped as
-    # Generator.uniform(-bound, bound) maps them: one 64-bit step per value,
-    # u = random() in [0, 1), then -bound + (2 * bound) * u in float64.
+def _draw_tensor(seed: int, spec: TensorSpec, start: int) -> np.ndarray:
+    # A tensor's values from stream position `start` on, mapped as
+    # Generator.uniform(-a, a) maps them: one 64-bit step per value,
+    # u = random() in [0, 1), then -a + (2 * a) * u in float64.  The
+    # generator jumps to the tensor's own position, so the bits do not
+    # depend on which tensors were read before it.
+    value = (np.ones if spec.init == INIT_ONES else np.zeros)(
+        spec.shape, dtype=np.float32)
+    if spec.init not in (INIT_UNIFORM, INIT_CODEBOOK):
+        return value
+    # A codebook's entry 0 stays zero: its stream values are skipped.
+    first = value[0].size if spec.init == INIT_CODEBOOK else 0
+    out = value.reshape(-1)[first:]
     bits = np.random.PCG64(seed)
-    bits.advance(skip)
+    bits.advance(start + first)
     rng = np.random.Generator(bits)
+    bound = math.sqrt(1.0 / max(spec.fan_in, 1))
     scratch = np.empty(min(out.size, _INIT_BLOCK))
-    for start in range(0, out.size, _INIT_BLOCK):
-        block = scratch[: out.size - start]
+    for i in range(0, out.size, _INIT_BLOCK):
+        block = scratch[: out.size - i]
         rng.random(out=block)
         block *= 2 * bound
         block += -bound
-        out[start : start + _INIT_BLOCK] = block
+        out[i : i + _INIT_BLOCK] = block
+    return value
 
 
 def load_weights(path: str, config: ModelConfig) -> WeightStore:
@@ -1113,7 +1082,6 @@ def encode(audio: AudioBuffer, config: ModelConfig, store: WeightStore) -> np.nd
         raise InvalidArgumentError("cannot encode empty audio")
     validate_store(config, store)
     nodes = encoder_nodes(config)
-    store._fetch(nodes)
     n = audio.n_samples
     frames = frames_for_length(config, n)
     # The zero padding to a whole frame arrives as its own last piece, so
@@ -1148,7 +1116,6 @@ def decode(features: np.ndarray, config: ModelConfig,
         raise InvalidArgumentError("cannot decode an empty feature map")
     validate_store(config, store)
     nodes = decoder_nodes(config)
-    store._fetch(nodes)
     split = 1 + [getattr(n, "transposed", False) for n in nodes].index(True)
     out = np.empty((n_src, 1, frames * config.hop), dtype=np.float32)
     for group in numerics.stack_groups(n_src, frames):

@@ -172,7 +172,6 @@ class ExtractorWeights:
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "ExtractorWeights":
         instance("store", store, WeightStore)
         nodes = extractor_nodes(config)
-        store._fetch(nodes)
         _, cross, _, *refine = nodes
         return cls(cross=cross.weights(store), film=FilmWeights.from_store(store),
                    refine=tuple(node.weights(store) for node in refine))

@@ -65,7 +65,6 @@ class RvqWeights:
     def from_store(cls, store: WeightStore, config: ModelConfig) -> "RvqWeights":
         instance("store", store, WeightStore)
         node = RvqNode(config)
-        store._fetch([node])
         down_w, down_b, up_w, up_b, *codebooks = node.read(store)
         return cls(down_w, down_b, up_w, up_b, tuple(codebooks))
 

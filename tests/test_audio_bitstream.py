@@ -51,6 +51,21 @@ class TestWavIo:
         np.testing.assert_array_equal(audio.read_wav(p2).samples,
                                       first.samples)
 
+    def test_a_rate_the_header_cannot_store_is_refused(self, tmp_path):
+        # The byte rate, 2 x rate, must fit the header's u32 field.
+        path = tmp_path / "r.wav"
+        with pytest.raises(InvalidArgumentError, match="sample rate"):
+            audio.write_wav(str(path), audio.AudioBuffer(np.zeros(4), 2**31))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_largest_storable_rate_roundtrips(self, tmp_path):
+        path = str(tmp_path / "r.wav")
+        samples = np.array([0.5, -0.25, 0.0], dtype=np.float32)
+        audio.write_wav(path, audio.AudioBuffer(samples, 2**31 - 1))
+        back = audio.read_wav(path)
+        assert back.sample_rate == 2**31 - 1
+        np.testing.assert_array_equal(back.samples, samples)
+
     def test_clipping_is_applied_on_write(self, tmp_path):
         loud = audio.AudioBuffer(np.array([2.0, -2.0, 0.0],
                                           dtype=np.float32), 8000)

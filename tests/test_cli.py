@@ -133,6 +133,16 @@ def test_fixtures_rejects_bad_manifest_or_seed(tmp_path, edit, capsys):
     assert capsys.readouterr().err.startswith("sunac: ")
 
 
+def test_fixtures_refuses_a_rate_no_wav_can_store(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([
+        "fixtures", "--types", "speech", "--seed", "1", "--rate",
+        "5000000000", "--duration", "0.001", "-o", str(out),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("sunac: ")
+    assert not out.exists()
+
+
 def test_fixtures_rejects_unknown_and_disallowed_types(tmp_path):
     assert cli.main([
         "fixtures", "--types", "speech,kazoo", "--seed", "1",

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sunac import analysis, codec, numerics, pipeline, rvq
 from sunac.audio import AudioBuffer
-from sunac.extractor import ExtractorWeights
+from sunac.extractor import ExtractorWeights, PromptBank
 from sunac.errors import (
     ConfigError,
     ContractViolationError,
@@ -247,43 +247,12 @@ class TestInitWeights:
         stored = sum(t.nbytes for t in store.tensors.values())
         assert peak < stored + 8 * 2**20
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_store_does_not_depend_on_worker_count(self, monkeypatch,
-                                                   full_config, full_store,
-                                                   workers):
-        # Read one at a time, each tensor is drawn in the reading thread;
-        # fetched together, the tensors are drawn on one pool of `workers`.
-        pools = []
-        real = concurrent.futures.ThreadPoolExecutor
-
-        def spy(*args, **kwargs):
-            pools.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
-        monkeypatch.setattr(codec, "_init_workers", lambda: workers)
-
-        def assert_bits(store):
-            assert store.names() == full_store.names()
-            for name in store.names():
-                np.testing.assert_array_equal(
-                    store[name].view(np.uint32),
-                    full_store[name].view(np.uint32), err_msg=name)
-
-        assert_bits(codec.init_weights(full_config, seed=0))
-        assert pools == []
-        store = codec.init_weights(full_config, seed=0)
-        store.tensors.fetch(store.names())
-        assert pools == [dict(max_workers=workers)]
-        assert_bits(store)
-
     def test_init_leaves_no_thread_running(self, monkeypatch, tiny_config):
-        monkeypatch.setattr(codec, "_init_workers", lambda: 3)
         before = threading.active_count()
         codec.init_weights(tiny_config, seed=1)
         assert threading.active_count() == before
-        # The unknown rule comes after every drawn tensor, so the pool has
-        # started its threads when init_weights raises.
+        # The unknown rule comes after every tensor, so init_weights has
+        # walked the whole manifest when it raises.
         specs = [*codec.manifest(tiny_config),
                  codec.TensorSpec("extra", (2,), "gaussian", 1)]
         monkeypatch.setattr(codec, "manifest", lambda config: specs)
@@ -353,29 +322,23 @@ class TestLazyStore:
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("family", ["DAC", "DACT", "SUNAC"])
-    def test_lazy_draws_equal_whole_tensor_draws(self, monkeypatch, family,
-                                                 seed):
+    def test_lazy_draws_equal_whole_tensor_draws(self, family, seed):
         # Every read is a tensor's first, from a fresh store, so no store
         # holds more than the one tensor it is asked for.
         config = codec.default_config(family)
         specs = [(s.name, s.shape, s.init, s.fan_in)
                  for s in codec.manifest(config)]
         for name, want in oracles.init_tensors_whole(specs, seed):
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(codec, "_init_workers", lambda: workers)
-                got = codec.init_weights(config, seed)[name]
-                assert got.dtype == np.float32
-                np.testing.assert_array_equal(
-                    got.view(np.uint32), want.view(np.uint32),
-                    err_msg=f"{name}, {workers} workers")
+            got = codec.init_weights(config, seed)[name]
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.uint32),
+                                          want.view(np.uint32), err_msg=name)
 
     def test_names_shapes_and_checks_draw_nothing(self, monkeypatch,
                                                   tiny_config, full_config):
         calls = []
-        monkeypatch.setattr(codec, "_draw_part",
-                            lambda *args: calls.append("part"))
-        monkeypatch.setattr(codec, "_draw_tensors",
-                            lambda *args: calls.append("tensor"))
+        monkeypatch.setattr(codec, "_draw_tensor",
+                            lambda *args: calls.append(args))
         store = codec.init_weights(full_config, seed=0)
         assert store.names() == [s.name for s in codec.manifest(full_config)]
         assert len(store.tensors) == len(store.names())
@@ -390,13 +353,13 @@ class TestLazyStore:
     def test_each_side_draws_only_its_own_tensors(self, monkeypatch,
                                                   tiny_config):
         drawn = []
-        real = codec._draw_tensors
+        real = codec._draw_tensor
 
-        def spy(seed, entries):
-            drawn.extend(spec.name for spec, _ in entries)
-            return real(seed, entries)
+        def spy(seed, spec, start):
+            drawn.append(spec.name)
+            return real(seed, spec, start)
 
-        monkeypatch.setattr(codec, "_draw_tensors", spy)
+        monkeypatch.setattr(codec, "_draw_tensor", spy)
         prompts = ("speech", "music")
         stream = pipeline.encode_mixture(
             buffer_of(4000), prompts, tiny_config,
@@ -414,18 +377,16 @@ class TestLazyStore:
 
     def test_concurrent_first_reads_draw_once(self, monkeypatch, full_config,
                                               full_store):
-        # decoder.conv_in.weight has several parts, so its draw runs a pool
-        # inside the store's lock.
         name = "decoder.conv_in.weight"
         calls = []
-        real = codec._draw_tensors
+        real = codec._draw_tensor
 
-        def slow(*args):
-            calls.extend(spec.name for spec, _ in args[1])
+        def slow(seed, spec, start):
+            calls.append(spec.name)
             time.sleep(0.05)  # every reader reaches the lock meanwhile
-            return real(*args)
+            return real(seed, spec, start)
 
-        monkeypatch.setattr(codec, "_draw_tensors", slow)
+        monkeypatch.setattr(codec, "_draw_tensor", slow)
         store = codec.init_weights(full_config, seed=0)
         barrier = threading.Barrier(4)
         got = [None] * 4
@@ -450,17 +411,9 @@ class TestLazyStore:
         np.testing.assert_array_equal(got[0].view(np.uint32),
                                       full_store[name].view(np.uint32))
 
-    def test_reads_leave_no_thread_running(self, monkeypatch, tiny_config):
-        # Each stage fetch draws its tensors on a pool of 3.
-        monkeypatch.setattr(codec, "_init_workers", lambda: 3)
+    def test_reads_leave_no_thread_running(self, tiny_config):
         before = threading.active_count()
         store = codec.init_weights(tiny_config, seed=1)
-        for nodes in (codec.encoder_nodes(tiny_config),
-                      codec.decoder_nodes(tiny_config),
-                      [codec.RvqNode(tiny_config)],
-                      codec.extractor_nodes(tiny_config)):
-            store._fetch(nodes)
-            assert threading.active_count() == before
         for _ in store.tensors.values():
             assert threading.active_count() == before
 
@@ -473,33 +426,41 @@ class TestLazyStore:
             for name, tensor in other.tensors.items():
                 np.testing.assert_array_equal(tensor, tiny_store[name])
 
-    def test_a_stage_draws_its_tensors_together(self, monkeypatch,
-                                                tiny_config):
-        # Each stage's first read draws every tensor it reads in one call,
-        # so their parts share one pool; a later call draws nothing.
+    def test_each_stage_draws_each_tensor_once(self, monkeypatch,
+                                               tiny_config):
+        # Each stage's first call draws every tensor it reads, each once;
+        # a later call draws nothing.
         calls = []
-        real = codec._draw_tensors
+        real = codec._draw_tensor
 
-        def spy(seed, entries):
-            calls.append([spec.name for spec, _ in entries])
-            return real(seed, entries)
+        def spy(seed, spec, start):
+            calls.append(spec.name)
+            return real(seed, spec, start)
 
         def names(nodes):
-            return [spec.name for node in nodes for spec in node.manifest()]
+            return sorted(spec.name for node in nodes
+                          for spec in node.manifest())
 
-        monkeypatch.setattr(codec, "_draw_tensors", spy)
+        monkeypatch.setattr(codec, "_draw_tensor", spy)
         store = codec.init_weights(tiny_config, seed=tiny_config.seed)
         features = codec.encode(buffer_of(700), tiny_config, store)
-        assert calls == [names(codec.encoder_nodes(tiny_config))]
+        assert sorted(calls) == names(codec.encoder_nodes(tiny_config))
+        calls.clear()
         codec.decode(features, tiny_config, store)
-        assert calls[1:] == [names(codec.decoder_nodes(tiny_config))]
+        assert sorted(calls) == names(codec.decoder_nodes(tiny_config))
+        calls.clear()
         rvq.RvqWeights.from_store(store, tiny_config)
-        assert calls[2:] == [names([codec.RvqNode(tiny_config)])]
+        assert sorted(calls) == names([codec.RvqNode(tiny_config)])
+        calls.clear()
         ExtractorWeights.from_store(store, tiny_config)
-        assert calls[3:] == [names(codec.extractor_nodes(tiny_config))]
+        PromptBank.from_store(store)
+        assert sorted(calls) == names(codec.extractor_nodes(tiny_config))
         calls.clear()
         codec.encode(buffer_of(700), tiny_config, store)
         codec.decode(features, tiny_config, store)
+        rvq.RvqWeights.from_store(store, tiny_config)
+        ExtractorWeights.from_store(store, tiny_config)
+        PromptBank.from_store(store)
         assert calls == []
 
     def test_read_holds_no_float64_copy_of_its_tensor(self, full_config):
@@ -674,6 +635,23 @@ class TestWeightStore:
         with pytest.raises(InvalidArgumentError,
                            match=r"seed must be an integer in \[0, 2\*\*64\)"):
             codec.WeightStore(seed, {})
+
+    @pytest.mark.parametrize("name", [1, b"w", "x" * 65536, "\u00e9" * 32768,
+                                      "\ud800"],
+                             ids=["int", "bytes", "65536 bytes",
+                                  "65536 UTF-8 bytes", "lone surrogate"])
+    def test_names_save_cannot_write_are_refused(self, name):
+        with pytest.raises(InvalidArgumentError, match="tensor name"):
+            codec.WeightStore(0, {name: np.zeros(1, np.float32)})
+
+    def test_a_65535_byte_name_saves_and_loads(self, tmp_path):
+        name = "x" + "\u00e9" * 32767
+        assert len(name.encode("utf-8")) == 65535
+        path = str(tmp_path / "weights.suwt")
+        codec.WeightStore(2, {name: np.arange(3, dtype=np.float32)}).save(path)
+        back = codec.WeightStore.load(path)
+        assert back.names() == [name]
+        np.testing.assert_array_equal(back[name], [0, 1, 2])
 
 
 class TestFrameArithmetic:
